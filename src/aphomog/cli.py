@@ -51,6 +51,18 @@ MANIFEST_SCHEMA = {
 
 _FIELD_COMMANDS = {"corrector", "homogenize", "rho", "rate", "holder", "flux"}
 
+CORRECTOR_PARAMS_SCHEMA = {
+    "type": "object",
+    "required": ["T"],
+    "properties": {
+        "T": {"type": "number", "minimum": 1},
+        "h": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "buffer": {"type": "number", "minimum": 0},
+        "bc": {"enum": ["auto", "periodic", "truncated"]},
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+
 
 class ManifestError(ValueError):
     pass
@@ -113,7 +125,10 @@ def _atomic_write(path, text):
 
 
 def _field_from(manifest):
-    field = F.field_from_config(manifest["field"])
+    try:
+        field = F.field_from_config(manifest["field"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"invalid field config: {type(exc).__name__}: {exc}") from exc
     F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
     return field
 
@@ -131,14 +146,24 @@ def _corrector_payload(field, cset):
     }
 
 
-def _run_corrector(manifest, out_dir, threads):
-    field = _field_from(manifest)
+def _corrector_from(manifest, threads):
+    """Validate the corrector params, then solve; shared by corrector and homogenize."""
     p = manifest["params"]
+    try:
+        jsonschema.validate(p, CORRECTOR_PARAMS_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ManifestError(f"params: {exc.message}") from exc
+    field = _field_from(manifest)
     cset = C.solve_corrector(field, float(p["T"]), h=p.get("h"),
                              buffer=float(p.get("buffer", 6.0)),
                              bc=p.get("bc", "auto"),
                              tol=float(p.get("tol", 1e-10)),
                              threads=threads)
+    return field, cset
+
+
+def _run_corrector(manifest, out_dir, threads):
+    field, cset = _corrector_from(manifest, threads)
     payload = _corrector_payload(field, cset)
     for j in range(cset.d):
         for b in range(cset.m):
@@ -149,13 +174,7 @@ def _run_corrector(manifest, out_dir, threads):
 
 
 def _run_homogenize(manifest, out_dir, threads):
-    field = _field_from(manifest)
-    p = manifest["params"]
-    cset = C.solve_corrector(field, float(p["T"]), h=p.get("h"),
-                             buffer=float(p.get("buffer", 6.0)),
-                             bc=p.get("bc", "auto"),
-                             tol=float(p.get("tol", 1e-10)),
-                             threads=threads)
+    field, cset = _corrector_from(manifest, threads)
     hm = C.homogenized_matrix(field, cset)
     payload = {
         "ahat": hm.tensor.tolist(),

@@ -146,7 +146,7 @@ def _corrector_rhs(field, grid, j, beta, m):
 
 
 def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
-                    tol=1e-10, max_iters=None, precond=None, threads=1):
+                    tol=1e-10, max_iters=None, threads=1):
     """Solve the screened cell problems for every (direction, component).
 
     ``bc="auto"`` takes the single-cell periodic route for periodic fields
@@ -189,15 +189,13 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
 
     kappa = T ** -2.0
     op = assemble(field, grid, kappa)
-    if precond is None:
-        precond = "ilu" if d == 1 else "jacobi"
 
     jobs = [(j, b) for j in range(d) for b in range(m)]
 
     def _one(jb):
         j, b = jb
         rhs = _corrector_rhs(field, grid, j, b, m)
-        u = solve(op, rhs, tol=tol, max_iters=max_iters, precond=precond)
+        u = solve(op, rhs, tol=tol, max_iters=max_iters)
         return u
 
     if threads and threads > 1:
@@ -584,7 +582,7 @@ def gradient_cauchy_decay(csets, window_side=None):
 # flux corrector and translation response
 
 
-def solve_flux_corrector(flux, T, tol=1e-10, report_side=None, precond=None):
+def solve_flux_corrector(flux, T, tol=1e-10, report_side=None):
     """Screened Poisson solve  -Lap f + T^{-2} f = B - <B>  per tensor entry.
 
     On the periodic route the solve lives on the period cell; otherwise the
@@ -609,8 +607,6 @@ def solve_flux_corrector(flux, T, tol=1e-10, report_side=None, precond=None):
         if side < 3.0 * T:
             raise ValueError("flux region must span at least 3 screening lengths")
         grid = BoxGrid(Box(lo, hi), np.array(region_shape) - 1, DIRICHLET)
-    if precond is None:
-        precond = "ilu" if d == 1 else "jacobi"
     op = assemble(lap_field, grid, T ** -2.0)
     report_window = (None if flux.mode == "periodic"
                      else Box.cube(report_side if report_side else T, d=d))
@@ -623,7 +619,7 @@ def solve_flux_corrector(flux, T, tol=1e-10, report_side=None, precond=None):
                 for b in range(m):
                     data = flux.values[i, j, al, b] - flux.mean[i, j, al, b]
                     rhs = GridFunction(grid, data[None])
-                    f = solve(op, rhs, tol=tol, precond=precond)
+                    f = solve(op, rhs, tol=tol)
                     entries[i][j][al][b] = f
                     sup_f = max(sup_f, norms(f, "Linf", window=report_window))
                     grad = centered_gradient(f)

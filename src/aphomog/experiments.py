@@ -76,7 +76,7 @@ def default_cells(problem):
     return int(np.ceil(side / (problem.eps / 32.0)))
 
 
-def solve_problem(problem, tol=1e-10, max_iters=None, precond=None):
+def solve_problem(problem, tol=1e-10, max_iters=None):
     """FD solve of the problem; nonzero boundary data is lifted.
 
     With data g the solve substitutes u = w + G for the sampled smooth
@@ -90,15 +90,13 @@ def solve_problem(problem, tol=1e-10, max_iters=None, precond=None):
         if h > problem.eps / 32.0 + 1e-12:
             raise ValueError("grid must resolve eps: h <= eps/32")
     grid = BoxGrid(problem.box, np.full(coeff.d, cells, dtype=int), DIRICHLET)
-    if precond is None:
-        precond = "ilu" if coeff.d == 1 else "jacobi"
     op = assemble(coeff, grid, kappa=0.0)
     rhs = _sample(grid, problem.source, m)
     lift = None
     if problem.boundary is not None:
         lift = _sample(grid, problem.boundary, m)
         rhs = GridFunction(grid, rhs.values - op.apply(lift).values)
-    u = solve(op, rhs, tol=tol, max_iters=max_iters, precond=precond)
+    u = solve(op, rhs, tol=tol, max_iters=max_iters)
     info = u.solve_info
     if lift is not None:
         u = GridFunction(grid, u.values + lift.values)
@@ -152,7 +150,7 @@ def boundary_corrector(problem, cset, u0, tol=1e-10):
     op = assemble(coeff, grid, kappa=0.0)
     trace = expansion_term(u0, cset, problem.eps)
     rhs = GridFunction(grid, -op.apply(trace).values)
-    w = solve(op, rhs, tol=tol, precond="ilu" if coeff.d == 1 else "jacobi")
+    w = solve(op, rhs, tol=tol)
     v = GridFunction(grid, w.values + trace.values)
     sup_scaled = cset.sup_norm() / cset.T
     report = {

@@ -137,3 +137,30 @@ def test_corrector_command_writes_binaries(tmp_path):
     from aphomog.grids import load_grid_function
     u = load_grid_function(tmp_path / "corrector_chi_j0_b0.bin")
     assert u.values.shape[0] == 1
+
+
+def _exit_code(tmp_path, man):
+    man_path = tmp_path / "man.json"
+    man_path.write_text(json.dumps(man))
+    return cli.main(["run", "--manifest", str(man_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("edit, code", [
+    ({}, 0),
+    ({"params": {}}, 2),                                    # T missing
+    ({"params": {"T": "sixteen"}}, 2),
+    ({"field": {"variant": "mystery", "d": 1, "m": 1}}, 2),
+    ({"field": {"variant": "trig_polynomial", "d": 1}}, 2),  # no m, no terms
+    ({"params": {"T": 16.0, "h": 1.0}}, 3),                 # h > T/64: refused by the solver
+])
+def test_run_exit_codes(tmp_path, edit, code):
+    man = _sine_manifest("corrector", T=16.0, h=1 / 64)
+    man.update(edit)
+    assert _exit_code(tmp_path, man) == code
+    assert (tmp_path / "out" / "corrector_result.json").exists() == (code == 0)
+
+
+def test_unreadable_manifest_exits_2(tmp_path):
+    man_path = tmp_path / "man.json"
+    man_path.write_text("{not json")
+    assert cli.main(["run", "--manifest", str(man_path), "--out", str(tmp_path)]) == 2

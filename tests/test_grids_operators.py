@@ -1,5 +1,9 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from aphomog import fields as F
 from aphomog.errors import NonConverged
@@ -218,8 +222,62 @@ class TestSolve:
         rng = np.random.default_rng(0)
         rhs = GridFunction(pgrid, rng.standard_normal((1, 256)))
         with pytest.raises(NonConverged) as exc:
-            solve(op, rhs, tol=1e-14, max_iters=2, precond="jacobi")
+            solve(op, rhs, tol=1e-14, max_iters=2)
         assert exc.value.residual > 0
+
+    @pytest.mark.parametrize("case, method, max_iterations", [
+        ("lu_1d", "cg", 1),
+        ("mean_projection_1d", "cg", 30),
+        ("laminate_2d", "cg", 30),
+        ("cross_term_2d", "cg", 30),
+        ("mean_projection_2d", "cg", 30),
+        ("nonsymmetric_2d", "bicgstab", 30),
+        ("system_2d", "cg", 30),
+    ])
+    def test_agrees_with_direct_solve(self, case, method, max_iterations):
+        # ||u - u*|| <= ||A^{-1}|| ||A u - b|| <= tol ||b|| / sigma_min, with
+        # sigma_min the least singular value on the solver's subspace (the
+        # mean-zero functions where kappa = 0 on the periodic cell)
+        op, rhs = _solver_case(case)
+        tol = 1e-10
+        u = solve(op, rhs, tol=tol)
+        assert u.solve_info.method == method
+        assert 1 <= u.solve_info.iterations <= max_iterations
+        idx = op.interior_indices
+        mat = op.matrix_interior
+        b = rhs.values.reshape(-1)[idx]
+        got = u.values.reshape(-1)[idx]
+        sigma = np.linalg.svd(mat.toarray(), compute_uv=False)
+        if op.singular:
+            def centered(v):
+                v = v.reshape(op.m, -1)
+                return (v - v.mean(axis=1, keepdims=True)).ravel()
+
+            b = centered(b)
+            keep = np.ones(mat.shape[0], dtype=bool)
+            keep[::op.grid.node_total] = False      # pin the first node of each component
+            want = np.zeros_like(got)
+            want[keep] = spla.spsolve(mat[keep][:, keep].tocsc(), b[keep])
+            want = centered(want)
+            sigma_min = np.sort(sigma)[op.m]
+        else:
+            want = spla.spsolve(mat.tocsc(), b)
+            sigma_min = sigma.min()
+        bound = tol * np.linalg.norm(b) / sigma_min + 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= bound
+
+    def test_preconditioner_built_once_across_threads(self):
+        # corrector component solves share one operator across pool threads
+        op, _ = _solver_case("laminate_2d")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(lambda: op.preconditioner) for _ in range(8)]
+                built = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(p is built[0] for p in built)
 
     def test_deterministic_bitwise(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=0.5)
@@ -247,3 +305,39 @@ class TestSolve:
             errs.append(norms(GridFunction(grid, u.values - u_fn(x)[None]), "L2"))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+
+def _solver_case(name):
+    """(operator, right-hand side) for one branch of the solver's preconditioner."""
+    zero = np.zeros((2, 2))
+    if name.endswith("_1d"):
+        f = F.sine_scalar_field()
+        bc, kappa = (PERIODIC, 0.0) if name == "mean_projection_1d" else (DIRICHLET, 0.5)
+        grid = BoxGrid(Box([0.0], [1.0]), [64], bc)
+    else:
+        if name == "cross_term_2d":
+            f = F.TrigPolynomialField(2, 1, [
+                (np.zeros(2), np.array([[2.0, 0.8], [0.8, 1.0]]), zero),
+                (np.array([1.0, 1.0]), np.array([[0.4, 0.3], [0.3, 0.2]]), zero)])
+        elif name == "nonsymmetric_2d":
+            f = F.TrigPolynomialField(2, 1, [
+                (np.zeros(2), np.array([[2.0, 0.5], [-0.5, 1.5]]), zero),
+                (np.array([1.0, 0.0]), np.array([[0.5, 0.3], [0.0, 0.2]]), zero)])
+        elif name == "system_2d":
+            base = np.zeros((2, 2, 2, 2))
+            wob = np.zeros((2, 2, 2, 2))
+            for i in range(2):
+                base[i, i] = [[2.0, 0.3], [0.3, 1.0]]
+                wob[i, i] = [[0.5, 0.1], [0.1, 0.3]]
+            f = F.TrigPolynomialField(2, 2, [(np.zeros(2), base, np.zeros_like(base)),
+                                             (np.array([1.0, 2.0]), np.zeros_like(base), wob)])
+        else:
+            f = F.laminate_field()
+        bc, kappa = ((PERIODIC, 0.0) if name == "mean_projection_2d"
+                     else (DIRICHLET, 1.0 / 16.0))
+        grid = BoxGrid(Box([0.0, 0.0], [2.0, 2.0]), [16, 16], bc)
+    F.certify_ellipticity(f, rng_seed=0)
+    op = assemble(f, grid, kappa)
+    rng = np.random.default_rng(5)
+    rhs = GridFunction(grid, rng.standard_normal((f.m,) + grid.node_counts))
+    return op, rhs
