@@ -11,13 +11,13 @@ from .errors import (EllipticityViolation, NonConverged, ResonantFrequencies,
 from .fields import (ConstantField, CoefficientField, Ellipticity,
                      FrequencyLayout, PeriodicSampledField, QuasiPeriodicField,
                      ScaledArgumentField, ShiftedField, TorusFunction,
-                     TrigPolynomialField, GOLDEN_RATIO, adjoint, as_tensor,
+                     TrigPolynomialField, GOLDEN_RATIO, as_tensor,
                      certify_ellipticity, check_ellipticity, diophantine_scan,
-                     evaluate, field_from_config, field_to_config,
+                     field_from_config, field_to_config,
                      golden_ratio_field, identity_field, laminate_field,
                      modulus_of_continuity, sine_scalar_field)
 from .grids import (Box, BoxGrid, DIRICHLET, PERIODIC, GridFunction,
-                    centered_gradient, estimate_mean, face_differences,
+                    centered_gradient, face_differences,
                     grid_function_to_csv, holder_seminorm, load_grid_function,
                     norms, save_grid_function, window_mean)
 from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discrepancy,

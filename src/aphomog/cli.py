@@ -13,12 +13,15 @@ Exit codes: 0 success, 2 manifest schema violation, 3 compute failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
 import os
+import pathlib
 import sys
 import tempfile
+import threading
 from importlib.metadata import version as pkg_version
 
 import numpy as np
@@ -29,7 +32,7 @@ from . import experiments as E
 from . import fields as F
 from . import metrics as M
 from .errors import NonConverged
-from .grids import Box, estimate_mean, save_grid_function
+from .grids import Box, save_grid_function, window_mean
 
 log = logging.getLogger("aphomog")
 
@@ -51,16 +54,50 @@ MANIFEST_SCHEMA = {
 
 _FIELD_COMMANDS = {"corrector", "homogenize", "rho", "rate", "holder", "flux"}
 
-CORRECTOR_PARAMS_SCHEMA = {
-    "type": "object",
-    "required": ["T"],
-    "properties": {
-        "T": {"type": "number", "minimum": 1},
-        "h": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "buffer": {"type": "number", "minimum": 0},
-        "bc": {"enum": ["auto", "periodic", "truncated"]},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-    },
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POSITIVE_OR_NULL = {"type": ["number", "null"], "exclusiveMinimum": 0}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_COUNT_OR_NULL = {"type": ["integer", "null"], "minimum": 1}
+_T = {"type": "number", "minimum": 1}
+
+
+def _list_of(item):
+    return {"type": "array", "minItems": 1, "items": item}
+
+
+def _params(required, properties):
+    return {"type": "object", "required": required, "properties": properties}
+
+
+_CORRECTOR_PARAMS = _params(["T"], {
+    "T": _T, "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
+    "bc": {"enum": ["auto", "periodic", "truncated"]}, "tol": _POSITIVE})
+
+# per-command params, checked by validate_manifest before any compute
+PARAMS_SCHEMAS = {
+    "corrector": _CORRECTOR_PARAMS,
+    "homogenize": _CORRECTOR_PARAMS,
+    "rho": _params(["R_list"], {
+        "R_list": _list_of(_POSITIVE), "y_samples": _COUNT_OR_NULL,
+        "test_points": _COUNT_OR_NULL, "z_spacing": _POSITIVE_OR_NULL,
+        "norm": {"enum": ["inf", "euclid"]}}),
+    "theta": _params(["lambda", "R_list", "ell"], {
+        "lambda": _list_of({"type": "number"}), "R_list": _list_of(_POSITIVE),
+        "ell": {"anyOf": [_COUNT, _list_of(_COUNT)]}}),
+    "discrepancy": _params(["lambda", "R", "ell"], {
+        "lambda": _list_of({"type": "number"}), "R": _COUNT, "ell": _COUNT,
+        "H_list": _list_of(_COUNT)}),
+    "rate": _params(["eps_list"], {
+        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
+        "tol": _POSITIVE, "boundary_corrector": {"type": "boolean"}}),
+    "holder": _params(["eps_list"], {
+        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
+        "sigma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}),
+    "flux": _params(["T_list"], {
+        "T_list": _list_of(_T), "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
+        "region_factor": _POSITIVE, "tol": _POSITIVE}),
 }
 
 
@@ -73,6 +110,10 @@ def validate_manifest(manifest):
         jsonschema.validate(manifest, MANIFEST_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ManifestError(str(exc.message)) from exc
+    try:
+        jsonschema.validate(manifest["params"], PARAMS_SCHEMAS[manifest["command"]])
+    except jsonschema.ValidationError as exc:
+        raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
     if manifest["command"] in _FIELD_COMMANDS and "field" not in manifest:
         raise ManifestError(f"command {manifest['command']!r} needs a field config")
 
@@ -106,18 +147,27 @@ def manifest_hash(manifest):
     return hashlib.sha256(dumps_canonical(manifest).encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _atomic_write(path, write):
+    """Create ``path`` by calling ``write(tmp_path)`` on a sibling temp file, then renaming.
+
+    The temp name is unique per process and thread.  The writer creates the
+    file, so it gets the umask's permissions (``mkstemp`` would give 0600).
+    """
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _text(text):
+    """Writer of ``text`` as UTF-8 for :func:`_atomic_write`."""
+    return lambda path: pathlib.Path(path).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +186,7 @@ def _field_from(manifest):
 def _corrector_payload(field, cset):
     res, rel = C.energy_identity_residual(field, cset)
     window = None if cset.mode == "periodic" else cset.window
-    means = [[estimate_mean(cset.chi[j][b], window).tolist()
+    means = [[window_mean(cset.chi[j][b], window).tolist()
               for b in range(cset.m)] for j in range(cset.d)]
     return {
         "provenance": cset.provenance(),
@@ -147,12 +197,8 @@ def _corrector_payload(field, cset):
 
 
 def _corrector_from(manifest, threads):
-    """Validate the corrector params, then solve; shared by corrector and homogenize."""
+    """Solve the correctors of the manifest; shared by corrector and homogenize."""
     p = manifest["params"]
-    try:
-        jsonschema.validate(p, CORRECTOR_PARAMS_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ManifestError(f"params: {exc.message}") from exc
     field = _field_from(manifest)
     cset = C.solve_corrector(field, float(p["T"]), h=p.get("h"),
                              buffer=float(p.get("buffer", 6.0)),
@@ -167,8 +213,8 @@ def _run_corrector(manifest, out_dir, threads):
     payload = _corrector_payload(field, cset)
     for j in range(cset.d):
         for b in range(cset.m):
-            save_grid_function(cset.chi[j][b],
-                               os.path.join(out_dir, f"corrector_chi_j{j}_b{b}.bin"))
+            _atomic_write(os.path.join(out_dir, f"corrector_chi_j{j}_b{b}.bin"),
+                          functools.partial(save_grid_function, cset.chi[j][b]))
     summary = f"corrector T={cset.T:g} mode={cset.mode} sup={payload['sup_norm']:.6g}"
     return payload, summary
 
@@ -199,7 +245,7 @@ def _run_rho(manifest, out_dir, threads):
                        rng_seed=int(manifest["seed"]))
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    rep.to_csv(os.path.join(out_dir, "rho.csv"))
+    _atomic_write(os.path.join(out_dir, "rho.csv"), rep.to_csv)
     payload = {"report": rep.as_dict()}
     summary = (f"rho R in [{rep.parameters[0]:g}, {rep.parameters[-1]:g}] "
                f"exponent={rep.fitted_exponent}")
@@ -211,7 +257,7 @@ def _run_theta(manifest, out_dir, threads):
     rep = M.theta_ladder(p["lambda"], p["R_list"], p["ell"])
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    rep.to_csv(os.path.join(out_dir, "theta.csv"))
+    _atomic_write(os.path.join(out_dir, "theta.csv"), rep.to_csv)
     payload = {"report": rep.as_dict()}
     summary = f"theta ladder exponent={rep.fitted_exponent}"
     return payload, summary
@@ -244,7 +290,7 @@ def _run_rate(manifest, out_dir, threads):
         lines.append(f"{r['eps']:.17g},{r['cells']},{r['L2_plain']:.17g},"
                      f"{r['L2_corrected']:.17g},{r['H1_plain']:.17g},"
                      f"{r['H1_corrected']:.17g}")
-    _atomic_write(os.path.join(out_dir, "rate.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, "rate.csv"), _text("\n".join(lines) + "\n"))
     payload = exp.as_dict()
     if exp.floor_limited:
         summary = "rate: floor-limited (errors at solver floor)"
@@ -330,7 +376,7 @@ def run_manifest(manifest, out_dir, threads=None):
         "compare": {"rtol": 0.0, "atol": 0.0},
     }
     path = os.path.join(out_dir, f"{manifest['command']}_result.json")
-    _atomic_write(path, dumps_canonical(result) + "\n")
+    _atomic_write(path, _text(dumps_canonical(result) + "\n"))
     print(summary + f" -> {path}")
     return path
 

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ConstantField, ShiftedField, certify_ellipticity, identity_field
+from .fields import ShiftedField, certify_ellipticity, identity_field, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
-                    centered_gradient, estimate_mean, face_differences,
-                    holder_seminorm, norms)
+                    centered_gradient, face_differences, holder_seminorm, norms)
 from .metrics import DecayReport
 from .operators import assemble, divergence_rhs, solve
 
@@ -58,24 +57,12 @@ class CorrectorSet:
     def m(self):
         return self.field.m
 
-    def component(self, j, beta):
-        return self.chi[j][beta]
-
     def sup_norm(self, window=None):
         w = self.window if window is None else window
         if self.mode == "periodic":
             w = None
         return max(norms(self.chi[j][b], "Linf", window=w)
                    for j in range(self.d) for b in range(self.m))
-
-    def interior_region(self, margin_cells=2):
-        """Largest centered box clear of the Dirichlet boundary skin."""
-        if self.mode == "periodic":
-            return None
-        g = self.grid
-        lo = g.box.lo + margin_cells * g.h
-        hi = g.box.hi - margin_cells * g.h
-        return Box(lo, hi)
 
     def provenance(self):
         import hashlib
@@ -114,11 +101,6 @@ class HomogenizedMatrix:
     @property
     def m(self):
         return self.tensor.shape[2]
-
-    def as_field(self):
-        f = ConstantField(self.tensor)
-        certify_ellipticity(f, sample_count=8)
-        return f
 
 
 @dataclass
@@ -239,8 +221,7 @@ def _face_window_slices(grid, window, ax):
             lo = grid.box.lo[a] + 0.5 * grid.h[a]
             i0 = int(np.ceil((window.lo[a] - lo) / grid.h[a] - 1e-9))
             i1 = int(np.floor((window.hi[a] - lo) / grid.h[a] + 1e-9))
-            n_faces = grid.cells[a] if grid.bc == PERIODIC else grid.cells[a]
-            i0, i1 = max(i0, 0), min(i1, n_faces - 1)
+            i0, i1 = max(i0, 0), min(i1, grid.cells[a] - 1)
             sls.append(slice(i0, i1 + 1))
         else:
             s = grid.window_slices(window)[a]
@@ -299,8 +280,7 @@ def homogenized_matrix(field, cset, window=None):
                 integrand = base + flux
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
         del coeffs
-    dm = d * m
-    mat = np.ascontiguousarray(ahat.transpose(0, 2, 1, 3)).reshape(dm, dm)
+    mat = tensor_matrix(ahat)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     mu = field.ellipticity.mu if field.ellipticity is not None else 0.0
     ok = bool(eigs[0] > 0 and eigs[0] >= 0.90 * mu)
@@ -311,8 +291,7 @@ def homogenized_matrix(field, cset, window=None):
 
 def reference_matrix(tensor):
     t = np.asarray(tensor, dtype=float)
-    dm = t.shape[0] * t.shape[2]
-    mat = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(dm, dm)
+    mat = tensor_matrix(t)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     return HomogenizedMatrix(tensor=t, source=("reference",),
                              sym_eig_min=float(eigs[0]), sym_eig_max=float(eigs[-1]),
@@ -366,13 +345,7 @@ def flux_tensor(field, cset, ahat=None, region=None):
         mean = values.reshape(d, d, m, m, -1).mean(axis=-1)
         region_box = grid.box
     else:
-        w = np.ones(())
-        for ax in range(d):
-            n = shape[ax]
-            wa = np.full(n, grid.h[ax])
-            wa[0] *= 0.5
-            wa[-1] *= 0.5
-            w = np.multiply.outer(w, wa)
+        w = grid.trapezoid_weights(sls)
         mean = np.tensordot(values, w, axes=(tuple(range(4, 4 + d)),
                                              tuple(range(d)))) / float(np.sum(w))
     return FluxTensor(values=values, region=region_box, grid=grid, slices=sls,
@@ -397,14 +370,7 @@ def energy_identity_residual(field, cset, window=None):
     if cset.mode == "periodic" and window is None:
         weights = None
     else:
-        weights = np.ones(())
-        for ax in range(d):
-            n = len(range(*sls[ax].indices(grid.node_counts[ax])))
-            wa = np.full(n, grid.h[ax])
-            wa[0] *= 0.5
-            wa[-1] *= 0.5
-            weights = np.multiply.outer(weights, wa)
-        weights = weights.ravel()
+        weights = grid.trapezoid_weights(sls).ravel()
         weights = weights / weights.sum()
 
     def _avg(x):
@@ -475,8 +441,8 @@ def windowed_gradient_sup(cset, r):
     """sup over window positions of the box-averaged gradient L2 mean.
 
     Boxes are sup-norm balls B(x, r); on the periodic route the sliding
-    window wraps, on the truncated route centers keep the box inside the
-    Dirichlet-safe interior region.
+    window wraps, on the truncated route every center whose box keeps a
+    two-node margin from the Dirichlet boundary is taken, in any dimension.
     """
     from scipy.ndimage import uniform_filter
     grid = cset.grid
@@ -491,35 +457,15 @@ def windowed_gradient_sup(cset, r):
                 for ax in range(d)]
         means = uniform_filter(gradsq, size=size, mode="wrap")
         return float(np.sqrt(np.max(means)))
-    half = [int(round(r / grid.h[ax])) for ax in range(d)]
-    pad = np.zeros(tuple(n + 1 for n in gradsq.shape))
-    pad[(slice(1, None),) * d] = gradsq
-    for ax in range(d):
-        pad = np.cumsum(pad, axis=ax)
+    half = np.array([int(round(r / grid.h[ax])) for ax in range(d)])
     margin = 2
-    best = 0.0
-    counts = np.array(grid.node_counts)
-    lo_c = np.maximum(np.array(half) + margin, margin)
-    hi_c = counts - 1 - np.array(half) - margin
+    lo_c = half + margin
+    hi_c = np.array(grid.node_counts) - 1 - half - margin
     if np.any(hi_c <= lo_c):
         raise ValueError("radius too large for the available interior region")
-    step = np.maximum(1, (hi_c - lo_c) // 24)
-    centers = np.meshgrid(*[np.arange(lo_c[ax], hi_c[ax] + 1, step[ax])
-                            for ax in range(d)], indexing="ij")
-    centers = np.stack([c.ravel() for c in centers], axis=1)
-    for c in centers:
-        lo = c - half
-        hi = c + half
-        total = pad[tuple(hi + 1)] if d == 1 else None
-        if d == 1:
-            s = pad[hi[0] + 1] - pad[lo[0]]
-            n_nodes = hi[0] - lo[0] + 1
-        else:
-            s = (pad[hi[0] + 1, hi[1] + 1] - pad[lo[0], hi[1] + 1]
-                 - pad[hi[0] + 1, lo[1]] + pad[lo[0], lo[1]])
-            n_nodes = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
-        best = max(best, s / n_nodes)
-    return float(np.sqrt(best))
+    means = uniform_filter(gradsq, size=2 * half + 1, mode="constant")
+    valid = tuple(slice(lo, hi + 1) for lo, hi in zip(lo_c, hi_c))
+    return float(np.sqrt(np.max(means[valid])))
 
 
 def _aligned_window_faces(ca, cb, ax, window):

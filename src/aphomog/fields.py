@@ -132,6 +132,36 @@ class FrequencyLayout:
 
 
 # ---------------------------------------------------------------------------
+# trigonometric terms (k, C, S) shared by TrigPolynomialField and TorusFunction
+
+
+def _parse_terms(terms, dimension, d, m):
+    return [(np.asarray(freq, dtype=float).reshape(dimension),
+             as_tensor(cos_c, d, m), as_tensor(sin_c, d, m))
+            for freq, cos_c, sin_c in terms]
+
+
+def _trig_sum(points, terms, d, m):
+    """sum over terms of cos(2 pi k.x) C + sin(2 pi k.x) S at points (N, len(k))."""
+    out = np.zeros((points.shape[0], d, d, m, m))
+    for k, cos_c, sin_c in terms:
+        ph = 2.0 * np.pi * (points @ k)
+        if np.any(cos_c):
+            out += np.cos(ph)[:, None, None, None, None] * cos_c
+        if np.any(sin_c):
+            out += np.sin(ph)[:, None, None, None, None] * sin_c
+    return out
+
+
+def _adjoint_terms(terms):
+    return [(k, adjoint_tensor(c), adjoint_tensor(s)) for k, c, s in terms]
+
+
+def _terms_symmetric(terms):
+    return all(is_symmetric_tensor(c) and is_symmetric_tensor(s) for _, c, s in terms)
+
+
+# ---------------------------------------------------------------------------
 # field variants
 
 
@@ -204,32 +234,18 @@ class TrigPolynomialField(CoefficientField):
 
     def __init__(self, d, m, terms):
         super().__init__(d, m)
-        parsed = []
-        for freq, cos_c, sin_c in terms:
-            k = np.asarray(freq, dtype=float).reshape(d)
-            parsed.append((k, as_tensor(cos_c, d, m), as_tensor(sin_c, d, m)))
-        self.terms = parsed
-        self.symmetric = all(
-            is_symmetric_tensor(c) and is_symmetric_tensor(s) for _, c, s in parsed
-        )
-        freqs = np.array([k for k, _, _ in parsed])
+        self.terms = _parse_terms(terms, d, d, m)
+        self.symmetric = _terms_symmetric(self.terms)
+        freqs = np.array([k for k, _, _ in self.terms])
         if freqs.size and np.allclose(freqs, np.round(freqs), atol=1e-12):
             self.period = np.ones(d)
 
     def _evaluate(self, pts):
-        n = pts.shape[0]
-        out = np.zeros((n, self.d, self.d, self.m, self.m))
-        for k, cos_c, sin_c in self.terms:
-            ph = 2.0 * np.pi * (pts @ k)
-            if np.any(cos_c):
-                out += np.cos(ph)[:, None, None, None, None] * cos_c
-            if np.any(sin_c):
-                out += np.sin(ph)[:, None, None, None, None] * sin_c
-        return out
+        return _trig_sum(pts, self.terms, self.d, self.m)
 
     def adjoint(self):
-        terms = [(k, adjoint_tensor(c), adjoint_tensor(s)) for k, c, s in self.terms]
-        return self._carry_over(TrigPolynomialField(self.d, self.m, terms))
+        return self._carry_over(TrigPolynomialField(self.d, self.m,
+                                                    _adjoint_terms(self.terms)))
 
 
 class PeriodicSampledField(CoefficientField):
@@ -285,29 +301,17 @@ class TorusFunction:
         self.dimension = int(dimension)
         self.d = int(d)
         self.m = int(m)
-        parsed = []
-        for freq, cos_c, sin_c in terms:
-            n = np.asarray(freq, dtype=float).reshape(self.dimension)
-            if not np.allclose(n, np.round(n), atol=1e-9):
-                raise ValueError("torus frequencies must be integer vectors")
-            parsed.append((np.round(n), as_tensor(cos_c, d, m), as_tensor(sin_c, d, m)))
-        self.terms = parsed
+        parsed = _parse_terms(terms, self.dimension, d, m)
+        if not all(np.allclose(n, np.round(n), atol=1e-9) for n, _, _ in parsed):
+            raise ValueError("torus frequencies must be integer vectors")
+        self.terms = [(np.round(n), c, s) for n, c, s in parsed]
 
     def evaluate(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        n = t.shape[0]
-        out = np.zeros((n, self.d, self.d, self.m, self.m))
-        for k, cos_c, sin_c in self.terms:
-            ph = 2.0 * np.pi * (t @ k)
-            if np.any(cos_c):
-                out += np.cos(ph)[:, None, None, None, None] * cos_c
-            if np.any(sin_c):
-                out += np.sin(ph)[:, None, None, None, None] * sin_c
-        return out
+        return _trig_sum(np.atleast_2d(np.asarray(t, dtype=float)), self.terms,
+                         self.d, self.m)
 
     def adjoint(self):
-        terms = [(k, adjoint_tensor(c), adjoint_tensor(s)) for k, c, s in self.terms]
-        return TorusFunction(self.dimension, self.d, self.m, terms)
+        return TorusFunction(self.dimension, self.d, self.m, _adjoint_terms(self.terms))
 
 
 class QuasiPeriodicField(CoefficientField):
@@ -319,9 +323,7 @@ class QuasiPeriodicField(CoefficientField):
         super().__init__(layout.direction_count, torus.m)
         self.torus = torus
         self.layout = layout
-        self.symmetric = all(
-            is_symmetric_tensor(c) and is_symmetric_tensor(s) for _, c, s in torus.terms
-        )
+        self.symmetric = _terms_symmetric(torus.terms)
 
     def _evaluate(self, pts):
         return self.torus.evaluate(self.layout.embed(pts))
@@ -367,16 +369,6 @@ class ScaledArgumentField(CoefficientField):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def evaluate(field, point):
-    """Evaluate a field at one point or a batch of points."""
-    return field.evaluate(point)
-
-
-def adjoint(field):
-    """Index-swapped field; an involution under evaluation."""
-    return field.adjoint()
 
 
 def check_ellipticity(field, sample_count=4096, rng_seed=0, sample_box=None):
@@ -538,14 +530,23 @@ def _tensor_cfg(t):
     return np.asarray(t, dtype=float).tolist()
 
 
+def _terms_cfg(terms):
+    return [{"frequency": k.tolist(), "cos": _tensor_cfg(c), "sin": _tensor_cfg(s)}
+            for k, c, s in terms]
+
+
+def _terms_from_cfg(items):
+    return [(np.asarray(t["frequency"], dtype=float), np.asarray(t["cos"], dtype=float),
+             np.asarray(t["sin"], dtype=float)) for t in items]
+
+
 def field_to_config(field):
     if isinstance(field, ConstantField):
         return {"variant": "constant", "d": field.d, "m": field.m,
                 "value": _tensor_cfg(field.value)}
     if isinstance(field, TrigPolynomialField):
         return {"variant": "trig_polynomial", "d": field.d, "m": field.m,
-                "terms": [{"frequency": k.tolist(), "cos": _tensor_cfg(c),
-                           "sin": _tensor_cfg(s)} for k, c, s in field.terms]}
+                "terms": _terms_cfg(field.terms)}
     if isinstance(field, PeriodicSampledField):
         return {"variant": "periodic_sampled", "d": field.d, "m": field.m,
                 "period": field.period.tolist(), "order": 1,
@@ -553,9 +554,7 @@ def field_to_config(field):
     if isinstance(field, QuasiPeriodicField):
         return {"variant": "quasi_periodic", "d": field.d, "m": field.m,
                 "layout": [f.tolist() for f in field.layout.frequencies],
-                "torus_terms": [{"frequency": k.tolist(), "cos": _tensor_cfg(c),
-                                 "sin": _tensor_cfg(s)}
-                                for k, c, s in field.torus.terms]}
+                "torus_terms": _terms_cfg(field.torus.terms)}
     raise ValueError(f"cannot serialize field of type {type(field).__name__}")
 
 
@@ -566,11 +565,7 @@ def field_from_config(cfg):
         return ConstantField(np.asarray(cfg["value"], dtype=float),
                              d=cfg.get("d"), m=cfg.get("m"))
     if variant == "trig_polynomial":
-        d, m = int(cfg["d"]), int(cfg["m"])
-        terms = [(np.asarray(t["frequency"], dtype=float),
-                  np.asarray(t["cos"], dtype=float),
-                  np.asarray(t["sin"], dtype=float)) for t in cfg["terms"]]
-        return TrigPolynomialField(d, m, terms)
+        return TrigPolynomialField(int(cfg["d"]), int(cfg["m"]), _terms_from_cfg(cfg["terms"]))
     if variant == "periodic_sampled":
         return PeriodicSampledField(np.asarray(cfg["period"], dtype=float),
                                     np.asarray(cfg["samples"], dtype=float),
@@ -578,9 +573,7 @@ def field_from_config(cfg):
     if variant == "quasi_periodic":
         d, m = int(cfg["d"]), int(cfg["m"])
         layout = FrequencyLayout(tuple(np.asarray(f, dtype=float) for f in cfg["layout"]))
-        terms = [(np.asarray(t["frequency"], dtype=float),
-                  np.asarray(t["cos"], dtype=float),
-                  np.asarray(t["sin"], dtype=float)) for t in cfg["torus_terms"]]
-        torus = TorusFunction(layout.total_dimension, d, m, terms)
+        torus = TorusFunction(layout.total_dimension, d, m,
+                              _terms_from_cfg(cfg["torus_terms"]))
         return QuasiPeriodicField(torus, layout)
     raise ValueError(f"unknown field variant {variant!r}")

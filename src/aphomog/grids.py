@@ -19,6 +19,7 @@ Binary serialization layout (little endian):
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,13 +121,19 @@ class BoxGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1), tuple(len(a) for a in axes)
 
-    def trapezoid_weights(self):
-        """Quadrature weights per node; total equals the box volume."""
+    def trapezoid_weights(self, sls=None):
+        """Trapezoid weights per node of the grid or of the sub-box ``sls``.
+
+        Over the whole grid the total equals the box volume (periodic axes
+        have no end nodes to halve); a tuple of index slices always halves
+        its end nodes.
+        """
+        halve_ends = sls is not None or self.bc == DIRICHLET
+        sls = (slice(None),) * self.d if sls is None else sls
         w = np.ones(())
-        for ax in range(self.d):
-            n = self.node_counts[ax]
-            wa = np.full(n, self.h[ax])
-            if self.bc == DIRICHLET:
+        for ax, s in enumerate(sls):
+            wa = np.full(len(range(*s.indices(self.node_counts[ax]))), self.h[ax])
+            if halve_ends:
                 wa[0] *= 0.5
                 wa[-1] *= 0.5
             w = np.multiply.outer(w, wa)
@@ -236,13 +243,8 @@ def face_differences(u, ax):
     """Normal differences at faces orthogonal to ``ax``: (u_next - u_this)/h."""
     vals, g = u.values, u.grid
     if g.bc == PERIODIC:
-        nxt = np.roll(vals, -1, axis=1 + ax)
-        return (nxt - vals) / g.h[ax]
-    sl_hi = [slice(None)] * (g.d + 1)
-    sl_lo = [slice(None)] * (g.d + 1)
-    sl_hi[1 + ax] = slice(1, None)
-    sl_lo[1 + ax] = slice(None, -1)
-    return (vals[tuple(sl_hi)] - vals[tuple(sl_lo)]) / g.h[ax]
+        vals = np.concatenate([vals, np.take(vals, [0], axis=1 + ax)], axis=1 + ax)
+    return np.diff(vals, axis=1 + ax) / g.h[ax]
 
 
 def centered_gradient(u):
@@ -264,27 +266,11 @@ def centered_gradient(u):
 def window_mean(u, window=None):
     """Trapezoid-consistent volume average per component over a window."""
     g = u.grid
-    if window is None:
-        w = g.trapezoid_weights()
-        vals = u.values
-    else:
-        sls = g.window_slices(window)
-        sub = u.values[(slice(None), *sls)]
-        w = np.ones(())
-        for ax in range(g.d):
-            n = sub.shape[1 + ax]
-            wa = np.full(n, g.h[ax])
-            wa[0] *= 0.5
-            wa[-1] *= 0.5
-            w = np.multiply.outer(w, wa)
-        vals = sub
+    sls = None if window is None else g.window_slices(window)
+    w = g.trapezoid_weights(sls)
+    vals = u.values if sls is None else u.values[(slice(None), *sls)]
     total = float(np.sum(w))
     return np.tensordot(vals, w, axes=(tuple(range(1, vals.ndim)), tuple(range(w.ndim)))) / total
-
-
-def estimate_mean(u, window=None):
-    """Volume average of each component over ``window`` (whole grid if None)."""
-    return window_mean(u, window)
 
 
 def norms(u, kind, window=None):
@@ -336,11 +322,7 @@ def holder_seminorm(u, sigma, pair_budget=4096, rng_seed=0, window=None):
     best = 0.0
     # nearest neighbors
     for ax in range(g.d):
-        sl_hi = [slice(None)] * (g.d + 1)
-        sl_lo = [slice(None)] * (g.d + 1)
-        sl_hi[1 + ax] = slice(1, None)
-        sl_lo[1 + ax] = slice(None, -1)
-        diff = np.sqrt(np.sum((vals[tuple(sl_hi)] - vals[tuple(sl_lo)]) ** 2, axis=0))
+        diff = np.sqrt(np.sum(np.diff(vals, axis=1 + ax) ** 2, axis=0))
         best = max(best, float(np.max(diff)) / g.h[ax] ** sigma)
     # random pairs plus box corners
     rng = np.random.default_rng(rng_seed)
@@ -382,18 +364,31 @@ def save_grid_function(u, path):
 
 
 def load_grid_function(path):
+    """Read a grid function; a malformed header or payload raises ValueError."""
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("not a grid-function file")
-        version, d, m, bc_code = struct.unpack("<IIII", f.read(16))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        lo = struct.unpack(f"<{d}d", f.read(8 * d))
-        hi = struct.unpack(f"<{d}d", f.read(8 * d))
-        cells = struct.unpack(f"<{d}Q", f.read(8 * d))
-        grid = BoxGrid(Box(lo, hi), cells, PERIODIC if bc_code else DIRICHLET)
-        raw = np.frombuffer(f.read(), dtype="<f8")
-        return GridFunction(grid, raw.reshape((m,) + grid.node_counts).copy())
+        data = f.read()
+    if data[:4] != _MAGIC:
+        raise ValueError("not a grid-function file")
+    if len(data) < 20:
+        raise ValueError("truncated grid-function header")
+    version, d, m, bc_code = struct.unpack_from("<IIII", data, 4)
+    if version != 1:
+        raise ValueError(f"unsupported version {version}")
+    if d < 1 or m < 1 or bc_code not in (0, 1):
+        raise ValueError(f"invalid header: d={d}, m={m}, bc code {bc_code}")
+    offset = 20 + 24 * d
+    if len(data) < offset:
+        raise ValueError("truncated grid-function header")
+    lo = struct.unpack_from(f"<{d}d", data, 20)
+    hi = struct.unpack_from(f"<{d}d", data, 20 + 8 * d)
+    cells = struct.unpack_from(f"<{d}Q", data, 20 + 16 * d)
+    nodes = tuple(c + (1 - bc_code) for c in cells)
+    if len(data) - offset != 8 * m * math.prod(nodes):
+        raise ValueError(f"payload of {len(data) - offset} bytes does not hold "
+                         f"{m} x {nodes} float64 values")
+    grid = BoxGrid(Box(lo, hi), cells, PERIODIC if bc_code else DIRICHLET)
+    raw = np.frombuffer(data, dtype="<f8", offset=offset)
+    return GridFunction(grid, raw.reshape((m,) + grid.node_counts).copy())
 
 
 def grid_function_to_csv(u, path):

@@ -78,11 +78,6 @@ class DecayReport:
         table = np.stack([self.parameters, self.values], axis=1)
         np.savetxt(path, table, delimiter=",", header="parameter,value", comments="")
 
-    def to_json(self, path):
-        import json
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.as_dict(), f, sort_keys=True)
-
 
 def fit_decay_exponent(report, window=None):
     """Least-squares slope in log-log coordinates with R^2 quality."""

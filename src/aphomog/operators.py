@@ -28,17 +28,12 @@ from .grids import PERIODIC, GridFunction
 
 def _axis_face_diff(cells, h, bc):
     n = int(cells)
-    if bc == PERIODIC:
-        rows = np.arange(n)
-        data = np.concatenate([-np.ones(n), np.ones(n)])
-        idx_rows = np.concatenate([rows, rows])
-        idx_cols = np.concatenate([rows, (rows + 1) % n])
-        return sp.csr_matrix((data / h, (idx_rows, idx_cols)), shape=(n, n))
+    nodes = n if bc == PERIODIC else n + 1     # the periodic last face wraps to node 0
     rows = np.arange(n)
     data = np.concatenate([-np.ones(n), np.ones(n)])
     idx_rows = np.concatenate([rows, rows])
-    idx_cols = np.concatenate([rows, rows + 1])
-    return sp.csr_matrix((data / h, (idx_rows, idx_cols)), shape=(n, n + 1))
+    idx_cols = np.concatenate([rows, (rows + 1) % nodes])
+    return sp.csr_matrix((data / h, (idx_rows, idx_cols)), shape=(n, nodes))
 
 
 def _axis_centered(cells, h, bc):

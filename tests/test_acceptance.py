@@ -15,7 +15,7 @@ from aphomog import experiments as E
 from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
-                           estimate_mean, norms)
+                           norms, window_mean)
 from aphomog.operators import assemble, divergence_rhs, face_diff_matrix, solve
 from oracle_tools import dirichlet_1d_quadrature
 
@@ -109,7 +109,7 @@ def test_criterion_05_mean_zero_and_energy(sine_field):
             _, rel = C.energy_identity_residual(sine_field, cset)
             rels[h] = float(rel[0, 0])
             if h == 1 / 256:
-                mean = abs(estimate_mean(cset.chi[0][0])[0])
+                mean = abs(window_mean(cset.chi[0][0])[0])
                 sup = cset.sup_norm()
         shrink = rels[1 / 128] / rels[1 / 256]
     assert mean <= 1e-3 * (1.0 + sup)

@@ -160,6 +160,26 @@ def test_run_exit_codes(tmp_path, edit, code):
     assert (tmp_path / "out" / "corrector_result.json").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_empty_params_exit_2(tmp_path, command):
+    man = {"command": command, "seed": 0, "params": {}}
+    if command in cli._FIELD_COMMANDS:
+        man["field"] = F.field_to_config(F.sine_scalar_field())
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out" / f"{command}_result.json").exists()
+
+
+def test_atomic_write_failure_leaves_nothing(tmp_path):
+    def failing_writer(path):
+        with open(path, "w") as f:
+            f.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(tmp_path / "rho.csv"), failing_writer)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unreadable_manifest_exits_2(tmp_path):
     man_path = tmp_path / "man.json"
     man_path.write_text("{not json")

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from aphomog import correctors as C
 from aphomog import fields as F
-from aphomog.grids import Box, estimate_mean, norms
+from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradient,
+                           norms, window_mean)
 from oracle_tools import exact_corrector_1d, harmonic_mean_1d
 
 PHI = F.GOLDEN_RATIO
@@ -64,7 +67,7 @@ class TestPeriodic1D:
 
     def test_mean_zero(self, sine_csets):
         cs = sine_csets[64]
-        mean = estimate_mean(cs.chi[0][0])
+        mean = window_mean(cs.chi[0][0])
         assert abs(mean[0]) <= 1e-3 * (1.0 + cs.sup_norm())
 
     def test_energy_identity(self, sine_field, sine_csets):
@@ -132,8 +135,8 @@ class TestTruncatedRoute:
         gs = F.ShiftedField(golden_field, [0.37])
         F.certify_ellipticity(gs)
         cs = C.solve_corrector(gs, 32.0, h=1 / 64, buffer=6.0)
-        m_small = estimate_mean(cs.chi[0][0], cs.window)[0]
-        m_large = estimate_mean(cs.chi[0][0], Box.cube(3 * 32.0, d=1))[0]
+        m_small = window_mean(cs.chi[0][0], cs.window)[0]
+        m_large = window_mean(cs.chi[0][0], Box.cube(3 * 32.0, d=1))[0]
         sup = cs.sup_norm()
         assert abs(m_small) <= 3e-3 * (1.0 + sup)
         assert abs(m_large) <= 3e-3 * (1.0 + sup)
@@ -212,7 +215,7 @@ class TestSystems:
         assert hm.sym_eig_min >= 0.9 * f.ellipticity.mu
         _, rel = C.energy_identity_residual(f, cs)
         assert np.max(rel) < 5e-3
-        mean = estimate_mean(cs.chi[0][1])
+        mean = window_mean(cs.chi[0][1])
         assert np.max(np.abs(mean)) <= 1e-3 * (1.0 + cs.sup_norm())
 
 
@@ -227,7 +230,7 @@ class TestAdjointConsistency:
         ]
         f = F.TrigPolynomialField(2, 1, terms)
         F.certify_ellipticity(f)
-        fs = F.adjoint(f)
+        fs = f.adjoint()
         cs = C.solve_corrector(f, 64.0, h=1 / 64)
         cs_adj = C.solve_corrector(fs, 64.0, h=1 / 64)
         a = C.homogenized_matrix(f, cs).tensor[:, :, 0, 0]
@@ -304,6 +307,29 @@ class TestScalingsAndTranslation:
             # bounded by C (T/r)^sigma: scaled values stay of one size
             scaled = rep.values * (rep.parameters / rep.metadata["T"]) ** 0.5
             assert np.max(scaled) / max(np.min(scaled), 1e-30) < 10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_windowed_gradient_sup_matches_brute_force(self, d):
+        # a truncated set with random components and per-axis spacings, so
+        # the box half-widths differ between axes
+        rng = np.random.default_rng(d)
+        m, cells = 2, {1: 40, 2: 20, 3: 12}[d]
+        sides = np.arange(1.0, d + 1.0)
+        grid = BoxGrid(Box(-sides, sides), [cells] * d, DIRICHLET)
+        chi = [[GridFunction(grid, rng.standard_normal((m,) + grid.node_counts))
+                for _ in range(m)] for _ in range(d)]
+        cset = C.CorrectorSet(field=F.identity_field(d, m), T=1.0, grid=grid,
+                              mode="truncated", buffer=0.0, window=Box.cube(1.0, d=d),
+                              chi=chi, kappa=1.0, tol=1e-10)
+        r = 2.2 * grid.h[0]
+        gradsq = sum(np.sum(centered_gradient(u) ** 2, axis=(0, 1))
+                     for row in chi for u in row)
+        half = [int(round(r / h)) for h in grid.h]
+        ranges = [range(half[ax] + 2, grid.node_counts[ax] - half[ax] - 2)
+                  for ax in range(d)]
+        best = max(gradsq[tuple(slice(c - k, c + k + 1) for c, k in zip(center, half))].mean()
+                   for center in itertools.product(*ranges))
+        assert C.windowed_gradient_sup(cset, r) == pytest.approx(np.sqrt(best), rel=1e-12)
 
     def test_golden_cauchy_decreasing(self, golden_csets):
         rep = C.gradient_cauchy_decay([golden_csets[T] for T in (16, 32, 64, 128)])

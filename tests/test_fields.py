@@ -82,11 +82,11 @@ class TestAdjoint:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(100, 1))
         assert np.allclose(sine_field.evaluate(pts),
-                           F.adjoint(sine_field).evaluate(pts))
+                           sine_field.adjoint().evaluate(pts))
 
     def test_constant_transpose(self):
         f = F.ConstantField(np.array([[1.0, 0.3], [0.0, 1.0]]), d=2, m=1)
-        a = F.adjoint(f).value[:, :, 0, 0]
+        a = f.adjoint().value[:, :, 0, 0]
         assert np.allclose(a, [[1.0, 0.0], [0.3, 1.0]])
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -95,13 +95,13 @@ class TestAdjoint:
         t = rng.standard_normal((2, 2, 1, 1))
         f = F.ConstantField(t)
         pts = rng.uniform(-3, 3, size=(5, 2))
-        assert np.allclose(F.adjoint(F.adjoint(f)).evaluate(pts), f.evaluate(pts))
+        assert np.allclose(f.adjoint().adjoint().evaluate(pts), f.evaluate(pts))
 
     def test_involution_all_variants(self, sine_field, golden_field, laminate):
         rng = np.random.default_rng(1)
         for f in (sine_field, golden_field, laminate):
             pts = rng.uniform(-4, 4, size=(20, f.d))
-            assert np.allclose(F.adjoint(F.adjoint(f)).evaluate(pts),
+            assert np.allclose(f.adjoint().adjoint().evaluate(pts),
                                f.evaluate(pts))
 
 

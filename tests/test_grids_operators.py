@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from aphomog import fields as F
 from aphomog.errors import NonConverged
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
-                           estimate_mean, face_differences, grid_function_to_csv,
+                           face_differences, grid_function_to_csv,
                            holder_seminorm, load_grid_function, norms,
                            save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, face_diff_matrix, solve
@@ -23,6 +23,13 @@ class TestGridBasics:
     def test_trapezoid_weights_sum(self):
         g = BoxGrid(Box([0.0, -1.0], [2.0, 1.0]), [8, 16], DIRICHLET)
         assert np.sum(g.trapezoid_weights()) == pytest.approx(4.0)
+        # window slices snap outward to [0.25, 1.25] x [-0.5, 0.25]
+        sls = g.window_slices(Box([0.3, -0.45], [1.2, 0.2]))
+        assert np.sum(g.trapezoid_weights(sls)) == pytest.approx(1.0 * 0.75)
+        # slice ends are halved on a periodic grid too: [0.0625, 0.625]
+        pg = BoxGrid(Box([0.0], [1.0]), [16], PERIODIC)
+        psl = pg.window_slices(Box([0.1], [0.6]))
+        assert np.sum(pg.trapezoid_weights(psl)) == pytest.approx(0.5625)
 
     def test_l2_of_constant(self):
         g = BoxGrid(Box([0.0], [2.0]), [64], DIRICHLET)
@@ -34,7 +41,7 @@ class TestGridBasics:
     def test_mean_of_sine_over_period(self, pgrid):
         x = pgrid.axis_nodes(0)
         u = GridFunction(pgrid, np.sin(2 * np.pi * x)[None])
-        assert abs(estimate_mean(u)[0]) < 1e-12
+        assert abs(window_mean(u)[0]) < 1e-12
 
     def test_window_mean_constant(self):
         g = BoxGrid(Box([0.0], [4.0]), [64], DIRICHLET)
@@ -78,6 +85,18 @@ class TestSerialization:
         v = load_grid_function(path)
         assert v.grid == g
         assert np.array_equal(u.values, v.values)   # bit identical
+
+    def test_load_rejects_malformed_files(self, tmp_path):
+        g = BoxGrid(Box([0.0, 0.0], [1.0, 2.0]), [8, 16], DIRICHLET)
+        u = GridFunction(g, np.zeros((2, 9, 17)))
+        path = tmp_path / "u.bin"
+        save_grid_function(u, path)
+        good = path.read_bytes()
+        header = 4 + 16 + 3 * 8 * 2
+        for bad in (good[:12], good[:header - 4], good[:-8], good + b"\0" * 8):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                load_grid_function(path)
 
     def test_csv(self, tmp_path):
         g = BoxGrid(Box([0.0], [1.0]), [4], DIRICHLET)
@@ -128,7 +147,7 @@ class TestOperator:
         F.certify_ellipticity(f, rng_seed=0)
         grid = BoxGrid(Box([0, 0], [1, 1]), [12, 12], PERIODIC)
         a = assemble(f, grid, kappa=0.3)
-        b = assemble(F.adjoint(f), grid, kappa=0.3)
+        b = assemble(f.adjoint(), grid, kappa=0.3)
         assert abs(b.matrix - a.matrix.T).max() == 0.0
 
     def test_row_sums_vanish_periodic(self, sine_field, pgrid):
