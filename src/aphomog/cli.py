@@ -26,6 +26,7 @@ from importlib.metadata import version as pkg_version
 
 import numpy as np
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from . import correctors as C
 from . import experiments as E
@@ -101,18 +102,23 @@ PARAMS_SCHEMAS = {
 }
 
 
+# built once (jsonschema.validate checks the schema itself on every call);
+# best_match picks the error that jsonschema.validate would raise
+_MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+_PARAMS_VALIDATORS = {cmd: jsonschema.Draft202012Validator(schema)
+                      for cmd, schema in PARAMS_SCHEMAS.items()}
+
+
 class ManifestError(ValueError):
     pass
 
 
 def validate_manifest(manifest):
-    try:
-        jsonschema.validate(manifest, MANIFEST_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_MANIFEST_VALIDATOR.iter_errors(manifest))
+    if exc is not None:
         raise ManifestError(str(exc.message)) from exc
-    try:
-        jsonschema.validate(manifest["params"], PARAMS_SCHEMAS[manifest["command"]])
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_PARAMS_VALIDATORS[manifest["command"]].iter_errors(manifest["params"]))
+    if exc is not None:
         raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
     if manifest["command"] in _FIELD_COMMANDS and "field" not in manifest:
         raise ManifestError(f"command {manifest['command']!r} needs a field config")

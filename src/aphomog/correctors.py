@@ -36,7 +36,13 @@ from .operators import assemble, divergence_rhs, solve
 
 @dataclass
 class CorrectorSet:
-    """Solutions chi[j][beta] plus grid, window and solver provenance."""
+    """Solutions chi[j][beta] plus grid, window and solver provenance.
+
+    ``face_rows[i]`` is row i of A at the centers of the faces normal to
+    axis i, shape (faces_i, d, m, m) in ``grid.face_shape(i)`` order, sampled
+    once by ``solve_corrector``; the right-hand sides, the fluxes and the
+    effective tensor all read it.
+    """
 
     field: object
     T: float
@@ -48,6 +54,7 @@ class CorrectorSet:
     kappa: float
     tol: float
     iterations: list = dc_field(default_factory=list)
+    face_rows: list = None
 
     @property
     def d(self):
@@ -116,15 +123,8 @@ class FluxTensor:
     mode: str
 
 
-def _corrector_rhs(field, grid, j, beta, m):
-    faces = []
-    for ax in range(grid.d):
-        pts, shape = grid.face_points(ax)
-        coeffs = field.evaluate(pts)
-        g_ax = np.ascontiguousarray(coeffs[:, ax, j, :, beta].T).reshape((m,) + shape)
-        faces.append(g_ax)
-        del coeffs
-    return divergence_rhs(faces, grid)
+def _corrector_rhs(face_rows, grid, j, beta):
+    return divergence_rhs([rows[:, j, :, beta].T for rows in face_rows], grid)
 
 
 def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
@@ -171,12 +171,13 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
 
     kappa = T ** -2.0
     op = assemble(field, grid, kappa)
+    face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
 
     jobs = [(j, b) for j in range(d) for b in range(m)]
 
     def _one(jb):
         j, b = jb
-        rhs = _corrector_rhs(field, grid, j, b, m)
+        rhs = _corrector_rhs(face_rows, grid, j, b)
         u = solve(op, rhs, tol=tol, max_iters=max_iters)
         return u
 
@@ -193,7 +194,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
         iterations.append(u.solve_info.iterations)
     return CorrectorSet(field=field, T=float(T), grid=grid, mode=mode,
                         buffer=buffer, window=window, chi=chi, kappa=kappa,
-                        tol=tol, iterations=iterations)
+                        tol=tol, iterations=iterations, face_rows=face_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +236,21 @@ def corrector_flux(cset, j, beta):
     flux_i^alpha(f) = a_ii^{ag}(f) D_i chi^g(f)
                     + sum_{k != i} a_ik^{ag}(f) avg_i(centered_k chi^g)(f)
     """
-    field, grid = cset.field, cset.grid
+    grid = cset.grid
     u = cset.chi[j][beta]
     m = cset.m
     grads = centered_gradient(u) if grid.d > 1 else None
     out = []
-    for i in range(grid.d):
-        pts, shape = grid.face_points(i)
-        coeffs = field.evaluate(pts)
+    for i, rows in enumerate(cset.face_rows):
+        shape = (m,) + grid.face_shape(i)
         normal = face_differences(u, i)
-        flux = np.einsum("fag,gf->af", coeffs[:, i, i].reshape(len(pts), m, m),
-                         normal.reshape(m, -1)).reshape((m,) + shape)
+        flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
         for k in range(grid.d):
             if k == i:
                 continue
             trans = _face_average(grads[k], 1 + i, grid.bc).reshape(m, -1)
-            flux += np.einsum("fag,gf->af", coeffs[:, i, k].reshape(len(pts), m, m),
-                              trans).reshape((m,) + shape)
+            flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
         out.append(flux)
-        del coeffs
     return out
 
 
@@ -269,17 +266,13 @@ def homogenized_matrix(field, cset, window=None):
         window = None if cset.mode == "periodic" else cset.window
     ahat = np.zeros((d, d, m, m))
     fluxes = [[corrector_flux(cset, j, b) for b in range(m)] for j in range(d)]
-    for i in range(d):
-        pts, shape = grid.face_points(i)
-        coeffs = field.evaluate(pts)
+    for i, rows in enumerate(cset.face_rows):
+        shape = (m,) + grid.face_shape(i)
         fsl = _face_window_slices(grid, window, i)
         for j in range(d):
             for b in range(m):
-                base = coeffs[:, i, j, :, b].T.reshape((m,) + shape)
-                flux = fluxes[j][b][i]
-                integrand = base + flux
+                integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
-        del coeffs
     mat = tensor_matrix(ahat)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     mu = field.ellipticity.mu if field.ellipticity is not None else 0.0

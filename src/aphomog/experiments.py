@@ -97,10 +97,8 @@ def solve_problem(problem, tol=1e-10, max_iters=None):
         lift = _sample(grid, problem.boundary, m)
         rhs = GridFunction(grid, rhs.values - op.apply(lift).values)
     u = solve(op, rhs, tol=tol, max_iters=max_iters)
-    info = u.solve_info
     if lift is not None:
-        u = GridFunction(grid, u.values + lift.values)
-        u.solve_info = info
+        u = GridFunction(grid, u.values + lift.values, u.solve_info)
     return u
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -106,20 +106,18 @@ class BoxGrid:
         mesh = self.node_mesh()
         return np.stack([g.ravel() for g in mesh], axis=1)
 
+    def face_shape(self, ax):
+        """Index shape of the faces normal to ``ax``: cells along ax, nodes across."""
+        return tuple(int(self.cells[a]) if a == ax else n
+                     for a, n in enumerate(self.node_counts))
+
     def face_points(self, ax):
         """Face centers for faces normal to axis ``ax``: midpoints along ax."""
-        axes = []
-        for a in range(self.d):
-            nodes = self.axis_nodes(a)
-            if a == ax:
-                if self.bc == PERIODIC:
-                    axes.append(nodes + 0.5 * self.h[a])
-                else:
-                    axes.append(nodes[:-1] + 0.5 * self.h[a])
-            else:
-                axes.append(nodes)
+        shape = self.face_shape(ax)
+        axes = [self.axis_nodes(a)[:n] + 0.5 * self.h[a] if a == ax else self.axis_nodes(a)
+                for a, n in enumerate(shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=1), tuple(len(a) for a in axes)
+        return np.stack([g.ravel() for g in mesh], axis=1), shape
 
     def trapezoid_weights(self, sls=None):
         """Trapezoid weights per node of the grid or of the sub-box ``sls``.
@@ -177,6 +175,8 @@ class GridFunction:
 
     grid: BoxGrid
     values: np.ndarray
+    # operators.SolveInfo when the function is a solver's output, else None
+    solve_info: object = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -215,9 +215,10 @@ def assemble(field, grid, kappa):
 def divergence_rhs(g_faces, grid):
     """Discrete divergence of per-axis face data, adjoint to the face gradient.
 
-    ``g_faces[ax]`` holds (m, *face_shape_ax) samples at the centers of the
-    faces orthogonal to ``ax``.  Defined as -sum_ax D_ax^T g_ax so that
-    sum div(g).v = -sum g.grad v exactly under periodic boundary conditions.
+    ``g_faces[ax]``, flat (m, faces) or shaped (m, *grid.face_shape(ax)), holds
+    samples at the centers of the faces orthogonal to ``ax``.  Defined as
+    -sum_ax D_ax^T g_ax so that sum div(g).v = -sum g.grad v exactly under
+    periodic boundary conditions.
     """
     m = g_faces[0].shape[0]
     out = np.zeros((m,) + grid.node_counts)
@@ -303,9 +304,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None, x0=None):
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        u = GridFunction(op.grid, np.zeros(shape))
-        u.solve_info = SolveInfo(0, 0.0, 0, "trivial")
-        return u
+        return GridFunction(op.grid, np.zeros(shape), SolveInfo(0, 0.0, 0, "trivial"))
 
     mat = op.matrix_interior
     if max_iters is None:
@@ -339,7 +338,6 @@ def solve(op, rhs, tol=1e-10, max_iters=None, x0=None):
 
     full = np.zeros(op.m * n_nodes)
     full[idx] = x
-    u = GridFunction(op.grid, full.reshape(shape))
-    u.solve_info = SolveInfo(total_iters, residual, restarts,
-                             "cg" if op.symmetric else "bicgstab")
-    return u
+    return GridFunction(op.grid, full.reshape(shape),
+                        SolveInfo(total_iters, residual, restarts,
+                                  "cg" if op.symmetric else "bicgstab"))

@@ -1,10 +1,14 @@
 import json
+import pathlib
 
+import jsonschema
 import numpy as np
 import pytest
 
 from aphomog import cli
 from aphomog import fields as F
+
+DEMO_MANIFESTS = sorted((pathlib.Path(__file__).parents[1] / "demos" / "manifests").glob("*.json"))
 
 
 def _sine_manifest(command="homogenize", **params):
@@ -184,3 +188,14 @@ def test_unreadable_manifest_exits_2(tmp_path):
     man_path = tmp_path / "man.json"
     man_path.write_text("{not json")
     assert cli.main(["run", "--manifest", str(man_path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["manifest"] + list(cli.PARAMS_SCHEMAS))
+def test_schemas_are_valid_json_schemas(name):
+    schema = cli.MANIFEST_SCHEMA if name == "manifest" else cli.PARAMS_SCHEMAS[name]
+    jsonschema.Draft202012Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize("path", DEMO_MANIFESTS, ids=lambda p: p.stem)
+def test_demo_manifests_validate(path):
+    cli.validate_manifest(json.loads(path.read_text()))

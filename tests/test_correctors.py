@@ -238,6 +238,64 @@ class TestAdjointConsistency:
         assert np.max(np.abs(b - a.T)) < 1e-3
 
 
+def _cross_term_system():
+    """d = 2, m = 2 nonsymmetric field with cross blocks a_12, a_21 != 0."""
+    base, wc, ws = (np.zeros((2, 2, 2, 2)) for _ in range(3))
+    for i in range(2):
+        base[i, i] = [[2.0, 0.2], [0.1, 2.5]]
+    base[0, 1] = [[0.3, 0.1], [0.0, 0.2]]
+    base[1, 0] = [[0.1, 0.0], [0.05, 0.1]]
+    wc[0, 0] = [[0.3, 0.0], [0.1, 0.2]]
+    wc[0, 1] = [[0.0, 0.05], [0.0, 0.0]]
+    ws[1, 1] = [[0.2, 0.1], [0.0, 0.3]]
+    ws[1, 0] = [[0.0, 0.0], [0.07, 0.0]]
+    zero = np.zeros((2, 2, 2, 2))
+    f = F.TrigPolynomialField(2, 2, [(np.zeros(2), base, zero),
+                                     (np.array([1.0, 0.0]), wc, zero),
+                                     (np.array([0.0, 1.0]), zero, ws)])
+    F.certify_ellipticity(f, rng_seed=0)
+    return f
+
+
+def _count_evaluate(field):
+    """Count calls through an instance-level wrapper of ``field.evaluate``."""
+    calls = []
+    inner = field.evaluate
+
+    def counting(points):
+        calls.append(len(points))
+        return inner(points)
+
+    field.evaluate = counting
+    return calls
+
+
+class TestFaceRows:
+    @pytest.mark.parametrize("bc, T, h", [("periodic", 4.0, 1 / 16),
+                                          ("truncated", 1.0, 1 / 64)],
+                             ids=["periodic", "truncated"])
+    def test_face_rows_are_the_face_samples(self, bc, T, h):
+        f = _cross_term_system()
+        assert not f.symmetric
+        cs = C.solve_corrector(f, T, h=h, buffer=0.5, bc=bc)
+        for i in range(2):
+            want = f.evaluate(cs.grid.face_points(i)[0])[:, i]
+            assert np.array_equal(cs.face_rows[i], want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_face_samples_evaluated_once(self, d):
+        f = _cross_term_system() if d == 2 else F.sine_scalar_field()
+        if d == 1:
+            F.certify_ellipticity(f, rng_seed=0)
+        calls = _count_evaluate(f)
+        cs = C.solve_corrector(f, 4.0, h=1 / 16)
+        # assemble: d face sets, plus the nodes when d > 1; correctors: d face sets
+        assert len(calls) == (2 * d + 1 if d > 1 else 2)
+        calls.clear()
+        C.homogenized_matrix(f, cs)
+        assert calls == []
+
+
 class TestFluxTensor:
     def test_reference_mean_decreases_in_T(self, sine_field, sine_csets):
         ref = C.reference_matrix(F.as_tensor(harmonic_mean_1d(sine_field), 1, 1))
