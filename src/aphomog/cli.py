@@ -22,6 +22,7 @@ import pathlib
 import sys
 import tempfile
 import threading
+import time
 from importlib.metadata import version as pkg_version
 
 import numpy as np
@@ -357,6 +358,7 @@ def run_manifest(manifest, out_dir, threads=None):
     Returns the path of the result JSON.  Raises ManifestError on schema
     violations; compute failures propagate.
     """
+    t0 = time.perf_counter()
     validate_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
     if threads is None:
@@ -383,6 +385,8 @@ def run_manifest(manifest, out_dir, threads=None):
     }
     path = os.path.join(out_dir, f"{manifest['command']}_result.json")
     _atomic_write(path, _text(dumps_canonical(result) + "\n"))
+    log.info("run_manifest command=%s wall_s=%.3f result=%s",
+             manifest["command"], time.perf_counter() - t0, path)
     print(summary + f" -> {path}")
     return path
 
@@ -455,7 +459,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="aphomog",
         description="homogenization lab: manifest-driven pipelines")
-    parser.add_argument("--log-level", default="WARNING")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"))
     sub = parser.add_subparsers(dest="mode", required=True)
     p_run = sub.add_parser("run", help="execute one manifest")
     p_run.add_argument("--manifest", required=True)
@@ -466,7 +471,7 @@ def main(argv=None):
     p_rep.add_argument("--result", required=True)
     p_rep.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
 
     if args.mode == "run":
         try:

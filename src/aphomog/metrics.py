@@ -16,6 +16,7 @@ Quantities measured here:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,6 +26,14 @@ from .errors import UnsupportedDimension
 from .grids import Box
 
 RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
+# rho_ladder evaluates and compares in batches of at most _RHO_BATCH_ENTRIES
+# float64 entries (2 MB): field evaluation allocates several temporaries per
+# point, and larger batches measured slower with a higher peak memory.  The
+# sup over the first _RHO_PROBE_POINTS test points prunes z shifts.
+_RHO_BATCH_ENTRIES = 1 << 18
+_RHO_PROBE_POINTS = 64
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +350,18 @@ def _z_grid(R, spacing, d, norm):
 
 
 def _field_samples(field, base_points, shifts):
-    """Evaluation table A(base + shift): one row per shift, entries flattened."""
-    n_shift = shifts.shape[0]
-    nt = base_points.shape[0]
-    out = np.empty((n_shift, nt * field.d * field.d * field.m * field.m))
-    for k in range(n_shift):
-        out[k] = field.evaluate(base_points + shifts[k]).reshape(-1)
-    return out
+    """Evaluation table A(base + shift): one row per shift, entries flattened.
+
+    All shifts go through one ``evaluate`` call; callers bound its size.
+    """
+    pts = (base_points[None] + shifts[:, None]).reshape(-1, field.d)
+    return field.evaluate(pts).reshape(shifts.shape[0], -1)
+
+
+def _row_keys(zs):
+    """One opaque bytes key per row of ``zs``: equal keys mean equal shifts."""
+    zs = np.ascontiguousarray(zs)
+    return zs.view(np.dtype((np.void, zs.itemsize * zs.shape[1]))).ravel()
 
 
 def estimate_rho(field, R, y_samples=None, z_grid_spacing=None, test_box=None,
@@ -373,12 +387,23 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, test_box=None
     The same y and test samples serve every R and the z search set is
     cumulative over the ladder, which makes the reported values
     nonincreasing in R by construction.
+
+    The values equal the plain scan over every (y, z, test point) triple
+    bit for bit; the scan only skips work that cannot change a min or a
+    max.  Each z shift is scanned once per ladder (a rung skips the z an
+    earlier rung scanned), and a z whose sup over the first 64 test points
+    already reaches the running inf for every y is dropped before its full
+    table is evaluated.
     """
     R_list = np.asarray(R_list, dtype=float).ravel()
     if np.any(np.diff(R_list) <= 0) or np.any(R_list <= 0):
         raise ValueError("R ladder must be positive and strictly increasing")
     if norm not in ("inf", "euclid"):
         raise ValueError("norm must be 'inf' or 'euclid'")
+    if z_grid_spacing is not None:
+        z_grid_spacing = float(z_grid_spacing)
+        if not (np.isfinite(z_grid_spacing) and z_grid_spacing > 0):
+            raise ValueError("z_grid_spacing must be finite and positive")
     d = field.d
     y_samples = RHO_DEFAULT_BUDGETS["y_samples"] if y_samples is None else int(y_samples)
     test_points = RHO_DEFAULT_BUDGETS["test_points"] if test_points is None else int(test_points)
@@ -392,24 +417,48 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, test_box=None
     rng = np.random.default_rng(rng_seed)
     ys = rng.uniform(y_box.lo, y_box.hi, size=(y_samples, d))
     tpts = rng.uniform(test_box.lo, test_box.hi, size=(test_points, d))
-    ay = _field_samples(field, tpts, ys)
+    entries = d * d * field.m * field.m
+    row = test_points * entries
+    max_rows = max(1, _RHO_BATCH_ENTRIES // row)
+    ay = np.empty((y_samples, row))
+    for start in range(0, y_samples, max_rows):
+        ay[start:start + max_rows] = _field_samples(field, tpts, ys[start:start + max_rows])
 
+    # the sup over the first n_probe test points bounds the full sup from
+    # below, so a z whose bound reaches best[y] for every y cannot lower best
+    n_probe = min(_RHO_PROBE_POINTS, test_points)
+    ay_probe = ay[:, :n_probe * entries]
+    probe_rows = max(1, _RHO_BATCH_ENTRIES // ay_probe.size)
+    buf = np.empty_like(ay)
     best = np.full(y_samples, np.inf)
+    scanned = _row_keys(np.empty((0, d)))
     values = []
     spacings = []
     for R in R_list:
         spacing = (R / RHO_DEFAULT_BUDGETS["z_per_axis"]
-                   if z_grid_spacing is None else float(z_grid_spacing))
+                   if z_grid_spacing is None else z_grid_spacing)
         spacings.append(spacing)
         zs = _z_grid(R, spacing, d, norm)
-        max_rows = max(1, int(5e6) // max(ay.shape[1], 1))
-        for start in range(0, zs.shape[0], max_rows):
-            az = _field_samples(field, tpts, zs[start:start + max_rows])
-            # sup over test points of |A(.+y) - A(.+z)|, then inf over z
-            for k in range(az.shape[0]):
-                diff = np.max(np.abs(ay - az[k]), axis=1)
-                best = np.minimum(best, diff)
+        keys = _row_keys(zs)
+        fresh = ~np.isin(keys, scanned)
+        zs = zs[fresh]
+        scanned = np.concatenate([scanned, keys[fresh]])
+        n_full = 0
+        for start in range(0, zs.shape[0], probe_rows):
+            zb = zs[start:start + probe_rows]
+            gap = ay_probe - _field_samples(field, tpts[:n_probe], zb)[:, None]
+            np.abs(gap, out=gap)
+            survivors = zb[np.any(np.max(gap, axis=2) < best, axis=1)]
+            n_full += survivors.shape[0]
+            for s in range(0, survivors.shape[0], max_rows):
+                # sup over test points of |A(.+y) - A(.+z)|, then inf over z
+                for az in _field_samples(field, tpts, survivors[s:s + max_rows]):
+                    np.subtract(ay, az, out=buf)
+                    np.abs(buf, out=buf)
+                    best = np.minimum(best, np.max(buf, axis=1))
         values.append(float(np.max(best)))
+        log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d rho=%.9g",
+                 R, spacing, zs.shape[0], n_full, values[-1])
     return DecayReport(R_list, values, "rho", metadata={
         "norm": norm, "y_samples": y_samples, "test_points": test_points,
         "z_spacings": spacings, "rng_seed": rng_seed,

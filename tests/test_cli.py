@@ -1,4 +1,5 @@
 import json
+import logging
 import pathlib
 
 import jsonschema
@@ -182,6 +183,37 @@ def test_atomic_write_failure_leaves_nothing(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         cli._atomic_write(str(tmp_path / "rho.csv"), failing_writer)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("level", ["bogus", "verbose", ""])
+def test_unknown_log_level_exits_2(tmp_path, level):
+    man_path = tmp_path / "man.json"
+    man_path.write_text(json.dumps(_sine_manifest("corrector", T=16.0, h=1 / 64)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--log-level", level, "run", "--manifest", str(man_path),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_logs_command_time_and_result_path(tmp_path, caplog):
+    man = {"command": "rho", "seed": 3, "field": F.field_to_config(F.golden_ratio_field()),
+           "params": {"R_list": [1, 2], "y_samples": 4, "test_points": 64}}
+    man_path = tmp_path / "man.json"
+    man_path.write_text(json.dumps(man))
+    with caplog.at_level(logging.INFO, logger="aphomog"):
+        code = cli.main(["--log-level", "info", "run", "--manifest", str(man_path),
+                         "--out", str(tmp_path / "out")])
+    assert code == 0
+    path = tmp_path / "out" / "rho_result.json"
+    runs = [r.getMessage() for r in caplog.records if r.name == "aphomog"]
+    assert len(runs) == 1
+    assert runs[0].startswith("run_manifest command=rho wall_s=")
+    assert runs[0].endswith(f"result={path}")
+    rungs = [r for r in caplog.records if r.name == "aphomog.metrics"]
+    assert len(rungs) == 2
+    # the log lines add nothing to the result
+    assert list(json.loads(path.read_text())["payload"]) == ["report"]
 
 
 def test_unreadable_manifest_exits_2(tmp_path):

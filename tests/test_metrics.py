@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, strategies as st
 from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.errors import UnsupportedDimension
-from oracle_tools import brute_covering_radius, brute_discrepancy
+from oracle_tools import (brute_covering_radius, brute_discrepancy, brute_rho_ladder,
+                          count_evaluate, cross_term_system)
 
 PHI = F.GOLDEN_RATIO
 
@@ -250,6 +253,53 @@ class TestRho:
     def test_budget_validation(self, sine_field):
         with pytest.raises(ValueError):
             M.estimate_rho(sine_field, 1.0, y_samples=0)
+
+    @pytest.mark.parametrize("spacing", [-0.5, 0.0, np.nan, np.inf])
+    def test_spacing_validation_before_any_evaluation(self, spacing):
+        f = F.golden_ratio_field()
+        calls = count_evaluate(f)
+        with pytest.raises(ValueError, match="z_grid_spacing must be finite and positive"):
+            M.rho_ladder(f, [1, 2], z_grid_spacing=spacing)
+        assert calls == []
+
+    @pytest.mark.parametrize("name, R_list, kw", [
+        ("golden_field", [0.5, 1, 2],
+         dict(z_grid_spacing=1 / 64, y_samples=8, test_points=256)),
+        ("sine_field", [1, 1.5, 2], dict(y_samples=8, test_points=256)),
+        ("laminate", [1, 2],
+         dict(z_grid_spacing=0.25, y_samples=4, test_points=96, norm="inf")),
+        ("laminate", [1, 2],
+         dict(z_grid_spacing=0.25, y_samples=4, test_points=96, norm="euclid")),
+        ("cross_term", [0.5, 1], dict(z_grid_spacing=0.25, y_samples=4, test_points=100)),
+        ("golden_field", [1, 2], dict(z_grid_spacing=1 / 32, y_samples=1, test_points=20)),
+    ], ids=["golden-nested", "sine-default-spacing", "laminate-inf", "laminate-euclid",
+            "cross-term-d2-m2", "few-points-one-y"])
+    def test_rho_ladder_matches_brute_force(self, request, name, R_list, kw):
+        field = cross_term_system() if name == "cross_term" else request.getfixturevalue(name)
+        rep = M.rho_ladder(field, R_list, rng_seed=4, **kw)
+        assert np.array_equal(rep.values, brute_rho_ladder(field, R_list, rng_seed=4, **kw))
+
+    def test_rho_ladder_batches_evaluate_calls(self):
+        # one call for the y table, then per rung one call for the probe
+        # points of its new shifts and one for the survivors' full table
+        f = F.golden_ratio_field()
+        calls = count_evaluate(f)
+        M.rho_ladder(f, [1, 2], z_grid_spacing=1 / 64, y_samples=8, test_points=128)
+        assert calls[0] == 8 * 128
+        assert len(calls) <= 1 + 2 * 2
+
+    def test_rho_ladder_logs_each_rung(self, golden_field, caplog):
+        with caplog.at_level(logging.INFO, logger="aphomog"):
+            rep = M.rho_ladder(golden_field, [1, 2], z_grid_spacing=1 / 64,
+                               y_samples=8, test_points=128)
+        lines = [r.getMessage() for r in caplog.records if r.name == "aphomog.metrics"]
+        assert len(lines) == 2
+        assert lines[0].startswith("rho_ladder R=1 spacing=0.015625 new_shifts=129 ")
+        # rung 2 scans only the shifts rung 1 did not, and prunes some of them
+        fields = dict(kv.split("=") for kv in lines[1].split()[1:])
+        assert fields["new_shifts"] == "128"
+        assert int(fields["full_shifts"]) < 128
+        assert float(fields["rho"]) == pytest.approx(rep.values[1], rel=1e-8)
 
 
 class TestThetaAndRhoChain:
