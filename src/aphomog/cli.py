@@ -203,20 +203,19 @@ def _corrector_payload(field, cset):
     }
 
 
-def _corrector_from(manifest, threads):
+def _corrector_from(manifest):
     """Solve the correctors of the manifest; shared by corrector and homogenize."""
     p = manifest["params"]
     field = _field_from(manifest)
     cset = C.solve_corrector(field, float(p["T"]), h=p.get("h"),
                              buffer=float(p.get("buffer", 6.0)),
                              bc=p.get("bc", "auto"),
-                             tol=float(p.get("tol", 1e-10)),
-                             threads=threads)
+                             tol=float(p.get("tol", 1e-10)))
     return field, cset
 
 
-def _run_corrector(manifest, out_dir, threads):
-    field, cset = _corrector_from(manifest, threads)
+def _run_corrector(manifest, out_dir):
+    field, cset = _corrector_from(manifest)
     payload = _corrector_payload(field, cset)
     for j in range(cset.d):
         for b in range(cset.m):
@@ -226,8 +225,8 @@ def _run_corrector(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_homogenize(manifest, out_dir, threads):
-    field, cset = _corrector_from(manifest, threads)
+def _run_homogenize(manifest, out_dir):
+    field, cset = _corrector_from(manifest)
     hm = C.homogenized_matrix(field, cset)
     payload = {
         "ahat": hm.tensor.tolist(),
@@ -241,7 +240,7 @@ def _run_homogenize(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_rho(manifest, out_dir, threads):
+def _run_rho(manifest, out_dir):
     field = _field_from(manifest)
     p = manifest["params"]
     rep = M.rho_ladder(field, p["R_list"],
@@ -259,7 +258,7 @@ def _run_rho(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_theta(manifest, out_dir, threads):
+def _run_theta(manifest, out_dir):
     p = manifest["params"]
     rep = M.theta_ladder(p["lambda"], p["R_list"], p["ell"])
     if rep.values.size >= 3 and np.all(rep.values > 0):
@@ -270,7 +269,7 @@ def _run_theta(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_discrepancy(manifest, out_dir, threads):
+def _run_discrepancy(manifest, out_dir):
     p = manifest["params"]
     pset = M.kronecker_point_set(p["lambda"], int(p["R"]), int(p["ell"]))
     exact = M.discrepancy_exact(pset) if pset.dimension <= 2 else None
@@ -284,7 +283,7 @@ def _run_discrepancy(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_rate(manifest, out_dir, threads):
+def _run_rate(manifest, out_dir):
     field = _field_from(manifest)
     p = manifest["params"]
     exp = E.rate_experiment(field, p["eps_list"],
@@ -307,7 +306,7 @@ def _run_rate(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_holder(manifest, out_dir, threads):
+def _run_holder(manifest, out_dir):
     field = _field_from(manifest)
     p = manifest["params"]
     rep = E.holder_uniformity(field, p["eps_list"], sigma=float(p.get("sigma", 0.5)),
@@ -318,7 +317,7 @@ def _run_holder(manifest, out_dir, threads):
     return payload, summary
 
 
-def _run_flux(manifest, out_dir, threads):
+def _run_flux(manifest, out_dir):
     field = _field_from(manifest)
     p = manifest["params"]
     reports = []
@@ -326,7 +325,7 @@ def _run_flux(manifest, out_dir, threads):
         T = float(T)
         cset = C.solve_corrector(field, T, h=p.get("h"),
                                  buffer=float(p.get("buffer", 6.0)),
-                                 tol=float(p.get("tol", 1e-10)), threads=threads)
+                                 tol=float(p.get("tol", 1e-10)))
         region = None
         if cset.mode == "truncated":
             region = Box.cube(float(p.get("region_factor", 9.0)) * T, d=field.d)
@@ -356,16 +355,15 @@ def run_manifest(manifest, out_dir, threads=None):
     """Validate, dispatch, and write the result artifact atomically.
 
     Returns the path of the result JSON.  Raises ManifestError on schema
-    violations; compute failures propagate.
+    violations; compute failures propagate.  ``threads`` has no effect
+    (the benchmark harness passes it).
     """
     t0 = time.perf_counter()
     validate_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
-    if threads is None:
-        threads = os.cpu_count() or 1
     np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
     before = set(os.listdir(out_dir))
-    payload, summary = _PIPELINES[manifest["command"]](manifest, out_dir, threads)
+    payload, summary = _PIPELINES[manifest["command"]](manifest, out_dir)
     artifacts = {}
     for name in sorted(set(os.listdir(out_dir)) - before):
         with open(os.path.join(out_dir, name), "rb") as f:
@@ -428,7 +426,7 @@ def _diff_payload(a, b, path="payload", rtol=0.0, atol=0.0, out=None):
     return out
 
 
-def reproduce(result_path, threads=None, workdir=None):
+def reproduce(result_path, workdir=None):
     """Re-run the embedded manifest and compare numeric payloads.
 
     Returns (ok, drift_list).  Comparison tolerances come from the stored
@@ -441,7 +439,7 @@ def reproduce(result_path, threads=None, workdir=None):
         return False, [("manifest_hash", "value",
                         (stored["manifest_hash"], manifest_hash(manifest)))]
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        new_path = run_manifest(manifest, tmp, threads=threads)
+        new_path = run_manifest(manifest, tmp)
         with open(new_path, encoding="utf-8") as f:
             fresh = json.load(f)
     cmp_tols = stored.get("compare", {"rtol": 0.0, "atol": 0.0})
@@ -466,10 +464,8 @@ def main(argv=None):
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--out", default=None,
                        help="output directory (or APHOMOG_OUT, default ./out)")
-    p_run.add_argument("--threads", type=int, default=None)
     p_rep = sub.add_parser("reproduce", help="re-run a result and compare")
     p_rep.add_argument("--result", required=True)
-    p_rep.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level)
 
@@ -482,7 +478,7 @@ def main(argv=None):
             return 2
         out_dir = args.out or os.environ.get("APHOMOG_OUT", "out")
         try:
-            run_manifest(manifest, out_dir, threads=args.threads)
+            run_manifest(manifest, out_dir)
         except ManifestError as exc:
             print(json.dumps({"error": "manifest invalid", "detail": str(exc)}))
             return 2
@@ -492,7 +488,7 @@ def main(argv=None):
             return 3
         return 0
 
-    ok, drift = reproduce(args.result, threads=args.threads)
+    ok, drift = reproduce(args.result)
     if ok:
         print("reproduce: payloads match")
         return 0

@@ -22,7 +22,6 @@ pairs instead).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -128,13 +127,14 @@ def _corrector_rhs(face_rows, grid, j, beta):
 
 
 def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
-                    tol=1e-10, max_iters=None, threads=1):
+                    tol=1e-10, max_iters=None, threads=None):
     """Solve the screened cell problems for every (direction, component).
 
     ``bc="auto"`` takes the single-cell periodic route for periodic fields
     and the buffered Dirichlet truncation otherwise.  ``h`` defaults to
-    min(1/64 of the coefficient period scale, T/64) and must satisfy
-    h <= T/64 so the screening length is resolved.
+    1/64 and must satisfy h <= T/64 so the screening length is resolved.
+    The d*m component solves run one after another on one operator;
+    ``threads`` has no effect (the benchmark harness passes it).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -142,7 +142,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
     if field.ellipticity is None:
         certify_ellipticity(field)
     if h is None:
-        h = min(1.0 / 64.0, T / 64.0)
+        h = 1.0 / 64.0
     if h > T / 64.0 + 1e-12:
         raise ValueError("h must resolve the screening length: h <= T/64")
 
@@ -173,25 +173,13 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
     op = assemble(field, grid, kappa)
     face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
 
-    jobs = [(j, b) for j in range(d) for b in range(m)]
-
-    def _one(jb):
-        j, b = jb
-        rhs = _corrector_rhs(face_rows, grid, j, b)
-        u = solve(op, rhs, tol=tol, max_iters=max_iters)
-        return u
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_one, jobs))
-    else:
-        results = [_one(jb) for jb in jobs]
-
     chi = [[None] * m for _ in range(d)]
     iterations = []
-    for (j, b), u in zip(jobs, results):
-        chi[j][b] = u
-        iterations.append(u.solve_info.iterations)
+    for j in range(d):
+        for b in range(m):
+            u = solve(op, _corrector_rhs(face_rows, grid, j, b), tol=tol, max_iters=max_iters)
+            chi[j][b] = u
+            iterations.append(u.solve_info.iterations)
     return CorrectorSet(field=field, T=float(T), grid=grid, mode=mode,
                         buffer=buffer, window=window, chi=chi, kappa=kappa,
                         tol=tol, iterations=iterations, face_rows=face_rows)

@@ -15,7 +15,6 @@ periodic boundary conditions.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,40 +93,28 @@ class DiscreteOperator:
         self.matrix = matrix.tocsr()
         self.symmetric = bool(symmetric)
         self.face_means = np.asarray(face_means, dtype=float)
-        self._interior = None
-        self._matrix_int = None
-        self._precond = None
-        # component solves share one operator across pool threads; the lock
-        # keeps the preconditioner from being built twice
-        self._lock = threading.Lock()
 
-    @property
+    @functools.cached_property
     def interior_indices(self):
         """Flat unknown indices (component-major) kept in a Dirichlet solve."""
-        if self._interior is None:
-            if self.grid.bc == PERIODIC:
-                self._interior = np.arange(self.m * self.grid.node_total)
-            else:
-                node_mask = self.grid.interior_mask().ravel()
-                self._interior = np.flatnonzero(np.tile(node_mask, self.m))
-        return self._interior
+        if self.grid.bc == PERIODIC:
+            return np.arange(self.m * self.grid.node_total)
+        node_mask = self.grid.interior_mask().ravel()
+        return np.flatnonzero(np.tile(node_mask, self.m))
 
-    @property
+    @functools.cached_property
     def matrix_interior(self):
-        if self._matrix_int is None:
-            if self.grid.bc == PERIODIC:
-                self._matrix_int = self.matrix
-            else:
-                idx = self.interior_indices
-                self._matrix_int = self.matrix[idx][:, idx].tocsr()
-        return self._matrix_int
+        if self.grid.bc == PERIODIC:
+            return self.matrix
+        idx = self.interior_indices
+        return self.matrix[idx][:, idx].tocsr()
 
     @property
     def singular(self):
         """True for kappa = 0 on the periodic cell: constants span the kernel."""
         return self.kappa == 0.0 and self.grid.bc == PERIODIC
 
-    @property
+    @functools.cached_property
     def preconditioner(self):
         """Approximate inverse of ``matrix_interior``, built once per operator.
 
@@ -135,15 +122,11 @@ class DiscreteOperator:
         d >= 2, or the singular periodic cell: the inverse of the
         constant-coefficient screened operator (see ``_fast_poisson``).
         """
-        with self._lock:
-            if self._precond is None:
-                mat = self.matrix_interior
-                if self.grid.d == 1 and not self.singular:
-                    lu = spla.splu(mat.tocsc())
-                    self._precond = spla.LinearOperator(mat.shape, matvec=lu.solve)
-                else:
-                    self._precond = _fast_poisson(self)
-            return self._precond
+        mat = self.matrix_interior
+        if self.grid.d == 1 and not self.singular:
+            lu = spla.splu(mat.tocsc())
+            return spla.LinearOperator(mat.shape, matvec=lu.solve)
+        return _fast_poisson(self)
 
     def apply(self, u):
         """Apply to a GridFunction; rows at Dirichlet boundary nodes are not meaningful."""

@@ -12,6 +12,11 @@ from aphomog import fields as F
 DEMO_MANIFESTS = sorted((pathlib.Path(__file__).parents[1] / "demos" / "manifests").glob("*.json"))
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 def _sine_manifest(command="homogenize", **params):
     base = {"T": 64.0, "h": 1 / 256}
     base.update(params)
@@ -38,7 +43,7 @@ def test_manifest_hash_stable_under_key_order():
 def test_homogenize_run_and_reproduce(tmp_path):
     man = _sine_manifest()
     path = cli.run_manifest(man, str(tmp_path / "out"))
-    result = json.load(open(path))
+    result = _read_json(path)
     ahat = result["payload"]["ahat"][0][0][0][0]
     assert abs(ahat - np.sqrt(3.0)) <= 1e-3
     assert result["manifest_hash"] == cli.manifest_hash(man)
@@ -68,7 +73,7 @@ def test_rate_constant_field_floor_limited(tmp_path):
     man = {"command": "rate", "seed": 3, "field": F.field_to_config(f),
            "params": {"eps_list": [1 / 8, 1 / 16, 1 / 32, 1 / 64]}}
     path = cli.run_manifest(man, str(tmp_path))
-    result = json.load(open(path))
+    result = _read_json(path)
     assert result["payload"]["floor_limited"] is True
     assert (tmp_path / "rate.csv").exists()
 
@@ -76,7 +81,7 @@ def test_rate_constant_field_floor_limited(tmp_path):
 def test_reproduce_detects_tampering(tmp_path):
     man = _sine_manifest(T=16.0, h=1 / 64)
     path = cli.run_manifest(man, str(tmp_path))
-    result = json.load(open(path))
+    result = _read_json(path)
     result["payload"]["ahat"][0][0][0][0] += 1e-6
     tampered = tmp_path / "tampered.json"
     tampered.write_text(cli.dumps_canonical(result))
@@ -89,7 +94,7 @@ def test_reproduce_detects_seed_change(tmp_path):
     man = {"command": "rho", "seed": 11, "field": F.field_to_config(f),
            "params": {"R_list": [2, 4, 8], "y_samples": 8, "test_points": 128}}
     path = cli.run_manifest(man, str(tmp_path))
-    result = json.load(open(path))
+    result = _read_json(path)
     result["manifest"]["seed"] = 12
     result["seed"] = 12
     result["manifest_hash"] = cli.manifest_hash(result["manifest"])
@@ -124,13 +129,13 @@ def test_theta_and_discrepancy_commands(tmp_path):
              "params": {"lambda": [1.0, F.GOLDEN_RATIO],
                         "R_list": [8, 16, 32], "ell": [8, 16, 32]}}
     path = cli.run_manifest(man_t, str(tmp_path / "t"))
-    rep = json.load(open(path))["payload"]["report"]
+    rep = _read_json(path)["payload"]["report"]
     assert len(rep["values"]) == 3
     man_d = {"command": "discrepancy", "seed": 0,
              "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R": 50, "ell": 2,
                         "H_list": [4, 16]}}
     path = cli.run_manifest(man_d, str(tmp_path / "d"))
-    payload = json.load(open(path))["payload"]
+    payload = _read_json(path)["payload"]
     assert payload["exact"] <= payload["etk_bounds"]["4"]
     assert payload["N"] == 200
 
@@ -142,6 +147,30 @@ def test_corrector_command_writes_binaries(tmp_path):
     from aphomog.grids import load_grid_function
     u = load_grid_function(tmp_path / "corrector_chi_j0_b0.bin")
     assert u.values.shape[0] == 1
+
+
+@pytest.mark.parametrize("command", ["homogenize", "corrector"])
+def test_threads_keyword_changes_nothing(tmp_path, command):
+    field = F.TrigPolynomialField(2, 1, [([0.0, 0.0], 2.0, 0.0),
+                                         ([1.0, 0.0], 0.0, 0.5),
+                                         ([0.0, 1.0], 0.0, 0.5)])
+    man = {"command": command, "seed": 5, "field": F.field_to_config(field),
+           "params": {"T": 4.0, "h": 1 / 16}}
+    one, four = (_read_json(cli.run_manifest(man, str(tmp_path / f"t{n}"), threads=n))
+                 for n in (1, 4))
+    assert one["payload"] == four["payload"]
+    assert one["artifacts"] == four["artifacts"]
+    assert (command == "corrector") == bool(one["artifacts"])
+
+
+def test_threads_flag_is_gone(tmp_path):
+    man_path = tmp_path / "man.json"
+    man_path.write_text(json.dumps(_sine_manifest("corrector", T=16.0, h=1 / 64)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--threads", "2", "--manifest", str(man_path),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def _exit_code(tmp_path, man):

@@ -382,9 +382,3 @@ class TestScalingsAndTranslation:
         b = C.solve_corrector(sine_field, 48.0, h=1 / 64)
         with pytest.raises(ValueError, match="dyadic"):
             C.gradient_cauchy_decay([a, b])
-
-    def test_concurrent_component_solves_bit_identical(self, laminate):
-        seq = C.solve_corrector(laminate, 4.0, h=1 / 16, tol=1e-9)
-        par = C.solve_corrector(laminate, 4.0, h=1 / 16, tol=1e-9, threads=2)
-        for j in range(2):
-            assert np.array_equal(seq.chi[j][0].values, par.chi[j][0].values)

@@ -1,17 +1,17 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from aphomog import correctors as C
 from aphomog import fields as F
+from aphomog import operators
 from aphomog.errors import NonConverged
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
                            face_differences, grid_function_to_csv,
                            holder_seminorm, load_grid_function, norms,
                            save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, face_diff_matrix, solve
+from oracle_tools import cross_term_system
 
 
 @pytest.fixture
@@ -285,18 +285,19 @@ class TestSolve:
         bound = tol * np.linalg.norm(b) / sigma_min + 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(got - want) <= bound
 
-    def test_preconditioner_built_once_across_threads(self):
-        # corrector component solves share one operator across pool threads
-        op, _ = _solver_case("laminate_2d")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as ex:
-                futures = [ex.submit(lambda: op.preconditioner) for _ in range(8)]
-                built = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(p is built[0] for p in built)
+    def test_preconditioner_built_once_per_operator(self, monkeypatch):
+        # the d * m = 4 corrector solves share one operator and its preconditioner
+        built = []
+        inner = operators._fast_poisson
+
+        def counting(op):
+            built.append(op)
+            return inner(op)
+
+        monkeypatch.setattr(operators, "_fast_poisson", counting)
+        cset = C.solve_corrector(cross_term_system(), 4.0, h=1 / 16, tol=1e-9)
+        assert len(cset.iterations) == 4
+        assert len(built) == 1
 
     def test_deterministic_bitwise(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=0.5)
