@@ -6,8 +6,8 @@ tool/environment metadata; floats are serialized with 17 significant
 digits and stable key ordering so ``reproduce`` can re-run the embedded
 manifest and compare payloads numerically.
 
-Exit codes: 0 success, 2 manifest schema violation, 3 compute failure,
-4 reproduction drift.
+Exit codes: 0 success, 2 unreadable input or manifest schema violation,
+3 compute failure, 4 reproduction drift.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _list_of(item):
 
 
 def _params(required, properties):
-    return {"type": "object", "required": required, "properties": properties}
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
 
 
 _CORRECTOR_PARAMS = _params(["T"], {
@@ -129,8 +130,7 @@ def validate_manifest(manifest):
 # deterministic JSON with 17 significant digits and sorted keys
 
 
-def dumps_canonical(obj, indent=0):
-    pad = " " * indent
+def dumps_canonical(obj):
     if isinstance(obj, float):
         if not np.isfinite(obj):
             raise ValueError("non-finite value in payload")
@@ -203,29 +203,33 @@ def _corrector_payload(field, cset):
     }
 
 
+def _solver_params(p):
+    """(h, buffer, tol) of the corrector solves; shared by corrector, homogenize and flux."""
+    return p.get("h"), float(p.get("buffer", 6.0)), float(p.get("tol", 1e-10))
+
+
 def _corrector_from(manifest):
     """Solve the correctors of the manifest; shared by corrector and homogenize."""
     p = manifest["params"]
     field = _field_from(manifest)
-    cset = C.solve_corrector(field, float(p["T"]), h=p.get("h"),
-                             buffer=float(p.get("buffer", 6.0)),
-                             bc=p.get("bc", "auto"),
-                             tol=float(p.get("tol", 1e-10)))
+    h, buffer, tol = _solver_params(p)
+    cset = C.solve_corrector(field, float(p["T"]), h=h, buffer=buffer,
+                             bc=p.get("bc", "auto"), tol=tol)
     return field, cset
 
 
-def _run_corrector(manifest, out_dir):
+def _run_corrector(manifest, write):
     field, cset = _corrector_from(manifest)
     payload = _corrector_payload(field, cset)
     for j in range(cset.d):
         for b in range(cset.m):
-            _atomic_write(os.path.join(out_dir, f"corrector_chi_j{j}_b{b}.bin"),
-                          functools.partial(save_grid_function, cset.chi[j][b]))
+            write(f"corrector_chi_j{j}_b{b}.bin",
+                  functools.partial(save_grid_function, cset.chi[j][b]))
     summary = f"corrector T={cset.T:g} mode={cset.mode} sup={payload['sup_norm']:.6g}"
     return payload, summary
 
 
-def _run_homogenize(manifest, out_dir):
+def _run_homogenize(manifest, write):
     field, cset = _corrector_from(manifest)
     hm = C.homogenized_matrix(field, cset)
     payload = {
@@ -240,7 +244,7 @@ def _run_homogenize(manifest, out_dir):
     return payload, summary
 
 
-def _run_rho(manifest, out_dir):
+def _run_rho(manifest, write):
     field = _field_from(manifest)
     p = manifest["params"]
     rep = M.rho_ladder(field, p["R_list"],
@@ -251,25 +255,25 @@ def _run_rho(manifest, out_dir):
                        rng_seed=int(manifest["seed"]))
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    _atomic_write(os.path.join(out_dir, "rho.csv"), rep.to_csv)
+    write("rho.csv", rep.to_csv)
     payload = {"report": rep.as_dict()}
     summary = (f"rho R in [{rep.parameters[0]:g}, {rep.parameters[-1]:g}] "
                f"exponent={rep.fitted_exponent}")
     return payload, summary
 
 
-def _run_theta(manifest, out_dir):
+def _run_theta(manifest, write):
     p = manifest["params"]
     rep = M.theta_ladder(p["lambda"], p["R_list"], p["ell"])
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    _atomic_write(os.path.join(out_dir, "theta.csv"), rep.to_csv)
+    write("theta.csv", rep.to_csv)
     payload = {"report": rep.as_dict()}
     summary = f"theta ladder exponent={rep.fitted_exponent}"
     return payload, summary
 
 
-def _run_discrepancy(manifest, out_dir):
+def _run_discrepancy(manifest, write):
     p = manifest["params"]
     pset = M.kronecker_point_set(p["lambda"], int(p["R"]), int(p["ell"]))
     exact = M.discrepancy_exact(pset) if pset.dimension <= 2 else None
@@ -283,7 +287,7 @@ def _run_discrepancy(manifest, out_dir):
     return payload, summary
 
 
-def _run_rate(manifest, out_dir):
+def _run_rate(manifest, write):
     field = _field_from(manifest)
     p = manifest["params"]
     exp = E.rate_experiment(field, p["eps_list"],
@@ -296,7 +300,7 @@ def _run_rate(manifest, out_dir):
         lines.append(f"{r['eps']:.17g},{r['cells']},{r['L2_plain']:.17g},"
                      f"{r['L2_corrected']:.17g},{r['H1_plain']:.17g},"
                      f"{r['H1_corrected']:.17g}")
-    _atomic_write(os.path.join(out_dir, "rate.csv"), _text("\n".join(lines) + "\n"))
+    write("rate.csv", _text("\n".join(lines) + "\n"))
     payload = exp.as_dict()
     if exp.floor_limited:
         summary = "rate: floor-limited (errors at solver floor)"
@@ -306,7 +310,7 @@ def _run_rate(manifest, out_dir):
     return payload, summary
 
 
-def _run_holder(manifest, out_dir):
+def _run_holder(manifest, write):
     field = _field_from(manifest)
     p = manifest["params"]
     rep = E.holder_uniformity(field, p["eps_list"], sigma=float(p.get("sigma", 0.5)),
@@ -317,20 +321,19 @@ def _run_holder(manifest, out_dir):
     return payload, summary
 
 
-def _run_flux(manifest, out_dir):
+def _run_flux(manifest, write):
     field = _field_from(manifest)
     p = manifest["params"]
+    h, buffer, tol = _solver_params(p)
     reports = []
     for T in p["T_list"]:
         T = float(T)
-        cset = C.solve_corrector(field, T, h=p.get("h"),
-                                 buffer=float(p.get("buffer", 6.0)),
-                                 tol=float(p.get("tol", 1e-10)))
+        cset = C.solve_corrector(field, T, h=h, buffer=buffer, tol=tol)
         region = None
         if cset.mode == "truncated":
             region = Box.cube(float(p.get("region_factor", 9.0)) * T, d=field.d)
         flux = C.flux_tensor(field, cset, region=region)
-        _, rep = C.solve_flux_corrector(flux, T, tol=float(p.get("tol", 1e-10)))
+        _, rep = C.solve_flux_corrector(flux, T, tol=tol)
         rep["mean_abs"] = float(np.max(np.abs(flux.mean)))
         reports.append(rep)
     payload = {"reports": reports}
@@ -362,10 +365,16 @@ def run_manifest(manifest, out_dir, threads=None):
     validate_manifest(manifest)
     os.makedirs(out_dir, exist_ok=True)
     np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
-    before = set(os.listdir(out_dir))
-    payload, summary = _PIPELINES[manifest["command"]](manifest, out_dir)
+    written = []
+
+    def write(name, writer):
+        """Write companion file ``name`` of ``out_dir`` atomically and record it."""
+        _atomic_write(os.path.join(out_dir, name), writer)
+        written.append(name)
+
+    payload, summary = _PIPELINES[manifest["command"]](manifest, write)
     artifacts = {}
-    for name in sorted(set(os.listdir(out_dir)) - before):
+    for name in sorted(set(written)):
         with open(os.path.join(out_dir, name), "rb") as f:
             artifacts[name] = hashlib.sha256(f.read()).hexdigest()
     result = {
@@ -426,24 +435,36 @@ def _diff_payload(a, b, path="payload", rtol=0.0, atol=0.0, out=None):
     return out
 
 
-def reproduce(result_path, workdir=None):
+def _read_json(path, what):
+    """JSON content of ``path``; an unreadable file raises ManifestError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"{what} unreadable: {exc}") from exc
+
+
+def reproduce(result_path):
     """Re-run the embedded manifest and compare numeric payloads.
 
     Returns (ok, drift_list).  Comparison tolerances come from the stored
-    ``compare`` entry; deterministic pipelines store exact (0, 0).
+    ``compare`` entry; deterministic pipelines store exact (0, 0).  Raises
+    ManifestError when the result is unreadable or its manifest invalid.
     """
-    with open(result_path, encoding="utf-8") as f:
-        stored = json.load(f)
-    manifest = stored["manifest"]
-    if manifest_hash(manifest) != stored["manifest_hash"]:
-        return False, [("manifest_hash", "value",
-                        (stored["manifest_hash"], manifest_hash(manifest)))]
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    stored = _read_json(result_path, "result")
+    try:
+        manifest, stored_hash, stored_payload = (stored["manifest"], stored["manifest_hash"],
+                                                 stored["payload"])
+    except (KeyError, TypeError) as exc:
+        raise ManifestError(f"result lacks its manifest, hash or payload: {exc!r}") from exc
+    if manifest_hash(manifest) != stored_hash:
+        return False, [("manifest_hash", "value", (stored_hash, manifest_hash(manifest)))]
+    with tempfile.TemporaryDirectory() as tmp:
         new_path = run_manifest(manifest, tmp)
         with open(new_path, encoding="utf-8") as f:
             fresh = json.load(f)
     cmp_tols = stored.get("compare", {"rtol": 0.0, "atol": 0.0})
-    drift = _diff_payload(stored["payload"], fresh["payload"],
+    drift = _diff_payload(stored_payload, fresh["payload"],
                           rtol=cmp_tols.get("rtol", 0.0),
                           atol=cmp_tols.get("atol", 0.0))
     return (len(drift) == 0), drift
@@ -469,26 +490,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level)
 
-    if args.mode == "run":
-        try:
-            with open(args.manifest, encoding="utf-8") as f:
-                manifest = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": "manifest unreadable", "detail": str(exc)}))
-            return 2
-        out_dir = args.out or os.environ.get("APHOMOG_OUT", "out")
-        try:
-            run_manifest(manifest, out_dir)
-        except ManifestError as exc:
-            print(json.dumps({"error": "manifest invalid", "detail": str(exc)}))
-            return 2
-        except (NonConverged, ValueError, ArithmeticError) as exc:
-            print(json.dumps({"error": "compute failure",
-                              "detail": f"{type(exc).__name__}: {exc}"}))
-            return 3
-        return 0
-
-    ok, drift = reproduce(args.result)
+    # one error mapping for both modes: bad input exits 2, a failed compute 3
+    try:
+        if args.mode == "run":
+            run_manifest(_read_json(args.manifest, "manifest"),
+                         args.out or os.environ.get("APHOMOG_OUT", "out"))
+            return 0
+        ok, drift = reproduce(args.result)
+    except ManifestError as exc:
+        print(json.dumps({"error": "manifest invalid", "detail": str(exc)}))
+        return 2
+    except (NonConverged, ValueError, ArithmeticError) as exc:
+        print(json.dumps({"error": "compute failure",
+                          "detail": f"{type(exc).__name__}: {exc}"}))
+        return 3
     if ok:
         print("reproduce: payloads match")
         return 0

@@ -63,10 +63,9 @@ class CorrectorSet:
     def m(self):
         return self.field.m
 
-    def sup_norm(self, window=None):
-        w = self.window if window is None else window
-        if self.mode == "periodic":
-            w = None
+    def sup_norm(self):
+        """max |chi| over the window (the whole cell on the periodic route)."""
+        w = None if self.mode == "periodic" else self.window
         return max(norms(self.chi[j][b], "Linf", window=w)
                    for j in range(self.d) for b in range(self.m))
 
@@ -127,7 +126,7 @@ def _corrector_rhs(face_rows, grid, j, beta):
 
 
 def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
-                    tol=1e-10, max_iters=None, threads=None):
+                    tol=1e-10, threads=None):
     """Solve the screened cell problems for every (direction, component).
 
     ``bc="auto"`` takes the single-cell periodic route for periodic fields
@@ -177,7 +176,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
     iterations = []
     for j in range(d):
         for b in range(m):
-            u = solve(op, _corrector_rhs(face_rows, grid, j, b), tol=tol, max_iters=max_iters)
+            u = solve(op, _corrector_rhs(face_rows, grid, j, b), tol=tol)
             chi[j][b] = u
             iterations.append(u.solve_info.iterations)
     return CorrectorSet(field=field, T=float(T), grid=grid, mode=mode,
@@ -333,22 +332,23 @@ def flux_tensor(field, cset, ahat=None, region=None):
                       mean=mean, T=cset.T, mode=cset.mode)
 
 
-def energy_identity_residual(field, cset, window=None):
+def energy_identity_residual(field, cset):
     """Residual of the screened energy balance, per (direction, component).
 
     <A grad chi . grad chi> + T^{-2} <|chi|^2> + <(A* grad chi)_j^b>
     evaluated with node-centered gradients and trapezoid window averages,
     deliberately independent of the solver's face-based quadrature, so the
     residual measures genuine discretization error of the identity.
+    The averages run over the window (the whole cell on the periodic route).
     Returns (residuals, relative_residuals) arrays of shape (d, m).
     """
     grid = cset.grid
     d, m = cset.d, cset.m
-    sls, _ = _region_slices(cset, window)
+    sls, _ = _region_slices(cset, None)
     mesh = grid.node_mesh()
     pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
     coeffs = field.evaluate(pts)
-    if cset.mode == "periodic" and window is None:
+    if cset.mode == "periodic":
         weights = None
     else:
         weights = grid.trapezoid_weights(sls).ravel()
@@ -387,15 +387,16 @@ def energy_identity_residual(field, cset, window=None):
 # dyadic ladders
 
 
-def corrector_scalings(csets, sigma=0.5, pair_budget=4096, rng_seed=0):
+def corrector_scalings(csets):
     """Sup-norm, Hoelder-ratio and windowed-gradient scalings over a T ladder.
 
     Returns a dict of DecayReports: ``corrector_sup`` holds
     (T, T^{-1} sup |chi_T|), ``corrector_holder`` the ratio
-    sup |chi(x)-chi(y)| / (T^{1-sigma} |x-y|^sigma), and
+    sup |chi(x)-chi(y)| / (T^{1-sigma} |x-y|^sigma) at sigma = 1/2, and
     ``gradient_window`` one report per T of windowed gradient L2 means at
     radii r in {T/8, T/4, T/2, T}.
     """
+    sigma = 0.5
     csets = sorted(csets, key=lambda c: c.T)
     Ts = np.array([c.T for c in csets])
     sup_vals, holder_vals, grad_reports = [], [], []
@@ -403,7 +404,7 @@ def corrector_scalings(csets, sigma=0.5, pair_budget=4096, rng_seed=0):
         sup = c.sup_norm()
         sup_vals.append(sup / c.T)
         w = None if c.mode == "periodic" else c.window
-        ratio = max(holder_seminorm(c.chi[j][b], sigma, pair_budget, rng_seed, window=w)
+        ratio = max(holder_seminorm(c.chi[j][b], sigma, window=w)
                     for j in range(c.d) for b in range(c.m))
         holder_vals.append(ratio / c.T ** (1.0 - sigma))
         radii = [c.T / 8.0, c.T / 4.0, c.T / 2.0, c.T]
@@ -463,12 +464,13 @@ def _aligned_window_faces(ca, cb, ax, window):
     return sa, sb
 
 
-def gradient_cauchy_decay(csets, window_side=None):
+def gradient_cauchy_decay(csets):
     """Window L2 norms of grad chi_T - grad chi_2T per dyadic pair.
 
     The pair values bound the distance to the T-limit gradient by
-    telescoping; they must decrease along the ladder.  Grids must share
-    spacing and node alignment on the common window.
+    telescoping; they must decrease along the ladder.  The window of a
+    pair is the smaller of its two windows; the grids must share spacing
+    and node alignment on it.
     """
     csets = sorted(csets, key=lambda c: c.T)
     if len(csets) < 2:
@@ -480,9 +482,7 @@ def gradient_cauchy_decay(csets, window_side=None):
         if ca.mode == "periodic":
             window = None
         else:
-            side = window_side if window_side is not None else min(c.window.sides.min()
-                                                                   for c in (ca, cb))
-            window = Box.cube(side, d=ca.d)
+            window = Box.cube(min(c.window.sides.min() for c in (ca, cb)), d=ca.d)
         total = 0.0
         n_terms = 0
         for j in range(ca.d):
@@ -509,12 +509,12 @@ def gradient_cauchy_decay(csets, window_side=None):
 # flux corrector and translation response
 
 
-def solve_flux_corrector(flux, T, tol=1e-10, report_side=None):
+def solve_flux_corrector(flux, T, tol=1e-10):
     """Screened Poisson solve  -Lap f + T^{-2} f = B - <B>  per tensor entry.
 
     On the periodic route the solve lives on the period cell; otherwise the
     flux region is re-truncated with zero Dirichlet data and the scalings
-    are reported on the central cube of side ``report_side`` (default T).
+    are reported on the central cube of side T.
     Returns (entries, report): entries[i][j][a][b] is a GridFunction, the
     report holds T^{-2} max |f| and T^{-1} max |grad f| over the window.
     """
@@ -535,8 +535,7 @@ def solve_flux_corrector(flux, T, tol=1e-10, report_side=None):
             raise ValueError("flux region must span at least 3 screening lengths")
         grid = BoxGrid(Box(lo, hi), np.array(region_shape) - 1, DIRICHLET)
     op = assemble(lap_field, grid, T ** -2.0)
-    report_window = (None if flux.mode == "periodic"
-                     else Box.cube(report_side if report_side else T, d=d))
+    report_window = None if flux.mode == "periodic" else Box.cube(T, d=d)
     entries = [[[[None] * m for _ in range(m)] for _ in range(d)] for _ in range(d)]
     sup_f = 0.0
     sup_grad = 0.0
@@ -563,21 +562,17 @@ def solve_flux_corrector(flux, T, tol=1e-10, report_side=None):
     return entries, report
 
 
-def translation_response(field, T, shift_pairs, h=None, buffer=6.0, tol=1e-8,
-                         denom_points=4096, denom_box=None, rng_seed=0,
-                         skip_tol=1e-8):
+def translation_response(field, T, shift_pairs, h=None, tol=1e-8):
     """Sup-norm response of the corrector to coefficient translations.
 
     For each shift pair (y, z) the corrector is recomputed for the shifted
     fields and the ratio ||chi^y - chi^z||_inf / (T ||A(.+y) - A(.+z)||_inf)
-    is reported; pairs whose sampled denominator falls below ``skip_tol``
-    are skipped and marked.
+    is reported.  The denominator is sampled at 4096 seeded points of the
+    cube of side 64; pairs with T times it below 1e-8 are skipped and marked.
     """
-    rng = np.random.default_rng(rng_seed)
     d = field.d
-    if denom_box is None:
-        denom_box = Box.cube(64.0, d=d)
-    tpts = rng.uniform(denom_box.lo, denom_box.hi, size=(denom_points, d))
+    denom_box = Box.cube(64.0, d=d)
+    tpts = np.random.default_rng(0).uniform(denom_box.lo, denom_box.hi, size=(4096, d))
     records = []
     cache = {}
 
@@ -587,15 +582,14 @@ def translation_response(field, T, shift_pairs, h=None, buffer=6.0, tol=1e-8,
             shifted = ShiftedField(field, s)
             if shifted.ellipticity is None:
                 certify_ellipticity(shifted)
-            cache[key] = solve_corrector(shifted, T, h=h, buffer=buffer,
-                                         bc="truncated", tol=tol)
+            cache[key] = solve_corrector(shifted, T, h=h, bc="truncated", tol=tol)
         return cache[key]
 
     for y, z in shift_pairs:
         y = np.asarray(y, dtype=float).reshape(d)
         z = np.asarray(z, dtype=float).reshape(d)
         denom = float(np.max(np.abs(field.evaluate(tpts + y) - field.evaluate(tpts + z))))
-        if denom * T < skip_tol:
+        if denom * T < 1e-8:
             records.append({"y": y.tolist(), "z": z.tolist(), "skipped": True,
                             "denominator": denom})
             continue

@@ -1,15 +1,16 @@
 """End-to-end homogenization experiments on box domains.
 
 Solves the oscillating-coefficient Dirichlet problem
--div(A(x/eps) grad u) = F with u = g on the boundary, the constant-
+-div(A(x/eps) grad u) = F with u = 0 on the boundary, the constant-
 coefficient effective problem, and measures two-scale expansion errors
 
     u_eps - u0 - eps chi_T(x/eps) . grad u0,      T = 1/eps,
 
 in L2 and H1, fits convergence rates over dyadic eps ladders, and checks
-the eps-uniformity of interior Hoelder seminorms.  The boundary corrector
-(the solve with the oscillatory trace of the expansion) is optional: it
-only improves the expansion error and is excluded from headline metrics.
+the eps-uniformity of interior Hoelder seminorms.  The ladders solve on
+the unit box [0, 1]^d with source F = 1.  The boundary corrector (the solve
+with the oscillatory trace of the expansion) is optional: it only improves
+the expansion error and is excluded from headline metrics.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class DirichletProblem:
     """One box Dirichlet problem: oscillating (eps) or effective (ahat)."""
 
     box: Box
-    source: object = 1.0            # scalar or callable(points) -> (N,) / (N, m)
-    boundary: object = None         # None (zero trace) or callable volumetric extension
+    source: float = 1.0             # constant right-hand side, every component
     field: object = None
     eps: float = None
     ahat: object = None             # HomogenizedMatrix or (d,d,m,m) tensor
@@ -59,14 +59,6 @@ def _coefficient(problem):
     return coeff
 
 
-def _sample(grid, recipe, m):
-    if recipe is None:
-        return GridFunction.zeros(grid, m)
-    if np.isscalar(recipe):
-        return GridFunction(grid, np.full((m,) + grid.node_counts, float(recipe)))
-    return GridFunction.from_callable(grid, recipe, m)
-
-
 def default_cells(problem):
     if problem.cells is not None:
         return int(problem.cells)
@@ -76,14 +68,9 @@ def default_cells(problem):
     return int(np.ceil(side / (problem.eps / 32.0)))
 
 
-def solve_problem(problem, tol=1e-10, max_iters=None):
-    """FD solve of the problem; nonzero boundary data is lifted.
-
-    With data g the solve substitutes u = w + G for the sampled smooth
-    extension G of g, solves for w with a zero trace, and returns u.
-    """
+def solve_problem(problem, tol=1e-10):
+    """FD solve of the problem with zero boundary data."""
     coeff = _coefficient(problem)
-    m = coeff.m
     cells = default_cells(problem)
     if problem.eps is not None:
         h = float(np.max(problem.box.sides)) / cells
@@ -91,15 +78,18 @@ def solve_problem(problem, tol=1e-10, max_iters=None):
             raise ValueError("grid must resolve eps: h <= eps/32")
     grid = BoxGrid(problem.box, np.full(coeff.d, cells, dtype=int), DIRICHLET)
     op = assemble(coeff, grid, kappa=0.0)
-    rhs = _sample(grid, problem.source, m)
-    lift = None
-    if problem.boundary is not None:
-        lift = _sample(grid, problem.boundary, m)
-        rhs = GridFunction(grid, rhs.values - op.apply(lift).values)
-    u = solve(op, rhs, tol=tol, max_iters=max_iters)
-    if lift is not None:
-        u = GridFunction(grid, u.values + lift.values, u.solve_info)
-    return u
+    rhs = GridFunction(grid, np.full((coeff.m,) + grid.node_counts, float(problem.source)))
+    return solve(op, rhs, tol=tol)
+
+
+def _ladder_rung(field, eps, ahat, tol):
+    """Source-1 solves on the unit box: (eps problem, u_eps, u0 on u_eps's grid)."""
+    box = Box.cube(1.0, center=0.5 * np.ones(field.d), d=field.d)
+    p_eps = DirichletProblem(box=box, field=field, eps=eps)
+    u_eps = solve_problem(p_eps, tol=tol)
+    u0 = solve_problem(DirichletProblem(box=box, ahat=ahat, cells=u_eps.grid.cells[0]),
+                       tol=tol)
+    return p_eps, u_eps, u0
 
 
 def expansion_term(u0, cset, eps):
@@ -177,25 +167,22 @@ class RateExperiment:
         }
 
 
-def rate_experiment(field, eps_list, box=None, source=1.0, boundary=None,
-                    corrector_h=None, cells_rule=None, tol=1e-9,
-                    include_boundary_corrector=False, rho_report=None,
-                    sigma=0.5):
+def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
+                    include_boundary_corrector=False, rho_report=None):
     """Dyadic-eps convergence study against the effective problem.
 
     Per eps: solve the oscillating problem, the effective problem on the
     same grid (effective tensor from the corrector at T = 1/eps), and the
     corrected expansion error.  Emits DecayReports and fitted slopes; when
-    a rho report is supplied the Theta-integral upper bound is evaluated
-    alongside the measured errors (dominance only, never equality).
+    a rho report is supplied the Theta-integral upper bound (sigma = 1/2)
+    is evaluated alongside the measured errors (dominance only, never
+    equality).
     """
     from .correctors import homogenized_matrix
 
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 4:
         raise ValueError("ladder needs at least 4 eps values")
-    d = field.d
-    box = Box.cube(1.0, center=0.5 * np.ones(d), d=d) if box is None else box
     if field.ellipticity is None:
         certify_ellipticity(field)
     rows = []
@@ -203,13 +190,7 @@ def rate_experiment(field, eps_list, box=None, source=1.0, boundary=None,
         T = 1.0 / eps
         cset = solve_corrector(field, T, h=corrector_h, tol=tol)
         ahat = homogenized_matrix(field, cset)
-        cells = None if cells_rule is None else int(cells_rule(eps))
-        p_eps = DirichletProblem(box=box, source=source, boundary=boundary,
-                                 field=field, eps=eps, cells=cells)
-        u_eps = solve_problem(p_eps, tol=tol)
-        p_hom = DirichletProblem(box=box, source=source, boundary=boundary,
-                                 ahat=ahat, cells=u_eps.grid.cells[0])
-        u0 = solve_problem(p_hom, tol=tol)
+        p_eps, u_eps, u0 = _ladder_rung(field, eps, ahat, tol)
         v_eps = None
         if include_boundary_corrector:
             v_eps, _ = boundary_corrector(p_eps, cset, u0, tol=tol)
@@ -221,9 +202,9 @@ def rate_experiment(field, eps_list, box=None, source=1.0, boundary=None,
                "H1_plain": h1_plain, "H1_corrected": h1_corr,
                "iterations": u_eps.solve_info.iterations}
         if rho_report is not None:
-            integral, tail, flagged = theta_integral(rho_report, sigma, 0.5 / eps)
+            integral, tail, flagged = theta_integral(rho_report, 0.5, 0.5 / eps)
             theta1 = compute_Theta(rho_report, 1.0, 1.0 / eps, min_samples=1)
-            row["L2_bound_shape"] = integral + theta1 ** sigma
+            row["L2_bound_shape"] = integral + theta1 ** 0.5
             row["bound_tail_flagged"] = bool(flagged)
         rows.append(row)
 
@@ -243,40 +224,30 @@ def rate_experiment(field, eps_list, box=None, source=1.0, boundary=None,
                 fitted[key] = {"slope": slope, "quality": quality}
     return RateExperiment(rows=rows, reports=reports, fitted=fitted,
                           floor_limited=floor_limited,
-                          metadata={"field_m": field.m, "d": d, "tol": tol})
+                          metadata={"field_m": field.m, "d": field.d, "tol": tol})
 
 
-def holder_uniformity(field, eps_list, sigma=0.5, box=None, source=1.0,
-                      boundary=None, subbox=None, pair_budget=4096,
-                      rng_seed=0, tol=1e-9, corrector_h=None):
+def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
     """Interior Hoelder seminorms of u_eps across the ladder.
 
     Returns per-eps seminorms of u_eps (uniformity statistic max/min) and
-    of u_eps - u0 (which must decay as eps shrinks).
+    of u_eps - u0 (which must decay as eps shrinks), both over the central
+    subbox [1/4, 3/4]^d.
     """
     from .correctors import homogenized_matrix
 
     eps_list = sorted(float(e) for e in eps_list)
-    d = field.d
-    box = Box.cube(1.0, center=0.5 * np.ones(d), d=d) if box is None else box
-    if subbox is None:
-        c = 0.5 * (box.lo + box.hi)
-        subbox = Box(c - 0.25 * box.sides, c + 0.25 * box.sides)
+    subbox = Box.cube(0.5, center=0.5 * np.ones(field.d), d=field.d)
     if field.ellipticity is None:
         certify_ellipticity(field)
-    cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=tol)
+    cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=1e-9)
     ahat = homogenized_matrix(field, cset)
     rows = []
     for eps in eps_list:
-        p_eps = DirichletProblem(box=box, source=source, boundary=boundary,
-                                 field=field, eps=eps)
-        u_eps = solve_problem(p_eps, tol=tol)
-        p_hom = DirichletProblem(box=box, source=source, boundary=boundary,
-                                 ahat=ahat, cells=u_eps.grid.cells[0])
-        u0 = solve_problem(p_hom, tol=tol)
-        semi_u = holder_seminorm(u_eps, sigma, pair_budget, rng_seed, window=subbox)
+        _, u_eps, u0 = _ladder_rung(field, eps, ahat, 1e-9)
+        semi_u = holder_seminorm(u_eps, sigma, rng_seed=rng_seed, window=subbox)
         diff = GridFunction(u_eps.grid, u_eps.values - u0.values)
-        semi_diff = holder_seminorm(diff, sigma, pair_budget, rng_seed, window=subbox)
+        semi_diff = holder_seminorm(diff, sigma, rng_seed=rng_seed, window=subbox)
         rows.append({"eps": eps, "seminorm_u": semi_u, "seminorm_diff": semi_diff})
     semis = [r["seminorm_u"] for r in rows]
     return {

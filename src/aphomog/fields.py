@@ -66,8 +66,8 @@ def adjoint_tensor(t):
     return np.ascontiguousarray(t.transpose(1, 0, 3, 2))
 
 
-def is_symmetric_tensor(t, tol=1e-12):
-    return bool(np.max(np.abs(t - adjoint_tensor(t))) <= tol * (1.0 + np.max(np.abs(t))))
+def is_symmetric_tensor(t):
+    return bool(np.max(np.abs(t - adjoint_tensor(t))) <= 1e-12 * (1.0 + np.max(np.abs(t))))
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,12 @@ class FrequencyLayout:
     """Per-axis frequency lists for a quasi-periodic embedding.
 
     ``frequencies[i]`` holds the list (lambda_i^1, ..., lambda_i^{m_i}); the
-    embedding sends x to (lambda_i^k x_i) concatenated over axes.  The
-    ``independent`` flags declare rational independence per axis (checked
-    separately with :func:`diophantine_scan`).
+    embedding sends x to (lambda_i^k x_i) concatenated over axes.  Rational
+    independence of each list is checked separately with
+    :func:`diophantine_scan`.
     """
 
     frequencies: tuple
-    independent: tuple = None
 
     def __post_init__(self):
         freqs = tuple(np.asarray(f, dtype=float).ravel() for f in self.frequencies)
@@ -113,8 +112,6 @@ class FrequencyLayout:
                 raise ValueError("each direction needs at least one frequency")
             if np.any(f == 0.0):
                 raise ValueError("zero frequencies are not allowed")
-        if self.independent is None:
-            object.__setattr__(self, "independent", tuple(f.size > 1 for f in freqs))
 
     @property
     def direction_count(self):
@@ -371,25 +368,22 @@ class ScaledArgumentField(CoefficientField):
 # operations
 
 
-def check_ellipticity(field, sample_count=4096, rng_seed=0, sample_box=None):
+def check_ellipticity(field, sample_count=4096, rng_seed=0):
     """Sample two-sided Rayleigh-quotient bounds of the symmetric part.
 
-    Per sampled point the extreme quotients over unit directions are taken
-    exactly (symmetric eigenvalues).  Raises :class:`EllipticityViolation`
-    when the minimum is nonpositive.
+    The points fill one period cell, or the cube [-64, 64]^d for a field
+    without a period.  Per sampled point the extreme quotients over unit
+    directions are taken exactly (symmetric eigenvalues).  Raises
+    :class:`EllipticityViolation` when the minimum is nonpositive.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
     d = field.d
-    if sample_box is None:
-        if field.period is not None:
-            lo, hi = np.zeros(d), field.period
-        else:
-            lo, hi = -64.0 * np.ones(d), 64.0 * np.ones(d)
+    if field.period is not None:
+        lo, hi = np.zeros(d), field.period
     else:
-        lo = np.asarray(sample_box[0], dtype=float).reshape(d)
-        hi = np.asarray(sample_box[1], dtype=float).reshape(d)
+        lo, hi = -64.0 * np.ones(d), 64.0 * np.ones(d)
     pts = rng.uniform(lo, hi, size=(sample_count, d))
     tensors = field.evaluate(pts)
     dm = field.d * field.m
@@ -404,9 +398,9 @@ def check_ellipticity(field, sample_count=4096, rng_seed=0, sample_box=None):
     return Ellipticity(mu=mu, mu_inv_check=mu_inv)
 
 
-def certify_ellipticity(field, sample_count=4096, rng_seed=0, sample_box=None):
+def certify_ellipticity(field, sample_count=4096, rng_seed=0):
     """Check and attach the certificate; operator assembly requires one."""
-    cert = check_ellipticity(field, sample_count, rng_seed, sample_box)
+    cert = check_ellipticity(field, sample_count, rng_seed)
     field.attach_ellipticity(cert)
     return cert
 
@@ -491,32 +485,32 @@ def identity_field(d=1, m=1):
     return ConstantField(1.0, d=d, m=m)
 
 
-def sine_scalar_field(mean=2.0, amplitude=1.0):
-    """a(y) = mean + amplitude sin(2 pi y) on the line; 1-periodic."""
+def sine_scalar_field():
+    """a(y) = 2 + sin(2 pi y) on the line; 1-periodic."""
     return TrigPolynomialField(1, 1, [
-        (np.zeros(1), mean, 0.0),
-        (np.ones(1), 0.0, amplitude),
+        (np.zeros(1), 2.0, 0.0),
+        (np.ones(1), 0.0, 1.0),
     ])
 
 
-def laminate_field(mean=2.0, amplitude=1.0):
-    """a(y) = mean + amplitude sin(2 pi y1) times the identity, d = 2."""
+def laminate_field():
+    """a(y) = 2 + sin(2 pi y1) times the identity, d = 2."""
     return TrigPolynomialField(2, 1, [
-        (np.zeros(2), as_tensor(mean, 2, 1), 0.0),
-        (np.array([1.0, 0.0]), 0.0, as_tensor(amplitude, 2, 1)),
+        (np.zeros(2), as_tensor(2.0, 2, 1), 0.0),
+        (np.array([1.0, 0.0]), 0.0, as_tensor(1.0, 2, 1)),
     ])
 
 
-def golden_ratio_field(mean=2.0, amplitude=1.0):
+def golden_ratio_field():
     """Quasi-periodic scalar field 2 + cos(2 pi x) cos(2 pi phi x) on the line.
 
-    B(t1, t2) = mean + amplitude cos(2 pi t1) cos(2 pi t2) with the badly
-    approximable frequency pair (1, phi).
+    B(t1, t2) = 2 + cos(2 pi t1) cos(2 pi t2) with the badly approximable
+    frequency pair (1, phi).
     """
     torus = TorusFunction(2, 1, 1, [
-        (np.zeros(2), mean, 0.0),
-        (np.array([1.0, 1.0]), 0.5 * amplitude, 0.0),
-        (np.array([1.0, -1.0]), 0.5 * amplitude, 0.0),
+        (np.zeros(2), 2.0, 0.0),
+        (np.array([1.0, 1.0]), 0.5, 0.0),
+        (np.array([1.0, -1.0]), 0.5, 0.0),
     ])
     layout = FrequencyLayout((np.array([1.0, GOLDEN_RATIO]),))
     return QuasiPeriodicField(torus, layout)

@@ -56,8 +56,9 @@ class Box:
     def volume(self):
         return float(np.prod(self.sides))
 
-    def contains(self, other, slack=1e-9):
-        return bool(np.all(other.lo >= self.lo - slack) and np.all(other.hi <= self.hi + slack))
+    def contains(self, other):
+        """Whether ``other`` lies inside, up to 1e-9 per side."""
+        return bool(np.all(other.lo >= self.lo - 1e-9) and np.all(other.hi <= self.hi + 1e-9))
 
     @staticmethod
     def cube(side, center=None, d=1):
@@ -195,19 +196,9 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     @staticmethod
-    def zeros(grid, m=1):
-        return GridFunction(grid, np.zeros((m,) + grid.node_counts))
-
-    @staticmethod
-    def from_callable(grid, fn, m=1):
-        """Sample ``fn(points) -> (N,) or (N, m)`` at the nodes."""
-        pts = grid.node_points()
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape != (pts.shape[0], m):
-            raise ValueError("callable returned wrong shape")
-        return GridFunction(grid, vals.T.reshape((m,) + grid.node_counts))
+    def zeros(grid):
+        """The scalar zero function on ``grid``."""
+        return GridFunction(grid, np.zeros((1,) + grid.node_counts))
 
     def interpolate(self, points):
         """Multilinear interpolation; periodic grids wrap the coordinates."""

@@ -32,6 +32,17 @@ RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
 # sup over the first _RHO_PROBE_POINTS test points prunes z shifts.
 _RHO_BATCH_ENTRIES = 1 << 18
 _RHO_PROBE_POINTS = 64
+# covering_radius refines a probe grid of _COVER_START points per axis,
+# doubling it until the value moves by less than _COVER_REL_TOL or the next
+# grid would exceed _COVER_MAX points per axis.
+_COVER_START = 65
+_COVER_REL_TOL = 0.05
+_COVER_MAX = 4097
+# etk_bound: the dimension constant of the Erdos-Turan-Koksma inequality
+# (4, validated against exact discrepancies for m <= 2 in the test suite),
+# and the number of frequencies per vectorized block.
+_ETK_CONSTANT = 4.0
+_ETK_CHUNK = 2048
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +72,8 @@ class DecayReport:
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("values must be finite and nonnegative")
 
-    def fit(self, window=None):
-        exponent, quality = fit_decay_exponent(self, window)
+    def fit(self):
+        exponent, quality = fit_decay_exponent(self)
         self.fitted_exponent = exponent
         self.fit_quality = quality
         return exponent, quality
@@ -88,12 +99,9 @@ class DecayReport:
         np.savetxt(path, table, delimiter=",", header="parameter,value", comments="")
 
 
-def fit_decay_exponent(report, window=None):
+def fit_decay_exponent(report):
     """Least-squares slope in log-log coordinates with R^2 quality."""
     p, v = report.parameters, report.values
-    if window is not None:
-        keep = (p >= window[0]) & (p <= window[1])
-        p, v = p[keep], v[keep]
     if p.size < 3:
         raise ValueError("need at least 3 samples in the fit window")
     if np.any(v <= 0):
@@ -161,12 +169,12 @@ def _covering_radius_1d(pts):
     return 0.5 * float(max(np.max(gaps), wrap))
 
 
-def covering_radius(points, start_resolution=65, rel_tol=0.05, max_resolution=4097):
+def covering_radius(points):
     """Farthest-point torus distance from [-1/2, 1/2]^m to the set (sup norm).
 
     Distances wrap around the torus, so the two representatives of a
     boundary coordinate count as one point.  Grid-based search; the probe
-    grid is refined until the value changes by less than ``rel_tol`` and
+    grid is refined until the value changes by less than 5 percent and
     the resolution is at least a factor 4 finer than the answer.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -174,7 +182,7 @@ def covering_radius(points, start_resolution=65, rel_tol=0.05, max_resolution=40
     if m == 1:
         return _covering_radius_1d(pts)
     tree = cKDTree((pts + 0.5) % 1.0, boxsize=1.0)
-    g = int(start_resolution)
+    g = _COVER_START
     prev = None
     while True:
         axes = [np.linspace(0.0, 1.0, g, endpoint=False)] * m
@@ -183,15 +191,15 @@ def covering_radius(points, start_resolution=65, rel_tol=0.05, max_resolution=40
         val = float(np.max(dists))
         spacing = 1.0 / g
         fine_enough = spacing <= val / 4.0 if val > 0 else True
-        stable = prev is not None and abs(val - prev) <= rel_tol * max(val, 1e-300)
-        if (fine_enough and stable) or 2 * g > max_resolution:
+        stable = prev is not None and abs(val - prev) <= _COVER_REL_TOL * max(val, 1e-300)
+        if (fine_enough and stable) or 2 * g > _COVER_MAX:
             # probe-grid maxima undershoot by at most half a probe spacing
             return val
         prev = val
         g = 2 * g
 
 
-def theta_quasi(lams, R, ell, **kwargs):
+def theta_quasi(lams, R, ell):
     """Covering radius of the Kronecker orbit of one frequency direction.
 
     For a single frequency (m = 1) the exact sorted-gap value is returned;
@@ -201,15 +209,15 @@ def theta_quasi(lams, R, ell, **kwargs):
     pts = kronecker_point_set(lams, R, ell)
     if pts.dimension == 1:
         return _covering_radius_1d(pts.points)
-    return covering_radius(pts.points, **kwargs)
+    return covering_radius(pts.points)
 
 
-def theta_layout(layout, R, ell, **kwargs):
+def theta_layout(layout, R, ell):
     """Per-direction maximum of theta_quasi over a FrequencyLayout."""
-    return max(theta_quasi(f, R, ell, **kwargs) for f in layout.frequencies)
+    return max(theta_quasi(f, R, ell) for f in layout.frequencies)
 
 
-def theta_ladder(lams, R_list, ell, **kwargs):
+def theta_ladder(lams, R_list, ell):
     """theta over an R ladder; ``ell`` may be one subdivision or one per R.
 
     The covering-radius estimate tracks the continuum quantity only when
@@ -217,7 +225,7 @@ def theta_ladder(lams, R_list, ell, **kwargs):
     ell ~ R^{2/(tau+1)}), so ladders usually pass a per-R list.
     """
     ells = [int(ell)] * len(R_list) if np.isscalar(ell) else [int(e) for e in ell]
-    vals = [theta_quasi(lams, R, e, **kwargs) for R, e in zip(R_list, ells)]
+    vals = [theta_quasi(lams, R, e) for R, e in zip(R_list, ells)]
     return DecayReport(np.asarray(R_list, dtype=float), vals, "theta",
                        metadata={"ell": ells, "lambda": list(np.ravel(lams))})
 
@@ -299,15 +307,13 @@ def discrepancy_exact(pset):
     raise UnsupportedDimension("exact discrepancy implemented for m <= 2; use etk_bound")
 
 
-def etk_bound(pset, H, constant=4.0, chunk=2048):
+def etk_bound(pset, H):
     """Erdos-Turan-Koksma exponential-sum bound on the discrepancy.
 
     C * ( 1/H + sum_{0 < ||n||_inf <= H} |mean_x e^{2 pi i n.x}|
-          / prod_k (1 + |n_k|) ).
+          / prod_k (1 + |n_k|) ),
 
-    The dimension constant of the inequality is exposed as ``constant``
-    (default 4, validated against exact discrepancies for m <= 2 in the
-    test suite).
+    with the dimension constant C = 4 (``_ETK_CONSTANT``).
     """
     if H < 1:
         raise ValueError("H must be >= 1")
@@ -319,13 +325,13 @@ def etk_bound(pset, H, constant=4.0, chunk=2048):
     ns = ns[ns[np.arange(len(ns)), first_nz] > 0]          # exploit |S(n)| = |S(-n)|
     total = 0.0
     pts = pset.points
-    for start in range(0, len(ns), chunk):
-        block = ns[start:start + chunk]
+    for start in range(0, len(ns), _ETK_CHUNK):
+        block = ns[start:start + _ETK_CHUNK]
         phases = 2.0 * np.pi * (block.astype(float) @ pts.T)
         sums = np.abs(np.exp(1j * phases).mean(axis=1))
         weights = np.prod(1.0 + np.abs(block), axis=1)
         total += 2.0 * float(np.sum(sums / weights))
-    return float(constant) * (1.0 / H + total)
+    return _ETK_CONSTANT * (1.0 / H + total)
 
 
 def covering_from_discrepancy(D, m):
@@ -364,8 +370,8 @@ def _row_keys(zs):
     return zs.view(np.dtype((np.void, zs.itemsize * zs.shape[1]))).ravel()
 
 
-def estimate_rho(field, R, y_samples=None, z_grid_spacing=None, test_box=None,
-                 rng_seed=0, norm="inf", y_box=None, test_points=None):
+def estimate_rho(field, R, y_samples=None, z_grid_spacing=None, rng_seed=0, norm="inf",
+                 test_points=None):
     """Sampled translation modulus at radius R (single value).
 
     Outer sup over ``y_samples`` random translates, inner inf over a z-grid
@@ -373,20 +379,19 @@ def estimate_rho(field, R, y_samples=None, z_grid_spacing=None, test_box=None,
     random test points.  Budgets default to RHO_DEFAULT_BUDGETS and are an
     explicit part of the estimate's meaning.
     """
-    report = rho_ladder(field, [R], y_samples=y_samples,
-                        z_grid_spacing=z_grid_spacing, test_box=test_box,
-                        rng_seed=rng_seed, norm=norm, y_box=y_box,
-                        test_points=test_points)
+    report = rho_ladder(field, [R], y_samples=y_samples, z_grid_spacing=z_grid_spacing,
+                        rng_seed=rng_seed, norm=norm, test_points=test_points)
     return float(report.values[0])
 
 
-def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, test_box=None,
-               rng_seed=0, norm="inf", y_box=None, test_points=None):
+def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
+               norm="inf", test_points=None):
     """Translation modulus on an increasing R ladder with shared samples.
 
     The same y and test samples serve every R and the z search set is
     cumulative over the ladder, which makes the reported values
-    nonincreasing in R by construction.
+    nonincreasing in R by construction.  The y samples fill the cube of side
+    32 max(R_max, 1), the test points the cube of side 32.
 
     The values equal the plain scan over every (y, z, test point) triple
     bit for bit; the scan only skips work that cannot change a min or a
@@ -409,11 +414,8 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, test_box=None
     test_points = RHO_DEFAULT_BUDGETS["test_points"] if test_points is None else int(test_points)
     if y_samples < 1 or test_points < 1:
         raise ValueError("sampling budgets must be positive")
-    R_max = float(R_list[-1])
-    if y_box is None:
-        y_box = Box.cube(32.0 * max(R_max, 1.0), d=d)
-    if test_box is None:
-        test_box = Box.cube(32.0, d=d)
+    y_box = Box.cube(32.0 * max(float(R_list[-1]), 1.0), d=d)
+    test_box = Box.cube(32.0, d=d)
     rng = np.random.default_rng(rng_seed)
     ys = rng.uniform(y_box.lo, y_box.hi, size=(y_samples, d))
     tpts = rng.uniform(test_box.lo, test_box.hi, size=(test_points, d))
@@ -467,12 +469,12 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, test_box=None
     })
 
 
-def compute_Theta(rho_report, sigma, T, grid_points=2048, min_samples=4):
+def compute_Theta(rho_report, sigma, T, min_samples=4):
     """Rate function inf over 0 < R <= T of rho(R) + (R/T)^sigma.
 
     rho is interpolated monotonically (nonincreasing envelope, linear
-    between samples) and minimized over a fine geometric R grid joined
-    with the sample points at or below T.
+    between samples) and minimized over a geometric R grid of 2048 points
+    joined with the sample points at or below T.
     """
     if not (0.0 < sigma <= 1.0):
         raise ValueError("sigma must lie in (0, 1]")
@@ -482,14 +484,15 @@ def compute_Theta(rho_report, sigma, T, grid_points=2048, min_samples=4):
         raise ValueError("rho report must cover (0, T] with at least "
                          f"{min_samples} samples")
     p, v = p[keep], np.minimum.accumulate(v[keep])
-    grid = np.geomspace(p[0], min(p[-1], T), grid_points)
+    grid = np.geomspace(p[0], min(p[-1], T), 2048)
     grid = np.unique(np.concatenate([grid, p]))
     rho_i = np.interp(grid, p, v)
     return float(np.min(rho_i + (grid / T) ** sigma))
 
 
-def theta_integral(rho_report, sigma, lower, grid_points=512):
-    """Quadrature of Theta_sigma(r)/r from ``lower`` to the largest sampled R.
+def theta_integral(rho_report, sigma, lower):
+    """Trapezoid quadrature of Theta_sigma(r)/r from ``lower`` to the largest
+    sampled R, on a geometric grid of 512 points.
 
     Returns (value, tail_estimate, tail_flag): the tail beyond the data is
     estimated from the fitted decay of Theta on the sampled range and
@@ -498,7 +501,7 @@ def theta_integral(rho_report, sigma, lower, grid_points=512):
     R_max = float(rho_report.parameters[-1])
     if lower >= R_max:
         raise ValueError("integral lower limit beyond sampled range")
-    rs = np.geomspace(lower, R_max, grid_points)
+    rs = np.geomspace(lower, R_max, 512)
     theta = np.array([compute_Theta(rho_report, sigma, r, min_samples=1) for r in rs])
     value = float(np.trapezoid(theta / rs, rs))
     fit_rep = DecayReport(rs, np.maximum(theta, 1e-300), "Theta_sigma")

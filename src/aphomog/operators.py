@@ -258,7 +258,7 @@ def _fast_poisson(op):
     return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec)
 
 
-def solve(op, rhs, tol=1e-10, max_iters=None, x0=None):
+def solve(op, rhs, tol=1e-10, max_iters=None):
     """Krylov solve to a relative residual ||L u - b|| / ||b|| <= tol.
 
     Conjugate gradients for symmetric operators, BiCGSTAB otherwise, both
@@ -294,7 +294,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None, x0=None):
         max_iters = max(1000, 40 * int(np.sqrt(mat.shape[0])) + 2000)
     M = op.preconditioner
     method = spla.cg if op.symmetric else spla.bicgstab
-    x = np.zeros_like(b) if x0 is None else x0.values.reshape(-1)[idx].copy()
+    x = np.zeros_like(b)
     total_iters = 0
     restarts = 0
     residual = np.inf

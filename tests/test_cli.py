@@ -260,3 +260,37 @@ def test_schemas_are_valid_json_schemas(name):
 @pytest.mark.parametrize("path", DEMO_MANIFESTS, ids=lambda p: p.stem)
 def test_demo_manifests_validate(path):
     cli.validate_manifest(json.loads(path.read_text()))
+
+
+def test_rerun_into_one_directory_records_the_same_artifacts(tmp_path):
+    man = {"command": "rho", "seed": 3, "field": F.field_to_config(F.golden_ratio_field()),
+           "params": {"R_list": [1, 2], "y_samples": 4, "test_points": 64}}
+    first, second = (_read_json(cli.run_manifest(man, str(tmp_path)))["artifacts"]
+                     for _ in range(2))
+    assert list(first) == ["rho.csv"]
+    assert first == second
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda r: r["manifest"].pop("field"), 2),               # invalid manifest
+    (lambda r: r.pop("manifest"), 2),
+    (lambda r: r["manifest"]["params"].update(h=1.0), 3),    # h > T/64: refused by the solver
+], ids=["invalid-manifest", "no-manifest", "compute-failure"])
+def test_reproduce_exit_codes(tmp_path, edit, code):
+    path = pathlib.Path(cli.run_manifest(_sine_manifest(T=16.0, h=1 / 64), str(tmp_path)))
+    result = _read_json(path)
+    edit(result)
+    if "manifest" in result:
+        result["manifest_hash"] = cli.manifest_hash(result["manifest"])
+    path.write_text(cli.dumps_canonical(result))
+    assert cli.main(["reproduce", "--result", str(path)]) == code
+
+
+def test_reproduce_of_missing_file_exits_2(tmp_path):
+    assert cli.main(["reproduce", "--result", str(tmp_path / "none.json")]) == 2
+
+
+def test_unknown_params_key_exits_2_and_writes_nothing(tmp_path):
+    man = _sine_manifest(T=16.0, h=1 / 64, bufer=1.0)
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
