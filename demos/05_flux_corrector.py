@@ -34,8 +34,8 @@ print(f"\n{'T':>6} {'T^-2 |f|':>12} {'10 Theta_1':>12} "
 rows = []
 for T in (16, 32, 64, 128):
     cset = solve_corrector(field, float(T), h=1 / 64, buffer=6.0)
-    flux = flux_tensor(field, cset, region=Box.cube(9.0 * T, d=1))
-    _, rep = solve_flux_corrector(flux, float(T))
+    flux = flux_tensor(cset, region=Box.cube(9.0 * T, d=1))
+    _, rep = solve_flux_corrector(flux)
     th1 = compute_Theta(rho, 1.0, float(T))
     th05 = compute_Theta(rho, 0.5, float(T))
     rows.append((T, rep["sup_f_scaled"], th1, rep["sup_grad_scaled"], th05))

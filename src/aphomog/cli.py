@@ -4,10 +4,10 @@ One manifest describes one pipeline run (composition belongs in shell
 scripts).  Every artifact embeds the manifest, its hash, the seed, and
 tool/environment metadata; floats are serialized with 17 significant
 digits and stable key ordering so ``reproduce`` can re-run the embedded
-manifest and compare payloads numerically.
+manifest and compare payloads exactly.
 
-Exit codes: 0 success, 2 unreadable input or manifest schema violation,
-3 compute failure, 4 reproduction drift.
+Exit codes: 0 success, 2 unreadable input, manifest schema violation or a
+NaN or infinity in params or field, 3 compute failure, 4 reproduction drift.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -115,10 +116,25 @@ class ManifestError(ValueError):
     pass
 
 
+def _check_finite(obj, path):
+    """Raise ManifestError at the first NaN or infinity inside ``obj``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ManifestError(f"{path}: non-finite number {obj!r}")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _check_finite(v, f"{path}[{i}]")
+
+
 def validate_manifest(manifest):
     exc = best_match(_MANIFEST_VALIDATOR.iter_errors(manifest))
     if exc is not None:
         raise ManifestError(str(exc.message)) from exc
+    # JSON Schema "number" admits NaN and infinity, which json.load reads
+    for key in ("params", "field"):
+        _check_finite(manifest.get(key), key)
     exc = best_match(_PARAMS_VALIDATORS[manifest["command"]].iter_errors(manifest["params"]))
     if exc is not None:
         raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
@@ -190,10 +206,9 @@ def _field_from(manifest):
     return field
 
 
-def _corrector_payload(field, cset):
-    res, rel = C.energy_identity_residual(field, cset)
-    window = None if cset.mode == "periodic" else cset.window
-    means = [[window_mean(cset.chi[j][b], window).tolist()
+def _corrector_payload(cset):
+    _, rel = C.energy_identity_residual(cset)
+    means = [[window_mean(cset.chi[j][b], cset.window).tolist()
               for b in range(cset.m)] for j in range(cset.d)]
     return {
         "provenance": cset.provenance(),
@@ -211,16 +226,14 @@ def _solver_params(p):
 def _corrector_from(manifest):
     """Solve the correctors of the manifest; shared by corrector and homogenize."""
     p = manifest["params"]
-    field = _field_from(manifest)
     h, buffer, tol = _solver_params(p)
-    cset = C.solve_corrector(field, float(p["T"]), h=h, buffer=buffer,
-                             bc=p.get("bc", "auto"), tol=tol)
-    return field, cset
+    return C.solve_corrector(_field_from(manifest), float(p["T"]), h=h,
+                             buffer=buffer, bc=p.get("bc", "auto"), tol=tol)
 
 
 def _run_corrector(manifest, write):
-    field, cset = _corrector_from(manifest)
-    payload = _corrector_payload(field, cset)
+    cset = _corrector_from(manifest)
+    payload = _corrector_payload(cset)
     for j in range(cset.d):
         for b in range(cset.m):
             write(f"corrector_chi_j{j}_b{b}.bin",
@@ -230,15 +243,15 @@ def _run_corrector(manifest, write):
 
 
 def _run_homogenize(manifest, write):
-    field, cset = _corrector_from(manifest)
-    hm = C.homogenized_matrix(field, cset)
+    cset = _corrector_from(manifest)
+    hm = C.homogenized_matrix(cset)
     payload = {
         "ahat": hm.tensor.tolist(),
         "source": list(hm.source),
         "sym_eig_min": hm.sym_eig_min,
         "sym_eig_max": hm.sym_eig_max,
         "ellipticity_ok": hm.ellipticity_ok,
-        "corrector": _corrector_payload(field, cset),
+        "corrector": _corrector_payload(cset),
     }
     summary = f"homogenize T={cset.T:g} ahat[0,0]={hm.tensor[0, 0, 0, 0]:.9g}"
     return payload, summary
@@ -332,8 +345,8 @@ def _run_flux(manifest, write):
         region = None
         if cset.mode == "truncated":
             region = Box.cube(float(p.get("region_factor", 9.0)) * T, d=field.d)
-        flux = C.flux_tensor(field, cset, region=region)
-        _, rep = C.solve_flux_corrector(flux, T, tol=tol)
+        flux = C.flux_tensor(cset, region=region)
+        _, rep = C.solve_flux_corrector(flux, tol=tol)
         rep["mean_abs"] = float(np.max(np.abs(flux.mean)))
         reports.append(rep)
     payload = {"reports": reports}
@@ -388,7 +401,6 @@ def run_manifest(manifest, out_dir, threads=None):
         },
         "payload": payload,
         "artifacts": artifacts,      # sha256 of companion files (CSV, binaries)
-        "compare": {"rtol": 0.0, "atol": 0.0},
     }
     path = os.path.join(out_dir, f"{manifest['command']}_result.json")
     _atomic_write(path, _text(dumps_canonical(result) + "\n"))
@@ -409,26 +421,22 @@ def _tool_version():
 # reproduction
 
 
-def _diff_payload(a, b, path="payload", rtol=0.0, atol=0.0, out=None):
+def _diff_payload(a, b, path="payload", out=None):
+    """(path, kind, values) of every difference between two payloads; exact."""
     out = [] if out is None else out
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b), key=str):
             if k not in a or k not in b:
                 out.append((f"{path}.{k}", "missing", None))
                 continue
-            _diff_payload(a[k], b[k], f"{path}.{k}", rtol, atol, out)
+            _diff_payload(a[k], b[k], f"{path}.{k}", out)
         return out
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             out.append((path, "length", (len(a), len(b))))
             return out
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff_payload(x, y, f"{path}[{i}]", rtol, atol, out)
-        return out
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
-        if not np.isclose(a, b, rtol=rtol, atol=atol, equal_nan=True):
-            out.append((path, "value", (a, b)))
+            _diff_payload(x, y, f"{path}[{i}]", out)
         return out
     if a != b:
         out.append((path, "value", (a, b)))
@@ -445,11 +453,10 @@ def _read_json(path, what):
 
 
 def reproduce(result_path):
-    """Re-run the embedded manifest and compare numeric payloads.
+    """Re-run the embedded manifest and compare payloads exactly.
 
-    Returns (ok, drift_list).  Comparison tolerances come from the stored
-    ``compare`` entry; deterministic pipelines store exact (0, 0).  Raises
-    ManifestError when the result is unreadable or its manifest invalid.
+    Returns (ok, drift_list).  Raises ManifestError when the result is
+    unreadable or its manifest invalid.
     """
     stored = _read_json(result_path, "result")
     try:
@@ -463,10 +470,7 @@ def reproduce(result_path):
         new_path = run_manifest(manifest, tmp)
         with open(new_path, encoding="utf-8") as f:
             fresh = json.load(f)
-    cmp_tols = stored.get("compare", {"rtol": 0.0, "atol": 0.0})
-    drift = _diff_payload(stored_payload, fresh["payload"],
-                          rtol=cmp_tols.get("rtol", 0.0),
-                          atol=cmp_tols.get("atol", 0.0))
+    drift = _diff_payload(stored_payload, fresh["payload"])
     return (len(drift) == 0), drift
 
 

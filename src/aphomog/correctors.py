@@ -37,6 +37,8 @@ from .operators import assemble, divergence_rhs, solve
 class CorrectorSet:
     """Solutions chi[j][beta] plus grid, window and solver provenance.
 
+    ``window`` is the central cube the statistics average over on the
+    truncated route, and None (the whole cell) on the periodic route.
     ``face_rows[i]`` is row i of A at the centers of the faces normal to
     axis i, shape (faces_i, d, m, m) in ``grid.face_shape(i)`` order, sampled
     once by ``solve_corrector``; the right-hand sides, the fluxes and the
@@ -46,9 +48,8 @@ class CorrectorSet:
     field: object
     T: float
     grid: BoxGrid
-    mode: str                      # "periodic" or "truncated"
     buffer: float
-    window: Box
+    window: Box                    # None on the periodic cell
     chi: list                      # chi[j][beta] -> GridFunction (m components)
     kappa: float
     tol: float
@@ -63,10 +64,14 @@ class CorrectorSet:
     def m(self):
         return self.field.m
 
+    @property
+    def mode(self):
+        """The route, "periodic" or "truncated", read off the grid."""
+        return "periodic" if self.grid.bc == PERIODIC else "truncated"
+
     def sup_norm(self):
         """max |chi| over the window (the whole cell on the periodic route)."""
-        w = None if self.mode == "periodic" else self.window
-        return max(norms(self.chi[j][b], "Linf", window=w)
+        return max(norms(self.chi[j][b], "Linf", window=self.window)
                    for j in range(self.d) for b in range(self.m))
 
     def provenance(self):
@@ -79,13 +84,14 @@ class CorrectorSet:
             field_hash = hashlib.sha256(cfg.encode()).hexdigest()
         except ValueError:
             field_hash = None      # wrapped fields have no standalone config
+        window = self.grid.box if self.window is None else self.window
         return {
             "T": self.T, "mode": self.mode, "buffer": self.buffer,
             "h": self.grid.h.tolist(), "cells": self.grid.cells.tolist(),
             "kappa": self.kappa, "tol": self.tol,
             "iterations": self.iterations,
             "field_config_sha256": field_hash,
-            "window": [self.window.lo.tolist(), self.window.hi.tolist()],
+            "window": [window.lo.tolist(), window.hi.tolist()],
         }
 
 
@@ -113,12 +119,10 @@ class FluxTensor:
     """Pointwise oscillatory flux  ahat - A(y) - A(y) grad chi(y)  on a region."""
 
     values: np.ndarray              # (d, d, m, m, *region_nodes)
-    region: Box
     grid: BoxGrid                   # grid the region slices live on
     slices: tuple
     mean: np.ndarray                # (d, d, m, m)
     T: float
-    mode: str
 
 
 def _corrector_rhs(face_rows, grid, j, beta):
@@ -154,7 +158,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
     if mode == "periodic":
         cells = np.maximum(4, np.round(field.period / h).astype(int))
         grid = BoxGrid(Box(np.zeros(d), field.period), cells, PERIODIC)
-        window = Box(np.zeros(d), field.period)
+        window = None
         buffer = 0.0
     else:
         side = (2.0 * buffer + 1.0) * T
@@ -179,9 +183,9 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
             u = solve(op, _corrector_rhs(face_rows, grid, j, b), tol=tol)
             chi[j][b] = u
             iterations.append(u.solve_info.iterations)
-    return CorrectorSet(field=field, T=float(T), grid=grid, mode=mode,
-                        buffer=buffer, window=window, chi=chi, kappa=kappa,
-                        tol=tol, iterations=iterations, face_rows=face_rows)
+    return CorrectorSet(field=field, T=float(T), grid=grid, buffer=buffer,
+                        window=window, chi=chi, kappa=kappa, tol=tol,
+                        iterations=iterations, face_rows=face_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +245,17 @@ def corrector_flux(cset, j, beta):
     return out
 
 
-def homogenized_matrix(field, cset, window=None):
+def homogenized_matrix(cset, window=None):
     """Window-averaged approximate effective tensor with ellipticity check.
 
     Entry (i, j, a, b) is the mean over i-faces in the window of
     a_ij^{ab}(f) + flux_i^a[chi_j^b](f); face-midpoint quadrature.
+    ``window`` defaults to the set's own window.
     """
     grid = cset.grid
     d, m = cset.d, cset.m
     if window is None:
-        window = None if cset.mode == "periodic" else cset.window
+        window = cset.window
     ahat = np.zeros((d, d, m, m))
     fluxes = [[corrector_flux(cset, j, b) for b in range(m)] for j in range(d)]
     for i, rows in enumerate(cset.face_rows):
@@ -262,7 +267,8 @@ def homogenized_matrix(field, cset, window=None):
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
     mat = tensor_matrix(ahat)
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    mu = field.ellipticity.mu if field.ellipticity is not None else 0.0
+    ell = cset.field.ellipticity
+    mu = ell.mu if ell is not None else 0.0
     ok = bool(eigs[0] > 0 and eigs[0] >= 0.90 * mu)
     return HomogenizedMatrix(tensor=ahat, source=("approximate", cset.T),
                              sym_eig_min=float(eigs[0]), sym_eig_max=float(eigs[-1]),
@@ -282,30 +288,32 @@ def reference_matrix(tensor):
 # pointwise diagnostics on interior regions
 
 
-def _region_slices(cset, region):
+def _region_slices(grid, region):
+    """Node slices of ``region``; None is the whole grid."""
     if region is None:
-        if cset.mode == "periodic":
-            return tuple(slice(None) for _ in range(cset.d)), None
-        region = cset.window
-    return cset.grid.window_slices(region), region
+        return tuple(slice(None) for _ in range(grid.d))
+    return grid.window_slices(region)
 
 
-def flux_tensor(field, cset, ahat=None, region=None):
+def flux_tensor(cset, ahat=None, region=None):
     """Node-sampled oscillatory flux  ahat - A - A grad chi  with its mean.
 
-    ``ahat`` defaults to the set's own window tensor (making the region
-    mean small by construction); pass a reference tensor to measure the
-    screening error against a T-independent limit.
+    ``ahat``, a HomogenizedMatrix, defaults to the set's own window tensor
+    (making the region mean small by construction); pass a reference
+    tensor to measure the screening error against a T-independent limit.
+    ``region`` defaults to the set's window.
     """
     if ahat is None:
-        ahat = homogenized_matrix(field, cset)
-    a_t = ahat.tensor if isinstance(ahat, HomogenizedMatrix) else np.asarray(ahat)
+        ahat = homogenized_matrix(cset)
+    a_t = ahat.tensor
     grid = cset.grid
     d, m = cset.d, cset.m
-    sls, region_box = _region_slices(cset, region)
+    if region is None:
+        region = cset.window
+    sls = _region_slices(grid, region)
     mesh = grid.node_mesh()
     pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
-    coeffs = field.evaluate(pts)                       # (N, d, d, m, m)
+    coeffs = cset.field.evaluate(pts)                  # (N, d, d, m, m)
     shape = tuple(len(range(*s.indices(grid.node_counts[ax]))) for ax, s in enumerate(sls))
     values = np.empty((d, d, m, m) + shape)
     grads = [[centered_gradient(cset.chi[j][b]) for b in range(m)] for j in range(d)]
@@ -320,19 +328,17 @@ def flux_tensor(field, cset, ahat=None, region=None):
                             acc -= coeffs[:, i, k, al, g] * \
                                 grads[j][b][k][g][sls].ravel()
                     values[i, j, al, b] = acc.reshape(shape)
-    if cset.mode == "periodic" and region is None:
-        # wrap-around mean: plain node average is exact for periodic data
+    if region is None:
+        # the whole periodic cell: the plain node average is the wrap-around mean
         mean = values.reshape(d, d, m, m, -1).mean(axis=-1)
-        region_box = grid.box
     else:
         w = grid.trapezoid_weights(sls)
         mean = np.tensordot(values, w, axes=(tuple(range(4, 4 + d)),
                                              tuple(range(d)))) / float(np.sum(w))
-    return FluxTensor(values=values, region=region_box, grid=grid, slices=sls,
-                      mean=mean, T=cset.T, mode=cset.mode)
+    return FluxTensor(values=values, grid=grid, slices=sls, mean=mean, T=cset.T)
 
 
-def energy_identity_residual(field, cset):
+def energy_identity_residual(cset):
     """Residual of the screened energy balance, per (direction, component).
 
     <A grad chi . grad chi> + T^{-2} <|chi|^2> + <(A* grad chi)_j^b>
@@ -344,11 +350,11 @@ def energy_identity_residual(field, cset):
     """
     grid = cset.grid
     d, m = cset.d, cset.m
-    sls, _ = _region_slices(cset, None)
+    sls = _region_slices(grid, cset.window)
     mesh = grid.node_mesh()
     pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
-    coeffs = field.evaluate(pts)
-    if cset.mode == "periodic":
+    coeffs = cset.field.evaluate(pts)
+    if cset.window is None:
         weights = None
     else:
         weights = grid.trapezoid_weights(sls).ravel()
@@ -403,8 +409,7 @@ def corrector_scalings(csets):
     for c in csets:
         sup = c.sup_norm()
         sup_vals.append(sup / c.T)
-        w = None if c.mode == "periodic" else c.window
-        ratio = max(holder_seminorm(c.chi[j][b], sigma, window=w)
+        ratio = max(holder_seminorm(c.chi[j][b], sigma, window=c.window)
                     for j in range(c.d) for b in range(c.m))
         holder_vals.append(ratio / c.T ** (1.0 - sigma))
         radii = [c.T / 8.0, c.T / 4.0, c.T / 2.0, c.T]
@@ -434,7 +439,7 @@ def windowed_gradient_sup(cset, r):
         for b in range(m):
             grad = centered_gradient(cset.chi[j][b])
             gradsq += np.sum(grad ** 2, axis=(0, 1))
-    if cset.mode == "periodic":
+    if grid.bc == PERIODIC:
         size = [max(1, min(int(round(2 * r / grid.h[ax])), grid.node_counts[ax]))
                 for ax in range(d)]
         means = uniform_filter(gradsq, size=size, mode="wrap")
@@ -479,7 +484,7 @@ def gradient_cauchy_decay(csets):
     for ca, cb in zip(csets[:-1], csets[1:]):
         if abs(cb.T / ca.T - 2.0) > 1e-9:
             raise ValueError("ladder must be dyadic in T")
-        if ca.mode == "periodic":
+        if ca.window is None:
             window = None
         else:
             window = Box.cube(min(c.window.sides.min() for c in (ca, cb)), d=ca.d)
@@ -509,7 +514,7 @@ def gradient_cauchy_decay(csets):
 # flux corrector and translation response
 
 
-def solve_flux_corrector(flux, T, tol=1e-10):
+def solve_flux_corrector(flux, tol=1e-10):
     """Screened Poisson solve  -Lap f + T^{-2} f = B - <B>  per tensor entry.
 
     On the periodic route the solve lives on the period cell; otherwise the
@@ -520,10 +525,11 @@ def solve_flux_corrector(flux, T, tol=1e-10):
     """
     d = flux.values.shape[0]
     m = flux.values.shape[2]
+    T = flux.T
     lap_field = identity_field(d, 1)
     certify_ellipticity(lap_field, sample_count=8)
-    if flux.mode == "periodic":
-        grid = flux.grid
+    if flux.grid.bc == PERIODIC:
+        grid, report_window = flux.grid, None
     else:
         region_shape = flux.values.shape[4:]
         if min(region_shape) < 8:
@@ -534,8 +540,9 @@ def solve_flux_corrector(flux, T, tol=1e-10):
         if side < 3.0 * T:
             raise ValueError("flux region must span at least 3 screening lengths")
         grid = BoxGrid(Box(lo, hi), np.array(region_shape) - 1, DIRICHLET)
+        report_window = Box.cube(T, d=d)
     op = assemble(lap_field, grid, T ** -2.0)
-    report_window = None if flux.mode == "periodic" else Box.cube(T, d=d)
+    rsl = (slice(None), *_region_slices(grid, report_window))
     entries = [[[[None] * m for _ in range(m)] for _ in range(d)] for _ in range(d)]
     sup_f = 0.0
     sup_grad = 0.0
@@ -547,14 +554,9 @@ def solve_flux_corrector(flux, T, tol=1e-10):
                     rhs = GridFunction(grid, data[None])
                     f = solve(op, rhs, tol=tol)
                     entries[i][j][al][b] = f
-                    sup_f = max(sup_f, norms(f, "Linf", window=report_window))
+                    sup_f = max(sup_f, float(np.max(np.abs(f.values[rsl]))))
                     grad = centered_gradient(f)
-                    if report_window is None:
-                        sup_grad = max(sup_grad, float(np.max(np.abs(grad))))
-                    else:
-                        gsl = grid.window_slices(report_window)
-                        sup_grad = max(sup_grad, float(np.max(np.abs(
-                            grad[(slice(None), slice(None), *gsl)]))))
+                    sup_grad = max(sup_grad, float(np.max(np.abs(grad[(slice(None), *rsl)]))))
     report = {"T": T, "sup_f_scaled": sup_f * T ** -2.0,
               "sup_grad_scaled": sup_grad / T,
               "window_side": None if report_window is None

@@ -1,16 +1,16 @@
-"""End-to-end homogenization experiments on box domains.
+"""End-to-end homogenization experiments on the unit box.
 
 Solves the oscillating-coefficient Dirichlet problem
--div(A(x/eps) grad u) = F with u = 0 on the boundary, the constant-
-coefficient effective problem, and measures two-scale expansion errors
+-div(A(x/eps) grad u) = 1 on [0, 1]^d with u = 0 on the boundary, the
+constant-coefficient effective problem, and measures two-scale expansion
+errors
 
     u_eps - u0 - eps chi_T(x/eps) . grad u0,      T = 1/eps,
 
 in L2 and H1, fits convergence rates over dyadic eps ladders, and checks
-the eps-uniformity of interior Hoelder seminorms.  The ladders solve on
-the unit box [0, 1]^d with source F = 1.  The boundary corrector (the solve
-with the oscillatory trace of the expansion) is optional: it only improves
-the expansion error and is excluded from headline metrics.
+the eps-uniformity of interior Hoelder seminorms.  The boundary corrector
+(the solve with the oscillatory trace of the expansion) is optional: it
+only improves the expansion error and is excluded from headline metrics.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ SOLVER_FLOOR = 1e-8
 
 @dataclass
 class DirichletProblem:
-    """One box Dirichlet problem: oscillating (eps) or effective (ahat)."""
+    """One unit-box Dirichlet problem: oscillating (eps) or effective (ahat)."""
 
-    box: Box
-    source: float = 1.0             # constant right-hand side, every component
     field: object = None
     eps: float = None
     ahat: object = None             # HomogenizedMatrix or (d,d,m,m) tensor
@@ -64,31 +62,27 @@ def default_cells(problem):
         return int(problem.cells)
     if problem.eps is None:
         return 256
-    side = float(np.min(problem.box.sides))
-    return int(np.ceil(side / (problem.eps / 32.0)))
+    return int(np.ceil(1.0 / (problem.eps / 32.0)))
 
 
 def solve_problem(problem, tol=1e-10):
-    """FD solve of the problem with zero boundary data."""
+    """FD solve on the unit box [0, 1]^d with source 1 and zero boundary data."""
     coeff = _coefficient(problem)
     cells = default_cells(problem)
-    if problem.eps is not None:
-        h = float(np.max(problem.box.sides)) / cells
-        if h > problem.eps / 32.0 + 1e-12:
-            raise ValueError("grid must resolve eps: h <= eps/32")
-    grid = BoxGrid(problem.box, np.full(coeff.d, cells, dtype=int), DIRICHLET)
+    if problem.eps is not None and 1.0 / cells > problem.eps / 32.0 + 1e-12:
+        raise ValueError("grid must resolve eps: h <= eps/32")
+    grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
+                   np.full(coeff.d, cells, dtype=int), DIRICHLET)
     op = assemble(coeff, grid, kappa=0.0)
-    rhs = GridFunction(grid, np.full((coeff.m,) + grid.node_counts, float(problem.source)))
+    rhs = GridFunction(grid, np.ones((coeff.m,) + grid.node_counts))
     return solve(op, rhs, tol=tol)
 
 
 def _ladder_rung(field, eps, ahat, tol):
-    """Source-1 solves on the unit box: (eps problem, u_eps, u0 on u_eps's grid)."""
-    box = Box.cube(1.0, center=0.5 * np.ones(field.d), d=field.d)
-    p_eps = DirichletProblem(box=box, field=field, eps=eps)
+    """The unit-box solves of one eps: (eps problem, u_eps, u0 on u_eps's grid)."""
+    p_eps = DirichletProblem(field=field, eps=eps)
     u_eps = solve_problem(p_eps, tol=tol)
-    u0 = solve_problem(DirichletProblem(box=box, ahat=ahat, cells=u_eps.grid.cells[0]),
-                       tol=tol)
+    u0 = solve_problem(DirichletProblem(ahat=ahat, cells=u_eps.grid.cells[0]), tol=tol)
     return p_eps, u_eps, u0
 
 
@@ -189,7 +183,7 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
     for eps in eps_list:
         T = 1.0 / eps
         cset = solve_corrector(field, T, h=corrector_h, tol=tol)
-        ahat = homogenized_matrix(field, cset)
+        ahat = homogenized_matrix(cset)
         p_eps, u_eps, u0 = _ladder_rung(field, eps, ahat, tol)
         v_eps = None
         if include_boundary_corrector:
@@ -241,7 +235,7 @@ def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
     if field.ellipticity is None:
         certify_ellipticity(field)
     cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=1e-9)
-    ahat = homogenized_matrix(field, cset)
+    ahat = homogenized_matrix(cset)
     rows = []
     for eps in eps_list:
         _, u_eps, u0 = _ladder_rung(field, eps, ahat, 1e-9)

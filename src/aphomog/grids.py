@@ -192,9 +192,6 @@ class GridFunction:
     def m(self):
         return self.values.shape[0]
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
     @staticmethod
     def zeros(grid):
         """The scalar zero function on ``grid``."""

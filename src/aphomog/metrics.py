@@ -206,10 +206,7 @@ def theta_quasi(lams, R, ell):
     the continuum orbit covers the circle once R lambda ell spans it, so
     the limit value is 0 as the subdivision refines.
     """
-    pts = kronecker_point_set(lams, R, ell)
-    if pts.dimension == 1:
-        return _covering_radius_1d(pts.points)
-    return covering_radius(pts.points)
+    return covering_radius(kronecker_point_set(lams, R, ell).points)
 
 
 def theta_layout(layout, R, ell):

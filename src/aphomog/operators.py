@@ -85,11 +85,10 @@ class DiscreteOperator:
     preconditioner for d >= 2 is built from them.
     """
 
-    def __init__(self, grid, field, kappa, matrix, symmetric, face_means):
+    def __init__(self, grid, m, kappa, matrix, symmetric, face_means):
         self.grid = grid
-        self.field = field
         self.kappa = float(kappa)
-        self.m = field.m
+        self.m = m
         self.matrix = matrix.tocsr()
         self.symmetric = bool(symmetric)
         self.face_means = np.asarray(face_means, dtype=float)
@@ -191,7 +190,7 @@ def assemble(field, grid, kappa):
     L = sp.bmat(grid_blocks, format="csr")
     if kappa:
         L = L + kappa * sp.identity(m * n_nodes, format="csr")
-    return DiscreteOperator(grid, field, kappa, L, symmetric=field.symmetric,
+    return DiscreteOperator(grid, m, kappa, L, symmetric=field.symmetric,
                             face_means=face_means)
 
 

@@ -232,5 +232,5 @@ def test_every_option_is_set_by_some_call():
 def test_scan_sees_options_and_their_callers():
     options = public_options()
     assert ("max_iters", 3) in options[("operators.solve", "solve")]
-    assert ("source", 1) in options[("experiments.DirichletProblem", "DirichletProblem")]
+    assert ("cells", 3) in options[("experiments.DirichletProblem", "DirichletProblem")]
     assert ("run_manifest", 2, {"threads"}) in calls()          # bench/worker.py

@@ -294,3 +294,30 @@ def test_unknown_params_key_exits_2_and_writes_nothing(tmp_path):
     man = _sine_manifest(T=16.0, h=1 / 64, bufer=1.0)
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["h", "T", "field"])
+def test_non_finite_number_exits_2_and_writes_nothing(tmp_path, where, value):
+    man = _sine_manifest("corrector", T=16.0, h=1 / 64)
+    if where == "field":
+        man["field"]["terms"][1]["sin"][0][0][0][0] = value
+    else:
+        man["params"][where] = value
+    with pytest.raises(cli.ManifestError):
+        cli.validate_manifest(man)
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_accepts_results_with_the_compare_entry(tmp_path):
+    # older results store "compare": {"rtol": 0, "atol": 0}; comparison is exact anyway
+    man = {"command": "rho", "seed": 3, "field": F.field_to_config(F.golden_ratio_field()),
+           "params": {"R_list": [1, 2], "y_samples": 4, "test_points": 64}}
+    path = pathlib.Path(cli.run_manifest(man, str(tmp_path)))
+    result = _read_json(path)
+    assert "compare" not in result
+    result["compare"] = {"rtol": 0.0, "atol": 0.0}
+    path.write_text(cli.dumps_canonical(result) + "\n")
+    assert cli.main(["reproduce", "--result", str(path)]) == 0

@@ -27,25 +27,25 @@ class TestConstantField:
 
     def test_effective_tensor_exact(self, constant_cset):
         f, cs = constant_cset
-        hm = C.homogenized_matrix(f, cs)
+        hm = C.homogenized_matrix(cs)
         assert hm.tensor[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-13)
         assert hm.ellipticity_ok
 
     def test_flux_tensor_zero(self, constant_cset):
         f, cs = constant_cset
-        flux = C.flux_tensor(f, cs)
+        flux = C.flux_tensor(cs)
         assert np.max(np.abs(flux.values)) < 1e-10
         assert np.max(np.abs(flux.mean)) < 1e-10
 
     def test_energy_identity_machine_zero(self, constant_cset):
         f, cs = constant_cset
-        res, rel = C.energy_identity_residual(f, cs)
+        res, rel = C.energy_identity_residual(cs)
         assert np.max(np.abs(res)) < 1e-12
 
 
 class TestPeriodic1D:
     def test_effective_vs_quadrature_oracle(self, sine_field, sine_csets):
-        hm = C.homogenized_matrix(sine_field, sine_csets[64])
+        hm = C.homogenized_matrix(sine_csets[64])
         oracle = harmonic_mean_1d(sine_field)
         assert oracle == pytest.approx(np.sqrt(3.0), abs=1e-9)
         assert abs(hm.tensor[0, 0, 0, 0] - oracle) < 1e-3
@@ -72,19 +72,19 @@ class TestPeriodic1D:
         assert abs(mean[0]) <= 1e-3 * (1.0 + cs.sup_norm())
 
     def test_energy_identity(self, sine_field, sine_csets):
-        _, rel = C.energy_identity_residual(sine_field, sine_csets[64])
+        _, rel = C.energy_identity_residual(sine_csets[64])
         assert rel[0, 0] <= 1e-3
 
     def test_energy_residual_h_refinement(self, sine_field):
         rels = []
         for h in (1 / 128, 1 / 256):
             cs = C.solve_corrector(sine_field, 64.0, h=h)
-            _, rel = C.energy_identity_residual(sine_field, cs)
+            _, rel = C.energy_identity_residual(cs)
             rels.append(rel[0, 0])
         assert rels[0] / rels[1] >= 3.0
 
     def test_effective_tensor_cauchy_in_T(self, sine_field, sine_csets):
-        mats = [C.homogenized_matrix(sine_field, sine_csets[T]).tensor[0, 0, 0, 0]
+        mats = [C.homogenized_matrix(sine_csets[T]).tensor[0, 0, 0, 0]
                 for T in (16, 32, 64, 128)]
         diffs = [abs(b - a) for a, b in zip(mats, mats[1:])]
         assert diffs[0] > diffs[1] > diffs[2]
@@ -143,10 +143,40 @@ class TestTruncatedRoute:
         assert abs(m_large) <= 3e-3 * (1.0 + sup)
 
 
+class TestRouteFacts:
+    """Route, window and their provenance all follow from the set's grid."""
+
+    def test_periodic_set_has_no_window(self, laminate):
+        cs = C.solve_corrector(laminate, 4.0, h=1 / 16)
+        assert cs.window is None
+        assert cs.mode == "periodic"
+        prov = cs.provenance()
+        assert prov["mode"] == "periodic"
+        assert prov["window"] == [[0.0] * cs.d, laminate.period.tolist()]
+
+    def test_truncated_set_window_is_the_central_cube(self, laminate):
+        T = 4.0
+        cs = C.solve_corrector(laminate, T, h=1 / 16, bc="truncated", buffer=0.5)
+        assert cs.mode == "truncated"
+        assert np.array_equal(cs.window.lo, -0.5 * T * np.ones(2))
+        assert np.array_equal(cs.window.hi, 0.5 * T * np.ones(2))
+        assert cs.provenance()["window"] == [[-0.5 * T] * 2, [0.5 * T] * 2]
+
+    def test_periodic_flux_takes_the_wrap_around_mean(self, laminate):
+        cs = C.solve_corrector(laminate, 4.0, h=1 / 16)
+        flux = C.flux_tensor(cs)
+        assert flux.values.shape[4:] == cs.grid.node_counts
+        # every node of the cell once, none halved: the plain node average
+        plain = flux.values.reshape(2, 2, 1, 1, -1).mean(axis=-1)
+        assert np.array_equal(flux.mean, plain)
+        ends_halved = C.flux_tensor(cs, region=cs.grid.box).mean
+        assert not np.array_equal(flux.mean, ends_halved)
+
+
 class TestLaminate2D:
     def test_effective_tensor(self, laminate):
         cs = C.solve_corrector(laminate, 16.0, h=1 / 128)
-        hm = C.homogenized_matrix(laminate, cs)
+        hm = C.homogenized_matrix(cs)
         target = np.diag([np.sqrt(3.0), 2.0])
         assert np.max(np.abs(hm.tensor[:, :, 0, 0] - target)) < 5e-3
         assert hm.ellipticity_ok
@@ -155,8 +185,8 @@ class TestLaminate2D:
         cs_p = C.solve_corrector(laminate, 4.0, h=1 / 16)
         cs_t = C.solve_corrector(laminate, 4.0, h=1 / 16, bc="truncated",
                                  buffer=3.0, tol=1e-8)
-        hp = C.homogenized_matrix(laminate, cs_p)
-        ht = C.homogenized_matrix(laminate, cs_t)
+        hp = C.homogenized_matrix(cs_p)
+        ht = C.homogenized_matrix(cs_t)
         assert np.max(np.abs(hp.tensor - ht.tensor)) < 5e-4
 
     @pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64])
@@ -170,8 +200,8 @@ class TestLaminate2D:
     def test_window_insensitivity(self, laminate):
         cs = C.solve_corrector(laminate, 4.0, h=1 / 16, bc="truncated",
                                buffer=3.0, tol=1e-8)
-        full = C.homogenized_matrix(laminate, cs).tensor
-        half = C.homogenized_matrix(laminate, cs, window=Box.cube(2.0, d=2)).tensor
+        full = C.homogenized_matrix(cs).tensor
+        half = C.homogenized_matrix(cs, window=Box.cube(2.0, d=2)).tensor
         assert np.max(np.abs(full - half)) <= 2e-3
 
 
@@ -202,7 +232,7 @@ class TestSystems:
         F.certify_ellipticity(f, sample_count=64)
         cs = C.solve_corrector(f, 8.0, h=1 / 16)
         assert cs.sup_norm() < 1e-10
-        hm = C.homogenized_matrix(f, cs)
+        hm = C.homogenized_matrix(cs)
         assert np.max(np.abs(hm.tensor - t)) < 1e-12
 
     def test_variable_system_pipeline(self):
@@ -211,10 +241,10 @@ class TestSystems:
         F.certify_ellipticity(f)
         cs = C.solve_corrector(f, 8.0, h=1 / 32)
         assert len(cs.chi) == 2 and len(cs.chi[0]) == 2
-        hm = C.homogenized_matrix(f, cs)
+        hm = C.homogenized_matrix(cs)
         assert hm.ellipticity_ok
         assert hm.sym_eig_min >= 0.9 * f.ellipticity.mu
-        _, rel = C.energy_identity_residual(f, cs)
+        _, rel = C.energy_identity_residual(cs)
         assert np.max(rel) < 5e-3
         mean = window_mean(cs.chi[0][1])
         assert np.max(np.abs(mean)) <= 1e-3 * (1.0 + cs.sup_norm())
@@ -234,8 +264,8 @@ class TestAdjointConsistency:
         fs = f.adjoint()
         cs = C.solve_corrector(f, 64.0, h=1 / 64)
         cs_adj = C.solve_corrector(fs, 64.0, h=1 / 64)
-        a = C.homogenized_matrix(f, cs).tensor[:, :, 0, 0]
-        b = C.homogenized_matrix(fs, cs_adj).tensor[:, :, 0, 0]
+        a = C.homogenized_matrix(cs).tensor[:, :, 0, 0]
+        b = C.homogenized_matrix(cs_adj).tensor[:, :, 0, 0]
         assert np.max(np.abs(b - a.T)) < 1e-3
 
 
@@ -261,25 +291,25 @@ class TestFaceRows:
         # assemble: d face sets, plus the nodes when d > 1; correctors: d face sets
         assert len(calls) == (2 * d + 1 if d > 1 else 2)
         calls.clear()
-        C.homogenized_matrix(f, cs)
+        C.homogenized_matrix(cs)
         assert calls == []
 
 
 class TestFluxTensor:
     def test_reference_mean_decreases_in_T(self, sine_field, sine_csets):
         ref = C.reference_matrix(F.as_tensor(harmonic_mean_1d(sine_field), 1, 1))
-        m32 = np.max(np.abs(C.flux_tensor(sine_field, sine_csets[32], ahat=ref).mean))
-        m128 = np.max(np.abs(C.flux_tensor(sine_field, sine_csets[128], ahat=ref).mean))
+        m32 = np.max(np.abs(C.flux_tensor(sine_csets[32], ahat=ref).mean))
+        m128 = np.max(np.abs(C.flux_tensor(sine_csets[128], ahat=ref).mean))
         assert m128 < m32
 
     def test_dyadic_mean_monotone(self, sine_field, sine_csets):
         ref = C.reference_matrix(F.as_tensor(harmonic_mean_1d(sine_field), 1, 1))
-        means = [np.max(np.abs(C.flux_tensor(sine_field, sine_csets[T], ahat=ref).mean))
+        means = [np.max(np.abs(C.flux_tensor(sine_csets[T], ahat=ref).mean))
                  for T in (16, 32, 64, 128)]
         assert all(a > b for a, b in zip(means, means[1:]))
 
     def test_own_tensor_mean_small(self, golden_csets, golden_field):
-        flux = C.flux_tensor(golden_field, golden_csets[32],
+        flux = C.flux_tensor(golden_csets[32],
                              region=Box.cube(9 * 32.0, d=1))
         assert np.max(np.abs(flux.mean)) < 5e-3
 
@@ -289,10 +319,9 @@ class TestFluxCorrector:
         from aphomog.grids import BoxGrid, PERIODIC
         grid = BoxGrid(Box([0.0], [1.0]), [64], PERIODIC)
         vals = np.full((1, 1, 1, 1, 64), 3.3)
-        flux = C.FluxTensor(values=vals, region=grid.box, grid=grid,
-                            slices=(slice(None),), mean=np.full((1, 1, 1, 1), 3.3),
-                            T=8.0, mode="periodic")
-        entries, rep = C.solve_flux_corrector(flux, 8.0)
+        flux = C.FluxTensor(values=vals, grid=grid, slices=(slice(None),),
+                            mean=np.full((1, 1, 1, 1), 3.3), T=8.0)
+        entries, rep = C.solve_flux_corrector(flux)
         assert norms(entries[0][0][0][0], "Linf") < 1e-12
         assert rep["sup_f_scaled"] < 1e-12
 
@@ -302,19 +331,18 @@ class TestFluxCorrector:
         grid = BoxGrid(Box([0.0], [1.0]), [256], PERIODIC)
         x = grid.axis_nodes(0)
         vals = np.sin(2 * np.pi * x).reshape(1, 1, 1, 1, -1)
-        flux = C.FluxTensor(values=vals, region=grid.box, grid=grid,
-                            slices=(slice(None),), mean=np.zeros((1, 1, 1, 1)),
-                            T=T, mode="periodic")
-        entries, _ = C.solve_flux_corrector(flux, T, tol=1e-12)
+        flux = C.FluxTensor(values=vals, grid=grid, slices=(slice(None),),
+                            mean=np.zeros((1, 1, 1, 1)), T=T)
+        entries, _ = C.solve_flux_corrector(flux, tol=1e-12)
         expected = np.sin(2 * np.pi * x) / ((2 * np.pi) ** 2 + T ** -2)
         err = np.max(np.abs(entries[0][0][0][0].values[0] - expected))
         assert err < 2.0 * (2 * np.pi) ** 2 * grid.h[0] ** 2
 
     def test_region_must_cover_screening(self, golden_field, golden_csets):
-        flux = C.flux_tensor(golden_field, golden_csets[64],
+        flux = C.flux_tensor(golden_csets[64],
                              region=Box.cube(64.0, d=1))
         with pytest.raises(ValueError, match="screening"):
-            C.solve_flux_corrector(flux, 64.0)
+            C.solve_flux_corrector(flux)
 
 
 class TestScalingsAndTranslation:
@@ -346,7 +374,7 @@ class TestScalingsAndTranslation:
         chi = [[GridFunction(grid, rng.standard_normal((m,) + grid.node_counts))
                 for _ in range(m)] for _ in range(d)]
         cset = C.CorrectorSet(field=F.identity_field(d, m), T=1.0, grid=grid,
-                              mode="truncated", buffer=0.0, window=Box.cube(1.0, d=d),
+                              buffer=0.0, window=Box.cube(1.0, d=d),
                               chi=chi, kappa=1.0, tol=1e-10)
         r = 2.2 * grid.h[0]
         gradsq = sum(np.sum(centered_gradient(u) ** 2, axis=(0, 1))

@@ -4,17 +4,15 @@ import pytest
 from aphomog import correctors as C
 from aphomog import experiments as E
 from aphomog import fields as F
-from aphomog.grids import Box, GridFunction, norms
+from aphomog.grids import GridFunction, norms
 from oracle_tools import dirichlet_1d_quadrature
-
-UNIT = Box([0.0], [1.0])
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        E.DirichletProblem(box=UNIT)                      # neither field nor ahat
+        E.DirichletProblem()                       # neither field nor ahat
     with pytest.raises(ValueError):
-        E.DirichletProblem(box=UNIT, field=object(), eps=None)
+        E.DirichletProblem(field=object(), eps=None)
 
 
 class TestOracleGate:
@@ -22,7 +20,7 @@ class TestOracleGate:
 
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_eps_solve_matches_quadrature(self, sine_field, eps):
-        p = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field, eps=eps)
+        p = E.DirichletProblem(field=sine_field, eps=eps)
         u = E.solve_problem(p, tol=1e-10)
         xs = u.grid.axis_nodes(0)
         oracle = dirichlet_1d_quadrature(sine_field, eps, xs)
@@ -30,15 +28,13 @@ class TestOracleGate:
         assert np.max(np.abs(u.values[0] - oracle)) <= 20.0 * h ** 2
 
     def test_homogenized_parabola(self):
-        p = E.DirichletProblem(box=UNIT, source=1.0,
-                               ahat=np.sqrt(3.0) * np.ones((1, 1, 1, 1)), cells=512)
+        p = E.DirichletProblem(ahat=np.sqrt(3.0) * np.ones((1, 1, 1, 1)), cells=512)
         u = E.solve_problem(p, tol=1e-10)
         x = u.grid.axis_nodes(0)
         assert np.max(np.abs(u.values[0] - x * (1 - x) / (2 * np.sqrt(3)))) < 1e-12
 
     def test_grid_must_resolve_eps(self, sine_field):
-        p = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field,
-                               eps=1 / 8, cells=64)
+        p = E.DirichletProblem(field=sine_field, eps=1 / 8, cells=64)
         with pytest.raises(ValueError, match="resolve"):
             E.solve_problem(p)
 
@@ -47,10 +43,9 @@ class TestConstantDegeneracy:
     def test_eps_equals_homogenized(self):
         f = F.ConstantField(2.0, d=1, m=1)
         F.certify_ellipticity(f, sample_count=16)
-        p_eps = E.DirichletProblem(box=UNIT, source=1.0, field=f, eps=1 / 16)
+        p_eps = E.DirichletProblem(field=f, eps=1 / 16)
         u_eps = E.solve_problem(p_eps, tol=1e-12)
-        p_hom = E.DirichletProblem(box=UNIT, source=1.0,
-                                   ahat=2.0 * np.ones((1, 1, 1, 1)),
+        p_hom = E.DirichletProblem(ahat=2.0 * np.ones((1, 1, 1, 1)),
                                    cells=u_eps.grid.cells[0])
         u0 = E.solve_problem(p_hom, tol=1e-12)
         cset = C.solve_corrector(f, 16.0, h=1 / 64)
@@ -63,11 +58,10 @@ class TestTwoScale:
         eps = 1 / 32
         cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
         from aphomog.correctors import homogenized_matrix
-        ahat = homogenized_matrix(sine_field, cset)
-        p_eps = E.DirichletProblem(box=UNIT, source=1.0,
-                                   field=sine_field, eps=eps)
+        ahat = homogenized_matrix(cset)
+        p_eps = E.DirichletProblem(field=sine_field, eps=eps)
         u_eps = E.solve_problem(p_eps, tol=1e-10)
-        p_hom = E.DirichletProblem(box=UNIT, source=1.0, ahat=ahat,
+        p_hom = E.DirichletProblem(ahat=ahat,
                                    cells=u_eps.grid.cells[0])
         u0 = E.solve_problem(p_hom, tol=1e-10)
         _, _, h1_corr = E.two_scale_error(u_eps, u0, cset, eps)
@@ -78,10 +72,10 @@ class TestTwoScale:
         errs = {}
         for eps in (1 / 16, 1 / 32):
             cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
-            ahat = C.homogenized_matrix(sine_field, cset)
-            p_eps = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field, eps=eps)
+            ahat = C.homogenized_matrix(cset)
+            p_eps = E.DirichletProblem(field=sine_field, eps=eps)
             u_eps = E.solve_problem(p_eps, tol=1e-10)
-            p_hom = E.DirichletProblem(box=UNIT, source=1.0, ahat=ahat,
+            p_hom = E.DirichletProblem(ahat=ahat,
                                        cells=u_eps.grid.cells[0])
             u0 = E.solve_problem(p_hom, tol=1e-10)
             errs[eps], _, _ = E.two_scale_error(u_eps, u0, cset, eps)
@@ -90,7 +84,7 @@ class TestTwoScale:
     def test_T_mismatch_rejected(self, sine_field):
         eps = 1 / 16
         cset = C.solve_corrector(sine_field, 24.0, h=1 / 128)
-        p = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field, eps=eps)
+        p = E.DirichletProblem(field=sine_field, eps=eps)
         u = E.solve_problem(p, tol=1e-9)
         with pytest.raises(ValueError, match="T = 1/eps"):
             E.two_scale_error(u, u, cset, eps)
@@ -101,11 +95,9 @@ class TestBoundaryCorrector:
         f = F.ConstantField(1.5, d=1, m=1)
         F.certify_ellipticity(f, sample_count=16)
         cset = C.solve_corrector(f, 16.0, h=1 / 64)
-        p = E.DirichletProblem(box=UNIT, source=1.0, field=f, eps=1 / 16)
-        u0 = E.solve_problem(
-            E.DirichletProblem(box=UNIT, source=1.0,
-                               ahat=1.5 * np.ones((1, 1, 1, 1)), cells=512),
-            tol=1e-11)
+        p = E.DirichletProblem(field=f, eps=1 / 16)
+        u0 = E.solve_problem(E.DirichletProblem(ahat=1.5 * np.ones((1, 1, 1, 1)), cells=512),
+                             tol=1e-11)
         v, rep = E.boundary_corrector(p, cset, u0)
         assert rep["H1"] < 1e-9
 
@@ -113,10 +105,10 @@ class TestBoundaryCorrector:
         h1s = []
         for eps in (1 / 8, 1 / 32):
             cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
-            ahat = C.homogenized_matrix(sine_field, cset)
-            p = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field, eps=eps)
+            ahat = C.homogenized_matrix(cset)
+            p = E.DirichletProblem(field=sine_field, eps=eps)
             u_eps = E.solve_problem(p, tol=1e-10)
-            u0 = E.solve_problem(E.DirichletProblem(box=UNIT, source=1.0, ahat=ahat,
+            u0 = E.solve_problem(E.DirichletProblem(ahat=ahat,
                                                     cells=u_eps.grid.cells[0]),
                                  tol=1e-10)
             v, rep = E.boundary_corrector(p, cset, u0)
@@ -147,14 +139,12 @@ class TestRateExperiment:
     def test_grid_refinement_stability(self, sine_field):
         eps = 1 / 32
         cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
-        ahat = C.homogenized_matrix(sine_field, cset)
+        ahat = C.homogenized_matrix(cset)
         errs = []
         for cells in (32 * 32, 64 * 32):
-            p = E.DirichletProblem(box=UNIT, source=1.0, field=sine_field,
-                                   eps=eps, cells=cells)
+            p = E.DirichletProblem(field=sine_field, eps=eps, cells=cells)
             u_eps = E.solve_problem(p, tol=1e-10)
-            u0 = E.solve_problem(E.DirichletProblem(box=UNIT, source=1.0, ahat=ahat,
-                                                    cells=cells), tol=1e-10)
+            u0 = E.solve_problem(E.DirichletProblem(ahat=ahat, cells=cells), tol=1e-10)
             l2, _, h1c = E.two_scale_error(u_eps, u0, cset, eps)
             errs.append((l2, h1c))
         for a, b in zip(errs[0], errs[1]):
