@@ -25,8 +25,7 @@ from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discre
                       fit_decay_exponent, fractional_part, kronecker_point_set,
                       rho_ladder, theta_integral, theta_ladder, theta_layout,
                       theta_quasi)
-from .operators import (DiscreteOperator, assemble, centered_diff_matrix,
-                        divergence_rhs, face_diff_matrix, solve)
+from .operators import DiscreteOperator, assemble, divergence_rhs, solve
 from .correctors import (CorrectorSet, FluxTensor, HomogenizedMatrix,
                          corrector_flux, corrector_scalings, energy_identity_residual,
                          flux_tensor, gradient_cauchy_decay, homogenized_matrix,

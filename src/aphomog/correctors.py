@@ -526,12 +526,17 @@ def solve_flux_corrector(flux, tol=1e-10):
     d = flux.values.shape[0]
     m = flux.values.shape[2]
     T = flux.T
+    region_shape = flux.values.shape[4:]
+    periodic = flux.grid.bc == PERIODIC
+    if periodic and region_shape != flux.grid.node_counts:
+        raise ValueError(f"a periodic flux is solved on the whole period cell, but its "
+                         f"region has {region_shape} of the cell's {flux.grid.node_counts} "
+                         "nodes")
     lap_field = identity_field(d, 1)
     certify_ellipticity(lap_field, sample_count=8)
-    if flux.grid.bc == PERIODIC:
+    if periodic:
         grid, report_window = flux.grid, None
     else:
-        region_shape = flux.values.shape[4:]
         if min(region_shape) < 8:
             raise ValueError("flux region too small to re-truncate")
         lo = np.array([flux.grid.axis_nodes(ax)[flux.slices[ax].start] for ax in range(d)])

@@ -44,6 +44,16 @@ class DirichletProblem:
         if self.field is not None and (self.eps is None or self.eps <= 0):
             raise ValueError("the oscillating problem needs eps > 0")
 
+    def operator(self):
+        """The stencil of the problem on the unit box, zero Dirichlet data."""
+        coeff = _coefficient(self)
+        cells = default_cells(self)
+        if self.eps is not None and 1.0 / cells > self.eps / 32.0 + 1e-12:
+            raise ValueError("grid must resolve eps: h <= eps/32")
+        grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
+                       np.full(coeff.d, cells, dtype=int), DIRICHLET)
+        return assemble(coeff, grid, kappa=0.0)
+
 
 def _coefficient(problem):
     if problem.ahat is not None:
@@ -65,25 +75,28 @@ def default_cells(problem):
     return int(np.ceil(1.0 / (problem.eps / 32.0)))
 
 
+def _solve_unit_source(op, tol):
+    return solve(op, GridFunction(op.grid, np.ones((op.m,) + op.grid.node_counts)), tol=tol)
+
+
 def solve_problem(problem, tol=1e-10):
     """FD solve on the unit box [0, 1]^d with source 1 and zero boundary data."""
-    coeff = _coefficient(problem)
-    cells = default_cells(problem)
-    if problem.eps is not None and 1.0 / cells > problem.eps / 32.0 + 1e-12:
-        raise ValueError("grid must resolve eps: h <= eps/32")
-    grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
-                   np.full(coeff.d, cells, dtype=int), DIRICHLET)
-    op = assemble(coeff, grid, kappa=0.0)
-    rhs = GridFunction(grid, np.ones((coeff.m,) + grid.node_counts))
-    return solve(op, rhs, tol=tol)
+    return _solve_unit_source(problem.operator(), tol)
 
 
-def _ladder_rung(field, eps, ahat, tol):
-    """The unit-box solves of one eps: (eps problem, u_eps, u0 on u_eps's grid)."""
+def _ladder_rung(field, eps, ahat, tol, cset):
+    """The unit-box solves of one eps: (u_eps, u0 on u_eps's grid, v_eps).
+
+    The boundary corrector v_eps is solved when the corrector set ``cset``
+    is given (else None), on the operator of the u_eps solve.  u0 is solved
+    first so that the eps operator is not held through its solve.
+    """
     p_eps = DirichletProblem(field=field, eps=eps)
-    u_eps = solve_problem(p_eps, tol=tol)
-    u0 = solve_problem(DirichletProblem(ahat=ahat, cells=u_eps.grid.cells[0]), tol=tol)
-    return p_eps, u_eps, u0
+    u0 = solve_problem(DirichletProblem(ahat=ahat, cells=default_cells(p_eps)), tol=tol)
+    op = p_eps.operator()
+    u_eps = _solve_unit_source(op, tol)
+    v_eps = None if cset is None else boundary_corrector(op, cset, u0, eps, tol=tol)[0]
+    return u_eps, u0, v_eps
 
 
 def expansion_term(u0, cset, eps):
@@ -119,18 +132,17 @@ def two_scale_error(u_eps, u0, cset, eps, v_eps=None):
     return (norms(plain, "L2"), norms(corrected, "L2"), norms(corrected, "H1"))
 
 
-def boundary_corrector(problem, cset, u0, tol=1e-10):
+def boundary_corrector(op, cset, u0, eps, tol=1e-10):
     """Solve the homogeneous eps-problem with the oscillatory expansion trace.
 
-    Returns (v_eps, report) where the report compares ||v||_H1 with the
-    corrector smallness (T^{-1} sup |chi_T|)^{1/2} that controls it.
+    ``op`` is the eps-problem's operator (``DirichletProblem.operator``) on
+    u0's grid.  Returns (v_eps, report) where the report compares ||v||_H1
+    with the corrector smallness (T^{-1} sup |chi_T|)^{1/2} that controls it.
     """
-    if problem.eps is None:
-        raise ValueError("boundary corrector needs the oscillating problem")
-    coeff = _coefficient(problem)
     grid = u0.grid
-    op = assemble(coeff, grid, kappa=0.0)
-    trace = expansion_term(u0, cset, problem.eps)
+    if op.grid != grid:
+        raise ValueError("the operator and u0 must share a grid")
+    trace = expansion_term(u0, cset, eps)
     rhs = GridFunction(grid, -op.apply(trace).values)
     w = solve(op, rhs, tol=tol)
     v = GridFunction(grid, w.values + trace.values)
@@ -184,10 +196,8 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
         T = 1.0 / eps
         cset = solve_corrector(field, T, h=corrector_h, tol=tol)
         ahat = homogenized_matrix(cset)
-        p_eps, u_eps, u0 = _ladder_rung(field, eps, ahat, tol)
-        v_eps = None
-        if include_boundary_corrector:
-            v_eps, _ = boundary_corrector(p_eps, cset, u0, tol=tol)
+        u_eps, u0, v_eps = _ladder_rung(field, eps, ahat, tol,
+                                        cset if include_boundary_corrector else None)
         l2_plain, l2_corr, h1_corr = two_scale_error(u_eps, u0, cset, eps, v_eps)
         h1_plain = norms(GridFunction(u_eps.grid, u_eps.values - u0.values), "H1")
         row = {"eps": eps, "cells": int(u_eps.grid.cells[0]),
@@ -238,7 +248,7 @@ def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
     ahat = homogenized_matrix(cset)
     rows = []
     for eps in eps_list:
-        _, u_eps, u0 = _ladder_rung(field, eps, ahat, 1e-9)
+        u_eps, u0, _ = _ladder_rung(field, eps, ahat, 1e-9, None)
         semi_u = holder_seminorm(u_eps, sigma, rng_seed=rng_seed, window=subbox)
         diff = GridFunction(u_eps.grid, u_eps.values - u0.values)
         semi_diff = holder_seminorm(diff, sigma, rng_seed=rng_seed, window=subbox)

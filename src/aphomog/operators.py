@@ -25,48 +25,22 @@ from .errors import NonConverged
 from .grids import PERIODIC, GridFunction
 
 
-def _axis_face_diff(cells, h, bc):
-    n = int(cells)
-    nodes = n if bc == PERIODIC else n + 1     # the periodic last face wraps to node 0
-    rows = np.arange(n)
-    data = np.concatenate([-np.ones(n), np.ones(n)])
-    idx_rows = np.concatenate([rows, rows])
-    idx_cols = np.concatenate([rows, (rows + 1) % nodes])
-    return sp.csr_matrix((data / h, (idx_rows, idx_cols)), shape=(n, nodes))
+def _place(dest, src, shift, periodic):
+    """``dest[..., x + shift] += src[..., x]`` over the trailing grid axes.
 
-
-def _axis_centered(cells, h, bc):
-    if bc == PERIODIC:
-        n = int(cells)
-        rows = np.arange(n)
-        data = np.concatenate([np.ones(n), -np.ones(n)]) / (2.0 * h)
-        cols = np.concatenate([(rows + 1) % n, (rows - 1) % n])
-        return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
-    n = int(cells) + 1
-    rows = np.arange(1, n - 1)
-    data = np.concatenate([np.ones(n - 2), -np.ones(n - 2)]) / (2.0 * h)
-    cols = np.concatenate([rows + 1, rows - 1])
-    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
-
-
-def _kron_chain(grid, ax, mat):
-    factors = []
-    for a in range(grid.d):
-        if a == ax:
-            factors.append(mat)
-        else:
-            factors.append(sp.identity(grid.node_counts[a], format="csr"))
-    return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), factors)
-
-
-def face_diff_matrix(grid, ax):
-    """Sparse normal-difference operator onto faces orthogonal to ``ax``."""
-    return _kron_chain(grid, ax, _axis_face_diff(grid.cells[ax], grid.h[ax], grid.bc))
-
-
-def centered_diff_matrix(grid, ax):
-    """Sparse centered node difference along ``ax`` (zero rows on Dirichlet edges)."""
-    return _kron_chain(grid, ax, _axis_centered(grid.cells[ax], grid.h[ax], grid.bc))
+    The periodic cell wraps; on a Dirichlet grid the shifted entries that
+    leave the nodes are dropped.
+    """
+    d = len(shift)
+    if periodic:
+        dest += np.roll(src, shift, axis=tuple(range(-d, 0)))
+        return
+    dsl, ssl = [Ellipsis], [Ellipsis]
+    for s, n_src, n_dest in zip(shift, src.shape[-d:], dest.shape[-d:]):
+        lo, hi = max(s, 0), min(n_src + s, n_dest)
+        dsl.append(slice(lo, hi))
+        ssl.append(slice(lo - s, hi - s))
+    dest[tuple(dsl)] += src[tuple(ssl)]
 
 
 @dataclass
@@ -141,6 +115,13 @@ def assemble(field, grid, kappa):
     without one.  ``kappa`` must be nonnegative and, with periodic boundary
     conditions and kappa = 0, the constant kernel is handled by the solver
     through mean projection.
+
+    The matrix is built in one pass over stencil steps: ``coef[s]`` holds,
+    for every component pair, the coefficient of u(x + s h) in the row of
+    node x.  Each entry is formed and summed as in the sparse products
+    sum_i D_i^T diag(a_ii) D_i + sum_{i != j} G_i^T diag(a_ij) G_j + kappa
+    (D_i the face difference, G_i the centered difference), so the matrix
+    is the same bit for bit.
     """
     if field.ellipticity is None:
         raise ValueError("field carries no ellipticity certificate; "
@@ -150,46 +131,70 @@ def assemble(field, grid, kappa):
     if field.d != grid.d:
         raise ValueError("field and grid dimensions differ")
     d, m = grid.d, field.m
-    n_nodes = grid.node_total
-    blocks = [[[] for _ in range(m)] for _ in range(m)]
+    nodes, periodic = grid.node_counts, grid.bc == PERIODIC
+    eye = np.eye(d, dtype=int)
+    zero = 0 * eye[0]
+    coef = {}
     face_means = np.empty((d, m))
 
-    for i in range(d):
-        D_i = face_diff_matrix(grid, i)
-        pts, _ = grid.face_points(i)
-        coeffs = field.evaluate(pts)
+    def add(step, src, shift):
+        step = tuple(int(t) for t in step)
+        if step not in coef:
+            coef[step] = np.zeros((m, m) + nodes)
+        _place(coef[step], src, shift, periodic)
+
+    for i, e in enumerate(eye):
+        coeffs = field.evaluate(grid.face_points(i)[0])
         for al in range(m):
             face_means[i, al] = coeffs[:, i, i, al, al].mean()
-            for be in range(m):
-                vals = coeffs[:, i, i, al, be]
-                if not np.any(vals):
-                    continue
-                blocks[al][be].append(D_i.T @ sp.diags(vals) @ D_i)
-        del coeffs
+        a = np.moveaxis(coeffs[:, i, i], 0, -1).reshape((m, m) + grid.face_shape(i))
+        inv_h = 1.0 / grid.h[i]
+        flux = (inv_h * a) * inv_h          # face f couples nodes f and f + e
+        del coeffs, a
+        # D_i^T diag(a) D_i sums its two diagonal terms before the axes add up
+        diag = np.zeros((m, m) + nodes)
+        _place(diag, flux, zero, periodic)
+        _place(diag, flux, e, periodic)
+        add(zero, diag, zero)
+        add(e, -flux, zero)
+        add(-e, -flux, e)
+        del flux, diag
 
     if d > 1:
-        node_pts = grid.node_points()
-        node_coeffs = field.evaluate(node_pts)
-        mask = grid.interior_mask().ravel().astype(float)
-        G = [centered_diff_matrix(grid, ax) for ax in range(d)]
+        node_coeffs = field.evaluate(grid.node_points())
+        mask = grid.interior_mask()
         for i in range(d):
             for j in range(d):
                 if i == j:
                     continue
-                for al in range(m):
-                    for be in range(m):
-                        vals = node_coeffs[:, i, j, al, be] * mask
-                        if not np.any(vals):
-                            continue
-                        blocks[al][be].append(G[i].T @ sp.diags(vals) @ G[j])
+                a = np.moveaxis(node_coeffs[:, i, j], 0, -1).reshape((m, m) + nodes) * mask
+                if not np.any(a):
+                    continue
+                # node x couples x + si e_i (row) with x + sj e_j (column)
+                x = ((1.0 / (2.0 * grid.h[i])) * a) * (1.0 / (2.0 * grid.h[j]))
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        add(sj * eye[j] - si * eye[i], x if si == sj else -x, si * eye[i])
         del node_coeffs
 
-    zero = sp.csr_matrix((n_nodes, n_nodes))
-    grid_blocks = [[functools.reduce(lambda x, y: x + y, blocks[al][be], zero)
-                    for be in range(m)] for al in range(m)]
-    L = sp.bmat(grid_blocks, format="csr")
     if kappa:
-        L = L + kappa * sp.identity(m * n_nodes, format="csr")
+        for al in range(m):
+            coef[(0,) * d][al, al] += kappa
+    n = grid.node_total
+    order = sorted(coef)        # ascending column offsets; sort_indices orders wrap-around
+    itype = np.int32 if m * n < 2 ** 31 else np.int64
+    node = np.arange(n, dtype=itype).reshape(nodes)
+    vals = np.empty((m, n, m, len(order)))
+    cols = np.empty((n, len(order)), dtype=itype)
+    for k, s in enumerate(order):
+        vals[..., k] = coef.pop(s).reshape(m, m, n).transpose(0, 2, 1)
+        cols[:, k] = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
+    cols = cols[None, :, None, :] + (n * np.arange(m, dtype=itype))[:, None]
+    keep = vals != 0.0
+    indptr = np.concatenate(([0], np.cumsum(keep.reshape(m * n, -1).sum(axis=1))))
+    L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr),
+                      shape=(m * n, m * n))
+    L.sort_indices()
     return DiscreteOperator(grid, m, kappa, L, symmetric=field.symmetric,
                             face_means=face_means)
 
@@ -203,11 +208,14 @@ def divergence_rhs(g_faces, grid):
     periodic boundary conditions.
     """
     m = g_faces[0].shape[0]
+    periodic = grid.bc == PERIODIC
     out = np.zeros((m,) + grid.node_counts)
-    for ax in range(grid.d):
-        D = face_diff_matrix(grid, ax)
-        flat = g_faces[ax].reshape(m, -1)
-        out -= (D.T @ flat.T).T.reshape((m,) + grid.node_counts)
+    for ax, e in enumerate(np.eye(grid.d, dtype=int)):
+        q = (1.0 / grid.h[ax]) * g_faces[ax].reshape((m,) + grid.face_shape(ax))
+        dt_g = np.zeros_like(out)               # D_ax^T g: face f gives -q to f, +q to f + e
+        _place(dt_g, -q, 0 * e, periodic)
+        _place(dt_g, q, e, periodic)
+        out -= dt_g
     return GridFunction(grid, out)
 
 

@@ -1,16 +1,21 @@
 """Independent oracles: quadrature, enumeration, and brute-force search.
 
 Everything here avoids the package's discrete operators on purpose; the
-tests compare the production paths against these.  Two small shared test
-helpers sit at the end: a d = 2, m = 2 test field and an evaluate counter.
+tests compare the production paths against these.  The sparse
+face-difference matrices and the triple-product stencil assembly built from
+them are the reference for the package's one-pass assembly.  Two small
+shared test helpers sit at the end: a d = 2, m = 2 test field and an
+evaluate counter.
 """
 
+import functools
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from aphomog import fields as F
-from aphomog.grids import Box
+from aphomog.grids import Box, PERIODIC
 
 
 def scalar_profile(field, xs):
@@ -118,6 +123,97 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
                 best[i] = min(best[i], np.max(np.abs(ay[i] - az)))
         values.append(np.max(best))
     return np.array(values)
+
+
+def _axis_face_diff(cells, h, bc):
+    n = int(cells)
+    nodes = n if bc == PERIODIC else n + 1     # the periodic last face wraps to node 0
+    rows = np.arange(n)
+    data = np.concatenate([-np.ones(n), np.ones(n)])
+    idx_rows = np.concatenate([rows, rows])
+    idx_cols = np.concatenate([rows, (rows + 1) % nodes])
+    return sp.csr_matrix((data / h, (idx_rows, idx_cols)), shape=(n, nodes))
+
+
+def _axis_centered(cells, h, bc):
+    if bc == PERIODIC:
+        n = int(cells)
+        rows = np.arange(n)
+        data = np.concatenate([np.ones(n), -np.ones(n)]) / (2.0 * h)
+        cols = np.concatenate([(rows + 1) % n, (rows - 1) % n])
+        return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
+    n = int(cells) + 1
+    rows = np.arange(1, n - 1)
+    data = np.concatenate([np.ones(n - 2), -np.ones(n - 2)]) / (2.0 * h)
+    cols = np.concatenate([rows + 1, rows - 1])
+    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
+
+
+def _kron_chain(grid, ax, mat):
+    factors = []
+    for a in range(grid.d):
+        if a == ax:
+            factors.append(mat)
+        else:
+            factors.append(sp.identity(grid.node_counts[a], format="csr"))
+    return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), factors)
+
+
+def face_diff_matrix(grid, ax):
+    """Sparse normal-difference operator onto faces orthogonal to ``ax``."""
+    return _kron_chain(grid, ax, _axis_face_diff(grid.cells[ax], grid.h[ax], grid.bc))
+
+
+def centered_diff_matrix(grid, ax):
+    """Sparse centered node difference along ``ax`` (zero rows on Dirichlet edges)."""
+    return _kron_chain(grid, ax, _axis_centered(grid.cells[ax], grid.h[ax], grid.bc))
+
+
+def triple_product_matrix(field, grid, kappa):
+    """-div(A grad) + kappa as sums of sparse products D_i^T diag(a_ii) D_i
+    (face blocks) and G_i^T diag(a_ij) G_j (cross blocks), per component
+    block, joined with ``bmat``."""
+    d, m = grid.d, field.m
+    n_nodes = grid.node_total
+    blocks = [[[] for _ in range(m)] for _ in range(m)]
+    for i in range(d):
+        D_i = face_diff_matrix(grid, i)
+        coeffs = field.evaluate(grid.face_points(i)[0])
+        for al in range(m):
+            for be in range(m):
+                vals = coeffs[:, i, i, al, be]
+                if np.any(vals):
+                    blocks[al][be].append(D_i.T @ sp.diags(vals) @ D_i)
+    if d > 1:
+        node_coeffs = field.evaluate(grid.node_points())
+        mask = grid.interior_mask().ravel().astype(float)
+        G = [centered_diff_matrix(grid, ax) for ax in range(d)]
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                for al in range(m):
+                    for be in range(m):
+                        vals = node_coeffs[:, i, j, al, be] * mask
+                        if np.any(vals):
+                            blocks[al][be].append(G[i].T @ sp.diags(vals) @ G[j])
+    zero = sp.csr_matrix((n_nodes, n_nodes))
+    L = sp.bmat([[functools.reduce(lambda x, y: x + y, blocks[al][be], zero)
+                  for be in range(m)] for al in range(m)], format="csr")
+    if kappa:
+        L = L + kappa * sp.identity(m * n_nodes, format="csr")
+    return L
+
+
+def kronecker_divergence(g_faces, grid):
+    """-sum_ax D_ax^T g_ax with the sparse face-difference matrices."""
+    m = g_faces[0].shape[0]
+    out = np.zeros((m,) + grid.node_counts)
+    for ax in range(grid.d):
+        D = face_diff_matrix(grid, ax)
+        flat = g_faces[ax].reshape(m, -1)
+        out -= (D.T @ flat.T).T.reshape((m,) + grid.node_counts)
+    return out
 
 
 def cross_term_system():

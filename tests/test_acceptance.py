@@ -16,8 +16,8 @@ from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
                            norms, window_mean)
-from aphomog.operators import assemble, divergence_rhs, face_diff_matrix, solve
-from oracle_tools import dirichlet_1d_quadrature
+from aphomog.operators import assemble, divergence_rhs, solve
+from oracle_tools import dirichlet_1d_quadrature, face_diff_matrix
 
 PHI = F.GOLDEN_RATIO
 UNIT = Box([0.0], [1.0])

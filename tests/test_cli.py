@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -321,3 +324,42 @@ def test_reproduce_accepts_results_with_the_compare_entry(tmp_path):
     result["compare"] = {"rtol": 0.0, "atol": 0.0}
     path.write_text(cli.dumps_canonical(result) + "\n")
     assert cli.main(["reproduce", "--result", str(path)]) == 0
+
+
+_IMPORT_PROBE = """
+import json, sys
+import aphomog
+from aphomog.cli import run_manifest, validate_manifest
+manifest = json.loads(sys.argv[1])
+validate_manifest(manifest)
+before = set(sys.modules)
+run_manifest(manifest, sys.argv[2])
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "scipy")))
+"""
+
+# The lazy scipy.fft import of the fast Poisson preconditioner and the
+# uarray backend helpers it loads; nothing else may be first imported
+# inside a run, where its import time lands in the run's wall time.
+_RUN_IMPORTS_ALLOWED = ("scipy.fft", "scipy._lib._uarray", "scipy._lib.uarray")
+
+
+@pytest.mark.parametrize("command", ["homogenize", "rho"])
+def test_a_run_imports_no_scipy_module_beyond_fft(tmp_path, command):
+    if command == "homogenize":
+        field = {"variant": "trig_polynomial", "d": 2, "m": 1,
+                 "terms": [{"frequency": [0, 0], "cos": 2.0, "sin": 0.0},
+                           {"frequency": [1, 0], "cos": 0.0, "sin": 1.0}]}
+        params = {"T": 2, "h": 1 / 32, "tol": 1e-8}
+    else:
+        field = F.field_to_config(F.golden_ratio_field())
+        params = {"R_list": [1, 2], "y_samples": 4, "test_points": 64}
+    man = {"command": command, "seed": 0, "field": field, "params": params}
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(man),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    imported = json.loads(done.stdout.strip().splitlines()[-1])
+    allowed = _RUN_IMPORTS_ALLOWED if command == "homogenize" else ()   # rho: none
+    assert [m for m in imported if not m.startswith(allowed)] == []

@@ -338,6 +338,17 @@ class TestFluxCorrector:
         err = np.max(np.abs(entries[0][0][0][0].values[0] - expected))
         assert err < 2.0 * (2 * np.pi) ** 2 * grid.h[0] ** 2
 
+    def test_periodic_flux_must_cover_the_cell(self, sine_field, monkeypatch):
+        cset = C.solve_corrector(sine_field, 8.0, h=1 / 64)
+        flux = C.flux_tensor(cset, region=Box([0.25], [0.75]))
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before rejecting the flux")
+
+        monkeypatch.setattr(C, "assemble", no_assembly)
+        with pytest.raises(ValueError, match="whole period cell"):
+            C.solve_flux_corrector(flux)
+
     def test_region_must_cover_screening(self, golden_field, golden_csets):
         flux = C.flux_tensor(golden_csets[64],
                              region=Box.cube(64.0, d=1))

@@ -98,7 +98,7 @@ class TestBoundaryCorrector:
         p = E.DirichletProblem(field=f, eps=1 / 16)
         u0 = E.solve_problem(E.DirichletProblem(ahat=1.5 * np.ones((1, 1, 1, 1)), cells=512),
                              tol=1e-11)
-        v, rep = E.boundary_corrector(p, cset, u0)
+        v, rep = E.boundary_corrector(p.operator(), cset, u0, p.eps)
         assert rep["H1"] < 1e-9
 
     def test_periodic_stability_and_decay(self, sine_field):
@@ -111,10 +111,56 @@ class TestBoundaryCorrector:
             u0 = E.solve_problem(E.DirichletProblem(ahat=ahat,
                                                     cells=u_eps.grid.cells[0]),
                                  tol=1e-10)
-            v, rep = E.boundary_corrector(p, cset, u0)
+            v, rep = E.boundary_corrector(p.operator(), cset, u0, eps)
             assert rep["H1"] <= 10.0 * rep["H1_trace_term"]
             h1s.append(rep["H1"])
         assert h1s[1] < h1s[0]
+
+    def test_operator_grid_must_match_u0(self, sine_field):
+        cset = C.solve_corrector(sine_field, 8.0, h=1 / 64)
+        p = E.DirichletProblem(field=sine_field, eps=1 / 8)
+        u0 = E.solve_problem(E.DirichletProblem(ahat=C.homogenized_matrix(cset), cells=512))
+        with pytest.raises(ValueError, match="grid"):
+            E.boundary_corrector(p.operator(), cset, u0, p.eps)
+
+
+def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkeypatch):
+    """The eps operator serves both the u_eps solve and the boundary corrector;
+    rows and v_eps equal those of the solves on freshly assembled operators."""
+    ladder = [1 / 64, 1 / 32, 1 / 16, 1 / 8]      # the order of exp.rows
+    assembled, corrections = [], []
+    assemble, boundary_corrector = E.assemble, E.boundary_corrector
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(args[1])
+        return assemble(*args, **kwargs)
+
+    def recording_corrector(*args, **kwargs):
+        corrections.append(boundary_corrector(*args, **kwargs))
+        return corrections[-1]
+
+    monkeypatch.setattr(E, "assemble", counting_assemble)
+    monkeypatch.setattr(E, "boundary_corrector", recording_corrector)
+    exp = E.rate_experiment(sine_field, ladder, include_boundary_corrector=True)
+    monkeypatch.undo()
+    assert len(assembled) == 2 * len(ladder)     # the eps and the effective operator
+
+    for eps, row, (v_eps, _) in zip(ladder, exp.rows, corrections):
+        cset = C.solve_corrector(sine_field, 1.0 / eps, tol=1e-9)
+        ahat = C.homogenized_matrix(cset)
+        p = E.DirichletProblem(field=sine_field, eps=eps)
+        u_eps = E.solve_problem(p, tol=1e-9)
+        u0 = E.solve_problem(E.DirichletProblem(ahat=ahat, cells=u_eps.grid.cells[0]),
+                             tol=1e-9)
+        v_ref, _ = boundary_corrector(p.operator(), cset, u0, eps, tol=1e-9)
+        assert v_eps.values.tobytes() == v_ref.values.tobytes()
+        l2_plain, l2_corr, h1_corr = E.two_scale_error(u_eps, u0, cset, eps, v_ref)
+        h1_plain = norms(GridFunction(u_eps.grid, u_eps.values - u0.values), "H1")
+        assert row == {"eps": eps, "cells": int(u_eps.grid.cells[0]),
+                       "ahat_entry": float(ahat.tensor.ravel()[0]),
+                       "L2_plain": l2_plain, "L2_corrected": l2_corr,
+                       "H1_plain": h1_plain, "H1_corrected": h1_corr,
+                       "iterations": u_eps.solve_info.iterations}
 
 
 class TestRateExperiment:

@@ -10,8 +10,9 @@ from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
                            face_differences, grid_function_to_csv,
                            holder_seminorm, load_grid_function, norms,
                            save_grid_function, window_mean)
-from aphomog.operators import assemble, divergence_rhs, face_diff_matrix, solve
-from oracle_tools import cross_term_system
+from aphomog.operators import assemble, divergence_rhs, solve
+from oracle_tools import (cross_term_system, face_diff_matrix, kronecker_divergence,
+                          triple_product_matrix)
 
 
 @pytest.fixture
@@ -175,6 +176,74 @@ class TestOperator:
         rhs = GridFunction(grid, ((1.0 + 0.5 * np.sin(7 * x)) ** 2)[None])
         u = solve(op, rhs, tol=1e-10)
         assert np.min(u.values) >= -1e-10
+
+
+def _trig_field(d, m, cross, seed):
+    """Nonsymmetric trig field, one frequency per axis; cross blocks iff ``cross``."""
+    rng = np.random.default_rng(seed)
+    base = np.zeros((d, d, m, m))
+    for i in range(d):
+        base[i, i] = 2.0 * np.eye(m) + 0.1 * rng.random((m, m))
+    terms = [(np.zeros(d), base, np.zeros((d, d, m, m)))]
+    for k in range(d):
+        cos_c, sin_c = 0.08 * rng.random((2, d, d, m, m))
+        if not cross:
+            off = ~np.eye(d, dtype=bool)
+            cos_c[off], sin_c[off] = 0.0, 0.0
+        terms.append((np.eye(d)[k], cos_c, sin_c))
+    f = F.TrigPolynomialField(d, m, terms)
+    F.certify_ellipticity(f, rng_seed=0)
+    return f
+
+
+ORACLE_FIELDS = {
+    **{f"trig_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, False, 10 * d + m))
+       for d in (1, 2, 3) for m in (1, 2)},
+    **{f"cross_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, True, 10 * d + m))
+       for d in (2, 3) for m in (1, 2)},
+    "cross_term_system": cross_term_system,
+}
+
+
+def _oracle_grid(d, bc):
+    """Unequal spacings per axis on a box off the origin."""
+    cells = [7, 5, 4] if bc == DIRICHLET else [6, 5, 4]
+    return BoxGrid(Box(np.full(d, -0.3), np.array([1.1, 0.7, 0.9])[:d]), cells[:d], bc)
+
+
+def _assert_same_csr(a, b):
+    assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestAgainstTripleProducts:
+    """The one-pass stencil and divergence equal the sparse-product forms bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.75])
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+    def test_matrix(self, name, bc, kappa):
+        field = ORACLE_FIELDS[name]()
+        grid = _oracle_grid(field.d, bc)
+        op = assemble(field, grid, kappa)
+        ref = triple_product_matrix(field, grid, kappa)
+        _assert_same_csr(op.matrix, ref)
+        idx = np.flatnonzero(np.tile(grid.interior_mask().ravel(), field.m))
+        _assert_same_csr(op.matrix_interior, ref[idx][:, idx].tocsr())
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_divergence(self, d, m, bc):
+        grid = _oracle_grid(d, bc)
+        rng = np.random.default_rng(100 * d + m)
+        g = [rng.standard_normal((m,) + grid.face_shape(ax)) for ax in range(d)]
+        g[0][0].flat[0], g[-1][-1].flat[-1] = 0.0, -0.0
+        want = kronecker_divergence(g, grid).tobytes()
+        assert divergence_rhs(g, grid).values.tobytes() == want
+        assert divergence_rhs([x.reshape(m, -1) for x in g], grid).values.tobytes() == want
 
 
 class TestDivergence:
