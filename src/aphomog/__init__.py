@@ -21,7 +21,7 @@ from .grids import (Box, BoxGrid, DIRICHLET, PERIODIC, GridFunction,
                     grid_function_to_csv, holder_seminorm, load_grid_function,
                     norms, save_grid_function, window_mean)
 from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discrepancy,
-                      covering_radius, discrepancy_exact, estimate_rho, etk_bound,
+                      covering_radius, discrepancy_exact, etk_bound,
                       fit_decay_exponent, fractional_part, kronecker_point_set,
                       rho_ladder, theta_integral, theta_ladder, theta_layout,
                       theta_quasi)

@@ -6,8 +6,9 @@ tool/environment metadata; floats are serialized with 17 significant
 digits and stable key ordering so ``reproduce`` can re-run the embedded
 manifest and compare payloads exactly.
 
-Exit codes: 0 success, 2 unreadable input, manifest schema violation or a
-NaN or infinity in params or field, 3 compute failure, 4 reproduction drift.
+Exit codes: 0 success; 2 unreadable input, manifest schema violation, a
+NaN or infinity in params or field, or a field config that is unusable or
+not elliptic; 3 compute failure; 4 reproduction drift.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import correctors as C
 from . import experiments as E
 from . import fields as F
 from . import metrics as M
-from .errors import NonConverged
+from .errors import EllipticityViolation, NonConverged
 from .grids import Box, save_grid_function, window_mean
 
 log = logging.getLogger("aphomog")
@@ -50,7 +51,6 @@ MANIFEST_SCHEMA = {
         "seed": {"type": "integer"},
         "params": {"type": "object"},
         "field": {"type": "object"},
-        "out_dir": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -202,7 +202,10 @@ def _field_from(manifest):
         field = F.field_from_config(manifest["field"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"invalid field config: {type(exc).__name__}: {exc}") from exc
-    F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
+    try:
+        F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
+    except EllipticityViolation as exc:
+        raise ManifestError(f"field not elliptic: {exc}") from exc
     return field
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import ShiftedField, certify_ellipticity, identity_field, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
-                    centered_gradient, face_differences, holder_seminorm, norms)
+                    centered_gradient, face_differences, holder_seminorm)
 from .metrics import DecayReport
 from .operators import assemble, divergence_rhs, solve
 
@@ -51,7 +51,6 @@ class CorrectorSet:
     buffer: float
     window: Box                    # None on the periodic cell
     chi: list                      # chi[j][beta] -> GridFunction (m components)
-    kappa: float
     tol: float
     iterations: list = dc_field(default_factory=list)
     face_rows: list = None
@@ -69,9 +68,15 @@ class CorrectorSet:
         """The route, "periodic" or "truncated", read off the grid."""
         return "periodic" if self.grid.bc == PERIODIC else "truncated"
 
+    @property
+    def kappa(self):
+        """The screening coefficient T^{-2} of the solves."""
+        return self.T ** -2.0
+
     def sup_norm(self):
         """max |chi| over the window (the whole cell on the periodic route)."""
-        return max(norms(self.chi[j][b], "Linf", window=self.window)
+        sls = (slice(None), *self.grid.window_slices(self.window))
+        return max(float(np.max(np.abs(self.chi[j][b].values[sls])))
                    for j in range(self.d) for b in range(self.m))
 
     def provenance(self):
@@ -95,23 +100,27 @@ class CorrectorSet:
         }
 
 
+def _sym_eigs(tensor):
+    """Ascending eigenvalues of the symmetric part of the tensor's (dm, dm) matrix."""
+    mat = tensor_matrix(tensor)
+    return np.linalg.eigvalsh(0.5 * (mat + mat.T))
+
+
 @dataclass
 class HomogenizedMatrix:
     """Constant effective tensor with its sampled ellipticity check."""
 
     tensor: np.ndarray
     source: tuple                   # ("approximate", T) or ("reference",)
-    sym_eig_min: float = None
-    sym_eig_max: float = None
-    ellipticity_ok: bool = None
+    ellipticity_ok: bool
 
     @property
-    def d(self):
-        return self.tensor.shape[0]
+    def sym_eig_min(self):
+        return float(_sym_eigs(self.tensor)[0])
 
     @property
-    def m(self):
-        return self.tensor.shape[2]
+    def sym_eig_max(self):
+        return float(_sym_eigs(self.tensor)[-1])
 
 
 @dataclass
@@ -172,8 +181,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
             raise ValueError("window too large for the requested buffer")
         window = Box.cube(wside, d=d)
 
-    kappa = T ** -2.0
-    op = assemble(field, grid, kappa)
+    op = assemble(field, grid, T ** -2.0)
     face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
 
     chi = [[None] * m for _ in range(d)]
@@ -184,7 +192,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
             chi[j][b] = u
             iterations.append(u.solve_info.iterations)
     return CorrectorSet(field=field, T=float(T), grid=grid, buffer=buffer,
-                        window=window, chi=chi, kappa=kappa, tol=tol,
+                        window=window, chi=chi, tol=tol,
                         iterations=iterations, face_rows=face_rows)
 
 
@@ -265,34 +273,21 @@ def homogenized_matrix(cset, window=None):
             for b in range(m):
                 integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
-    mat = tensor_matrix(ahat)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    lam = _sym_eigs(ahat)[0]
     ell = cset.field.ellipticity
     mu = ell.mu if ell is not None else 0.0
-    ok = bool(eigs[0] > 0 and eigs[0] >= 0.90 * mu)
     return HomogenizedMatrix(tensor=ahat, source=("approximate", cset.T),
-                             sym_eig_min=float(eigs[0]), sym_eig_max=float(eigs[-1]),
-                             ellipticity_ok=ok)
+                             ellipticity_ok=bool(lam > 0 and lam >= 0.90 * mu))
 
 
 def reference_matrix(tensor):
     t = np.asarray(tensor, dtype=float)
-    mat = tensor_matrix(t)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     return HomogenizedMatrix(tensor=t, source=("reference",),
-                             sym_eig_min=float(eigs[0]), sym_eig_max=float(eigs[-1]),
-                             ellipticity_ok=bool(eigs[0] > 0))
+                             ellipticity_ok=bool(_sym_eigs(t)[0] > 0))
 
 
 # ---------------------------------------------------------------------------
 # pointwise diagnostics on interior regions
-
-
-def _region_slices(grid, region):
-    """Node slices of ``region``; None is the whole grid."""
-    if region is None:
-        return tuple(slice(None) for _ in range(grid.d))
-    return grid.window_slices(region)
 
 
 def flux_tensor(cset, ahat=None, region=None):
@@ -310,7 +305,7 @@ def flux_tensor(cset, ahat=None, region=None):
     d, m = cset.d, cset.m
     if region is None:
         region = cset.window
-    sls = _region_slices(grid, region)
+    sls = grid.window_slices(region)
     mesh = grid.node_mesh()
     pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
     coeffs = cset.field.evaluate(pts)                  # (N, d, d, m, m)
@@ -350,7 +345,7 @@ def energy_identity_residual(cset):
     """
     grid = cset.grid
     d, m = cset.d, cset.m
-    sls = _region_slices(grid, cset.window)
+    sls = grid.window_slices(cset.window)
     mesh = grid.node_mesh()
     pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
     coeffs = cset.field.evaluate(pts)
@@ -547,7 +542,7 @@ def solve_flux_corrector(flux, tol=1e-10):
         grid = BoxGrid(Box(lo, hi), np.array(region_shape) - 1, DIRICHLET)
         report_window = Box.cube(T, d=d)
     op = assemble(lap_field, grid, T ** -2.0)
-    rsl = (slice(None), *_region_slices(grid, report_window))
+    rsl = (slice(None), *grid.window_slices(report_window))
     entries = [[[[None] * m for _ in range(m)] for _ in range(d)] for _ in range(d)]
     sup_f = 0.0
     sup_grad = 0.0

@@ -52,10 +52,6 @@ class Box:
     def sides(self):
         return self.hi - self.lo
 
-    @property
-    def volume(self):
-        return float(np.prod(self.sides))
-
     def contains(self, other):
         """Whether ``other`` lies inside, up to 1e-9 per side."""
         return bool(np.all(other.lo >= self.lo - 1e-9) and np.all(other.hi <= self.hi + 1e-9))
@@ -150,7 +146,12 @@ class BoxGrid:
         return mask
 
     def window_slices(self, window):
-        """Node index slices covering ``window``, snapped outward to nodes."""
+        """Node index slices covering ``window``, snapped outward to nodes.
+
+        None is the whole grid.
+        """
+        if window is None:
+            return tuple(slice(0, n) for n in self.node_counts)
         if not self.box.contains(window):
             raise ValueError("window not contained in the grid box")
         sls = []
@@ -261,36 +262,20 @@ def window_mean(u, window=None):
     return np.tensordot(vals, w, axes=(tuple(range(1, vals.ndim)), tuple(range(w.ndim)))) / total
 
 
-def norms(u, kind, window=None):
+def norms(u, kind):
     """L2 / H1 / Linf norms with trapezoid (L2) and face-midpoint (H1) quadrature."""
     g = u.grid
-    if window is not None:
-        sls = g.window_slices(window)
     if kind == "Linf":
-        vals = u.values if window is None else u.values[(slice(None), *sls)]
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(u.values)))
     if kind == "L2":
-        if window is None:
-            w = g.trapezoid_weights()
-            return float(np.sqrt(np.sum(w * np.sum(u.values ** 2, axis=0))))
-        sq = window_mean(GridFunction(g, np.sum(u.values ** 2, axis=0)[None]), window)[0]
-        vol = Box(np.array([g.axis_nodes(ax)[sls[ax].start] for ax in range(g.d)]),
-                  np.array([g.axis_nodes(ax)[sls[ax].stop - 1] for ax in range(g.d)])).volume
-        return float(np.sqrt(max(sq, 0.0) * vol))
+        w = g.trapezoid_weights()
+        return float(np.sqrt(np.sum(w * np.sum(u.values ** 2, axis=0))))
     if kind == "H1":
-        l2 = norms(u, "L2", window)
         semi_sq = 0.0
         cell_vol = float(np.prod(g.h))
         for ax in range(g.d):
-            fd = face_differences(u, ax)
-            if window is not None:
-                fsl = [slice(None)]
-                for a in range(g.d):
-                    s = sls[a]
-                    fsl.append(slice(s.start, s.stop - 1) if a == ax else s)
-                fd = fd[tuple(fsl)]
-            semi_sq += float(np.sum(fd ** 2)) * cell_vol
-        return float(np.sqrt(l2 ** 2 + semi_sq))
+            semi_sq += float(np.sum(face_differences(u, ax) ** 2)) * cell_vol
+        return float(np.sqrt(norms(u, "L2") ** 2 + semi_sq))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -303,8 +288,7 @@ def holder_seminorm(u, sigma, pair_budget=4096, rng_seed=0, window=None):
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (0, 1)")
     g = u.grid
-    sls = g.window_slices(window) if window is not None else tuple(
-        slice(0, n) for n in g.node_counts)
+    sls = g.window_slices(window)
     vals = u.values[(slice(None), *sls)]
     shape = vals.shape[1:]
     best = 0.0

@@ -2,10 +2,10 @@
 
 Quantities measured here:
 
-* ``estimate_rho``: the translation modulus
-  sup_y inf_{|z| <= R} sup_x |A(x+y) - A(x+z)|, sampled with explicit,
-  reported budgets (the sup-inf-sup ranges over continua and is not
-  exactly computable).
+* ``rho_ladder``: the translation modulus
+  sup_y inf_{|z| <= R} sup_x |A(x+y) - A(x+z)| on a ladder of radii R,
+  sampled with explicit, reported budgets (the sup-inf-sup ranges over
+  continua and is not exactly computable).
 * ``theta_quasi``: covering radius of a wrapped Kronecker orbit on the
   m-torus, the link between orbit equidistribution and the modulus above.
 * ``discrepancy_exact`` / ``etk_bound``: exact box discrepancy for m <= 2
@@ -222,6 +222,8 @@ def theta_ladder(lams, R_list, ell):
     ell ~ R^{2/(tau+1)}), so ladders usually pass a per-R list.
     """
     ells = [int(ell)] * len(R_list) if np.isscalar(ell) else [int(e) for e in ell]
+    if len(ells) != len(R_list):
+        raise ValueError(f"ell has {len(ells)} values for {len(R_list)} radii")
     vals = [theta_quasi(lams, R, e) for R, e in zip(R_list, ells)]
     return DecayReport(np.asarray(R_list, dtype=float), vals, "theta",
                        metadata={"ell": ells, "lambda": list(np.ravel(lams))})
@@ -365,20 +367,6 @@ def _row_keys(zs):
     """One opaque bytes key per row of ``zs``: equal keys mean equal shifts."""
     zs = np.ascontiguousarray(zs)
     return zs.view(np.dtype((np.void, zs.itemsize * zs.shape[1]))).ravel()
-
-
-def estimate_rho(field, R, y_samples=None, z_grid_spacing=None, rng_seed=0, norm="inf",
-                 test_points=None):
-    """Sampled translation modulus at radius R (single value).
-
-    Outer sup over ``y_samples`` random translates, inner inf over a z-grid
-    of the stated spacing in the ball/cube of radius R, innermost sup over
-    random test points.  Budgets default to RHO_DEFAULT_BUDGETS and are an
-    explicit part of the estimate's meaning.
-    """
-    report = rho_ladder(field, [R], y_samples=y_samples, z_grid_spacing=z_grid_spacing,
-                        rng_seed=rng_seed, norm=norm, test_points=test_points)
-    return float(report.values[0])
 
 
 def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,

@@ -299,6 +299,22 @@ def test_unknown_params_key_exits_2_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
+    # the output directory is --out alone; a manifest key naming another is unknown
+    man = {"command": "theta", "seed": 0, "out_dir": str(tmp_path / "elsewhere"),
+           "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16], "ell": 8}}
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_non_elliptic_field_exits_2_without_result(tmp_path):
+    man = _sine_manifest(T=16.0, h=1 / 64)
+    man["field"] = {"variant": "constant", "d": 1, "m": 1, "value": -1}
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out" / "homogenize_result.json").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("where", ["h", "T", "field"])

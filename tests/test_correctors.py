@@ -162,6 +162,12 @@ class TestRouteFacts:
         assert np.array_equal(cs.window.hi, 0.5 * T * np.ones(2))
         assert cs.provenance()["window"] == [[-0.5 * T] * 2, [0.5 * T] * 2]
 
+    @pytest.mark.parametrize("bc", ["periodic", "truncated"])
+    def test_kappa_is_the_screening_coefficient(self, laminate, bc):
+        cs = C.solve_corrector(laminate, 4.0, h=1 / 16, bc=bc, buffer=0.5)
+        assert cs.kappa == cs.T ** -2
+        assert cs.provenance()["kappa"] == cs.T ** -2
+
     def test_periodic_flux_takes_the_wrap_around_mean(self, laminate):
         cs = C.solve_corrector(laminate, 4.0, h=1 / 16)
         flux = C.flux_tensor(cs)
@@ -171,6 +177,33 @@ class TestRouteFacts:
         assert np.array_equal(flux.mean, plain)
         ends_halved = C.flux_tensor(cs, region=cs.grid.box).mean
         assert not np.array_equal(flux.mean, ends_halved)
+
+
+def _sym_part_extremes(hm):
+    mat = F.tensor_matrix(hm.tensor)
+    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    return eigs[0], eigs[-1]
+
+
+class TestSymmetricEigenvalues:
+    """sym_eig_min and sym_eig_max follow from the tensor alone."""
+
+    def test_approximate_matrix(self):
+        f = F.TrigPolynomialField(2, 1, [([0.0, 0.0], [[2.0, 0.3], [0.1, 2.0]], 0.0),
+                                         ([1.0, 0.0], [[0.4, 0.1], [0.0, 0.0]], 0.0)])
+        F.certify_ellipticity(f)
+        hm = C.homogenized_matrix(C.solve_corrector(f, 4.0, h=1 / 16))
+        lo, hi = _sym_part_extremes(hm)
+        assert lo < hi
+        assert (hm.sym_eig_min, hm.sym_eig_max) == (lo, hi)
+
+    def test_reference_matrix(self):
+        t = np.zeros((2, 2, 1, 1))
+        t[:, :, 0, 0] = [[2.0, 0.6], [-0.2, 1.5]]
+        hm = C.reference_matrix(t)
+        lo, hi = _sym_part_extremes(hm)
+        assert (hm.sym_eig_min, hm.sym_eig_max) == (lo, hi)
+        assert hm.ellipticity_ok == (lo > 0)
 
 
 class TestLaminate2D:
@@ -386,7 +419,7 @@ class TestScalingsAndTranslation:
                 for _ in range(m)] for _ in range(d)]
         cset = C.CorrectorSet(field=F.identity_field(d, m), T=1.0, grid=grid,
                               buffer=0.0, window=Box.cube(1.0, d=d),
-                              chi=chi, kappa=1.0, tol=1e-10)
+                              chi=chi, tol=1e-10)
         r = 2.2 * grid.h[0]
         gradsq = sum(np.sum(centered_gradient(u) ** 2, axis=(0, 1))
                      for row in chi for u in row)

@@ -187,6 +187,11 @@ class TestTheta:
         slope, _ = rep.fit()
         assert slope < 0
 
+    @pytest.mark.parametrize("ell", [[2, 4, 8, 16, 32], [2, 4]])
+    def test_ladder_needs_one_ell_per_radius(self, ell):
+        with pytest.raises(ValueError, match=f"ell has {len(ell)} values for 3 radii"):
+            M.theta_ladder([1.0, PHI], [2, 4, 8], ell)
+
     def test_matches_brute_force(self):
         pts = M.kronecker_point_set([1.0, PHI], 8, 4).points
         got = M.covering_radius(pts)
@@ -219,12 +224,12 @@ class TestKroneckerPoints:
 class TestRho:
     def test_constant_field_zero(self):
         f = F.ConstantField(2.0, d=1, m=1)
-        assert M.estimate_rho(f, 4.0, rng_seed=0) == pytest.approx(0.0, abs=1e-12)
+        assert M.rho_ladder(f, [4.0], rng_seed=0).values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_periodic_small_at_integer_radius(self, sine_field):
         # z grid at spacing R/64 contains the integers; the floor is the
         # z-resolution times the field Lipschitz constant
-        val = M.estimate_rho(sine_field, 1.0, rng_seed=3)
+        val = M.rho_ladder(sine_field, [1.0], rng_seed=3).values[0]
         assert val <= 2 * np.pi * (1.0 / 64) / 2 * 1.1
 
     def test_ladder_nonincreasing(self, golden_field):
@@ -244,15 +249,15 @@ class TestRho:
         # inf-norm cube contains the euclidean ball: rho_1(R) <= rho(R),
         # and the cube of radius R sits inside the ball of radius sqrt(2) R
         kw = dict(y_samples=8, test_points=256, z_grid_spacing=0.25, rng_seed=5)
-        r_inf = M.estimate_rho(laminate, 2.0, norm="inf", **kw)
-        r_euc = M.estimate_rho(laminate, 2.0, norm="euclid", **kw)
-        r_inf_wide = M.estimate_rho(laminate, 2.0 * np.sqrt(2.0), norm="inf", **kw)
+        r_inf = M.rho_ladder(laminate, [2.0], norm="inf", **kw).values[0]
+        r_euc = M.rho_ladder(laminate, [2.0], norm="euclid", **kw).values[0]
+        r_inf_wide = M.rho_ladder(laminate, [2.0 * np.sqrt(2.0)], norm="inf", **kw).values[0]
         assert r_inf <= r_euc + 1e-12
         assert r_inf_wide <= r_euc + 1e-3
 
     def test_budget_validation(self, sine_field):
         with pytest.raises(ValueError):
-            M.estimate_rho(sine_field, 1.0, y_samples=0)
+            M.rho_ladder(sine_field, [1.0], y_samples=0)
 
     @pytest.mark.parametrize("spacing", [-0.5, 0.0, np.nan, np.inf])
     def test_spacing_validation_before_any_evaluation(self, spacing):
