@@ -16,15 +16,13 @@ import os
 
 import numpy as np
 
-from aphomog import (certify_ellipticity, corrector_scalings,
-                     gradient_cauchy_decay, golden_ratio_field,
+from aphomog import (corrector_scalings, gradient_cauchy_decay, golden_ratio_field,
                      sine_scalar_field, solve_corrector)
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 golden = golden_ratio_field()
-certify_ellipticity(golden)
 
 print("quasi-periodic corrector ladder (buffered Dirichlet truncation)")
 csets = [solve_corrector(golden, float(T), h=1 / 64, buffer=6.0)
@@ -45,7 +43,6 @@ cauchy.to_csv(os.path.join(OUT, "gradient_cauchy_golden.csv"))
 
 print("\nperiodic reference (single-cell route): a(y) = 2 + sin(2 pi y)")
 sine = sine_scalar_field()
-certify_ellipticity(sine)
 per = [solve_corrector(sine, float(T), h=1 / 256) for T in (16, 32, 64, 128)]
 cauchy_p = gradient_cauchy_decay(per)
 cauchy_p.fit()

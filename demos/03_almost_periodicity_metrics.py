@@ -16,11 +16,10 @@ For A(x) = B(x, phi x) with B periodic on the 2-torus:
 
 import os
 
-from aphomog import (GOLDEN_RATIO, certify_ellipticity, compute_Theta,
-                     covering_from_discrepancy, diophantine_scan,
-                     discrepancy_exact, etk_bound, golden_ratio_field,
-                     kronecker_point_set, modulus_of_continuity, rho_ladder,
-                     theta_quasi)
+from aphomog import (GOLDEN_RATIO, compute_Theta, covering_from_discrepancy,
+                     diophantine_scan, discrepancy_exact, etk_bound,
+                     golden_ratio_field, kronecker_point_set,
+                     modulus_of_continuity, rho_ladder, theta_quasi)
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -31,7 +30,6 @@ print(f"small-divisor scan of (1, phi): c0 ~ {c0:.3f}, tau ~ {tau:.3f} "
       "(golden ratio: the most badly approximable case, tau = 1)")
 
 field = golden_ratio_field()
-certify_ellipticity(field)
 ell = 64
 Rs = [2, 4, 8, 16, 32, 64, 128, 256]
 rho = rho_ladder(field, Rs, z_grid_spacing=1 / ell, test_points=2048, rng_seed=5)

@@ -13,8 +13,8 @@ corrector-derived constant coefficient.  Reports
 
 import os
 
-from aphomog import (certify_ellipticity, golden_ratio_field, holder_uniformity,
-                     rate_experiment, sine_scalar_field)
+from aphomog import (golden_ratio_field, holder_uniformity, rate_experiment,
+                     sine_scalar_field)
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -26,7 +26,6 @@ for name, field, kwargs in (
         ("quasi-periodic  a = 2 + cos(2 pi y) cos(2 pi phi y)",
          golden_ratio_field(), {"corrector_h": 1 / 64}),
 ):
-    certify_ellipticity(field)
     exp = rate_experiment(field, eps_ladder, **kwargs)
     print(f"\n{name}")
     print(f"{'eps':>10} {'L2 plain':>12} {'H1 corrected':>13}")
@@ -41,7 +40,6 @@ for name, field, kwargs in (
 
 print("\ninterior Hoelder uniformity (periodic field, sigma = 1/2):")
 field = sine_scalar_field()
-certify_ellipticity(field)
 rep = holder_uniformity(field, eps_ladder, sigma=0.5)
 print(f"{'eps':>10} {'|u_eps|_C^0.5':>15} {'|u_eps - u0|_C^0.5':>20}")
 for row in rep["rows"]:

@@ -15,15 +15,13 @@ import os
 
 import numpy as np
 
-from aphomog import (Box, certify_ellipticity, compute_Theta, flux_tensor,
-                     golden_ratio_field, rho_ladder, solve_corrector,
-                     solve_flux_corrector)
+from aphomog import (Box, compute_Theta, flux_tensor, golden_ratio_field,
+                     rho_ladder, solve_corrector, solve_flux_corrector)
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
 field = golden_ratio_field()
-certify_ellipticity(field)
 
 print("measuring the translation modulus first (shared by all T)...")
 rho = rho_ladder(field, [2, 4, 8, 16, 32, 64, 128, 256],

@@ -7,8 +7,9 @@ digits and stable key ordering so ``reproduce`` can re-run the embedded
 manifest and compare payloads exactly.
 
 Exit codes: 0 success; 2 unreadable input, manifest schema violation, a
-NaN or infinity in params or field, or a field config that is unusable or
-not elliptic; 3 compute failure; 4 reproduction drift.
+NaN or infinity in params or field, params that do not fit together, or a
+field config that is unusable or not elliptic; 3 compute failure; 4
+reproduction drift.
 """
 
 from __future__ import annotations
@@ -105,6 +106,11 @@ PARAMS_SCHEMAS = {
 }
 
 
+# rules tying params together, owned by the library functions that apply them
+_PARAMS_RULES = {"rho": lambda p: M.checked_radii(p["R_list"]),
+                 "theta": lambda p: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"]))),
+                 "rate": lambda p: E.checked_eps(p["eps_list"])}
+
 # built once (jsonschema.validate checks the schema itself on every call);
 # best_match picks the error that jsonschema.validate would raise
 _MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
@@ -140,6 +146,10 @@ def validate_manifest(manifest):
         raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
     if manifest["command"] in _FIELD_COMMANDS and "field" not in manifest:
         raise ManifestError(f"command {manifest['command']!r} needs a field config")
+    try:
+        _PARAMS_RULES.get(manifest["command"], lambda p: None)(manifest["params"])
+    except ValueError as exc:
+        raise ManifestError(f"params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

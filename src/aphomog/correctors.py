@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ShiftedField, certify_ellipticity, identity_field, tensor_matrix
+from .fields import ShiftedField, identity_field, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
                     centered_gradient, face_differences, holder_seminorm)
 from .metrics import DecayReport
@@ -138,8 +138,7 @@ def _corrector_rhs(face_rows, grid, j, beta):
     return divergence_rhs([rows[:, j, :, beta].T for rows in face_rows], grid)
 
 
-def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
-                    tol=1e-10, threads=None):
+def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=None):
     """Solve the screened cell problems for every (direction, component).
 
     ``bc="auto"`` takes the single-cell periodic route for periodic fields
@@ -151,8 +150,6 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
     if T < 1:
         raise ValueError("T must be >= 1")
     d, m = field.d, field.m
-    if field.ellipticity is None:
-        certify_ellipticity(field)
     if h is None:
         h = 1.0 / 64.0
     if h > T / 64.0 + 1e-12:
@@ -176,10 +173,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", window_side=None,
         half = 0.5 * cells * h
         grid = BoxGrid(Box(-half * np.ones(d), half * np.ones(d)),
                        cells * np.ones(d, dtype=int), DIRICHLET)
-        wside = T if window_side is None else float(window_side)
-        if wside > 2.0 * half - 2.0 * buffer * T + 1e-9:
-            raise ValueError("window too large for the requested buffer")
-        window = Box.cube(wside, d=d)
+        window = Box.cube(T, d=d)
 
     op = assemble(field, grid, T ** -2.0)
     face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
@@ -274,8 +268,7 @@ def homogenized_matrix(cset, window=None):
                 integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
     lam = _sym_eigs(ahat)[0]
-    ell = cset.field.ellipticity
-    mu = ell.mu if ell is not None else 0.0
+    mu = cset.field.ellipticity.mu
     return HomogenizedMatrix(tensor=ahat, source=("approximate", cset.T),
                              ellipticity_ok=bool(lam > 0 and lam >= 0.90 * mu))
 
@@ -528,7 +521,6 @@ def solve_flux_corrector(flux, tol=1e-10):
                          f"region has {region_shape} of the cell's {flux.grid.node_counts} "
                          "nodes")
     lap_field = identity_field(d, 1)
-    certify_ellipticity(lap_field, sample_count=8)
     if periodic:
         grid, report_window = flux.grid, None
     else:
@@ -581,10 +573,8 @@ def translation_response(field, T, shift_pairs, h=None, tol=1e-8):
     def _solve_shift(s):
         key = tuple(np.round(np.asarray(s, dtype=float), 12))
         if key not in cache:
-            shifted = ShiftedField(field, s)
-            if shifted.ellipticity is None:
-                certify_ellipticity(shifted)
-            cache[key] = solve_corrector(shifted, T, h=h, bc="truncated", tol=tol)
+            cache[key] = solve_corrector(ShiftedField(field, s), T, h=h, bc="truncated",
+                                         tol=tol)
         return cache[key]
 
     for y, z in shift_pairs:

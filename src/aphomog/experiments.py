@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .correctors import solve_corrector
-from .fields import ConstantField, ScaledArgumentField, certify_ellipticity
+from .fields import ConstantField, ScaledArgumentField
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradient,
                     holder_seminorm, norms)
 from .metrics import DecayReport, compute_Theta, theta_integral
@@ -46,25 +46,16 @@ class DirichletProblem:
 
     def operator(self):
         """The stencil of the problem on the unit box, zero Dirichlet data."""
-        coeff = _coefficient(self)
+        if self.ahat is None:
+            coeff = ScaledArgumentField(self.field, 1.0 / self.eps)
+        else:
+            coeff = ConstantField(np.asarray(getattr(self.ahat, "tensor", self.ahat), dtype=float))
         cells = default_cells(self)
         if self.eps is not None and 1.0 / cells > self.eps / 32.0 + 1e-12:
             raise ValueError("grid must resolve eps: h <= eps/32")
         grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
                        np.full(coeff.d, cells, dtype=int), DIRICHLET)
         return assemble(coeff, grid, kappa=0.0)
-
-
-def _coefficient(problem):
-    if problem.ahat is not None:
-        tensor = getattr(problem.ahat, "tensor", problem.ahat)
-        f = ConstantField(np.asarray(tensor, dtype=float))
-        certify_ellipticity(f, sample_count=8)
-        return f
-    coeff = ScaledArgumentField(problem.field, 1.0 / problem.eps)
-    if coeff.ellipticity is None:
-        certify_ellipticity(coeff)
-    return coeff
 
 
 def default_cells(problem):
@@ -173,6 +164,14 @@ class RateExperiment:
         }
 
 
+def checked_eps(eps_list):
+    """The eps ladder sorted; raises ValueError unless it is 4 or more distinct values."""
+    eps_list = sorted(float(e) for e in eps_list)
+    if len(set(eps_list)) < max(4, len(eps_list)):
+        raise ValueError(f"ladder needs at least 4 distinct eps values, got {eps_list}")
+    return eps_list
+
+
 def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
                     include_boundary_corrector=False, rho_report=None):
     """Dyadic-eps convergence study against the effective problem.
@@ -186,11 +185,7 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
     """
     from .correctors import homogenized_matrix
 
-    eps_list = sorted(float(e) for e in eps_list)
-    if len(eps_list) < 4:
-        raise ValueError("ladder needs at least 4 eps values")
-    if field.ellipticity is None:
-        certify_ellipticity(field)
+    eps_list = checked_eps(eps_list)
     rows = []
     for eps in eps_list:
         T = 1.0 / eps
@@ -242,8 +237,6 @@ def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
 
     eps_list = sorted(float(e) for e in eps_list)
     subbox = Box.cube(0.5, center=0.5 * np.ones(field.d), d=field.d)
-    if field.ellipticity is None:
-        certify_ellipticity(field)
     cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=1e-9)
     ahat = homogenized_matrix(cset)
     rows = []

@@ -15,12 +15,13 @@ Supported constructions:
   on an M-torus and ``j_lambda`` embeds each axis ``x_i`` along its
   frequency list ``lambda_i``.
 
-All evaluators are vectorized over points and deterministic; fields are
-immutable after construction and safe to evaluate concurrently.
+All evaluators are vectorized over points and deterministic; fields are immutable
+apart from an ellipticity certificate cached on first read, and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ def tensor_matrix(t):
 
 
 def adjoint_tensor(t):
-    """Index-swapped tensor: b[i, j, a, b] = a[j, i, b, a]."""
-    return np.ascontiguousarray(t.transpose(1, 0, 3, 2))
+    """Index-swapped tensor over the last four axes: b[..., i, j, a, b] = a[..., j, i, b, a]."""
+    return np.ascontiguousarray(np.swapaxes(np.swapaxes(t, -4, -3), -2, -1))
 
 
 def is_symmetric_tensor(t):
@@ -176,19 +177,16 @@ def _check_points(points, d):
 class CoefficientField:
     """Base class: vectorized evaluation plus metadata shared by variants."""
 
-    def __init__(self, d, m, symmetric=False, period=None):
+    def __init__(self, d, m):
         self.d = int(d)
         self.m = int(m)
-        self.symmetric = bool(symmetric)
-        self.period = None if period is None else np.asarray(period, dtype=float)
-        self._ellipticity = None
+        self.symmetric = False
+        self.period = None
 
-    @property
+    @functools.cached_property
     def ellipticity(self):
-        return self._ellipticity
-
-    def attach_ellipticity(self, cert):
-        self._ellipticity = cert
+        """Sampled certificate of the field, made on first read."""
+        return check_ellipticity(self)
 
     def evaluate(self, points):
         pts, single = _check_points(points, self.d)
@@ -200,11 +198,6 @@ class CoefficientField:
 
     def adjoint(self):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def _carry_over(self, other):
-        if self._ellipticity is not None:
-            other.attach_ellipticity(self._ellipticity)
-        return other
 
 
 class ConstantField(CoefficientField):
@@ -219,11 +212,15 @@ class ConstantField(CoefficientField):
         self.symmetric = is_symmetric_tensor(self.value)
         self.period = np.ones(self.d)
 
+    @functools.cached_property
+    def ellipticity(self):
+        return check_ellipticity(self, 1)      # every point is the same point
+
     def _evaluate(self, pts):
         return np.broadcast_to(self.value, (pts.shape[0],) + self.value.shape).copy()
 
     def adjoint(self):
-        return self._carry_over(ConstantField(adjoint_tensor(self.value)))
+        return ConstantField(adjoint_tensor(self.value))
 
 
 class TrigPolynomialField(CoefficientField):
@@ -241,8 +238,7 @@ class TrigPolynomialField(CoefficientField):
         return _trig_sum(pts, self.terms, self.d, self.m)
 
     def adjoint(self):
-        return self._carry_over(TrigPolynomialField(self.d, self.m,
-                                                    _adjoint_terms(self.terms)))
+        return TrigPolynomialField(self.d, self.m, _adjoint_terms(self.terms))
 
 
 class PeriodicSampledField(CoefficientField):
@@ -258,14 +254,12 @@ class PeriodicSampledField(CoefficientField):
         if order != 1:
             raise ValueError("only multilinear interpolation (order=1) is supported")
         m = samples.shape[-1]
-        super().__init__(d, m, period=np.asarray(period, dtype=float).reshape(d))
+        super().__init__(d, m)
+        self.period = np.asarray(period, dtype=float).reshape(d)
         self.samples = samples
         self.order = 1
         self.cells = np.array(samples.shape[:d], dtype=int)
-        swapped = samples.transpose(*range(d), d + 1, d, d + 3, d + 2)
-        self.symmetric = bool(
-            np.max(np.abs(samples - swapped)) <= 1e-12 * (1.0 + np.max(np.abs(samples)))
-        )
+        self.symmetric = is_symmetric_tensor(samples)
 
     def _evaluate(self, pts):
         frac = (pts / self.period) % 1.0 * self.cells
@@ -282,9 +276,7 @@ class PeriodicSampledField(CoefficientField):
         return out
 
     def adjoint(self):
-        d = self.d
-        swapped = np.ascontiguousarray(self.samples.transpose(*range(d), d + 1, d, d + 3, d + 2))
-        return self._carry_over(PeriodicSampledField(self.period, swapped))
+        return PeriodicSampledField(self.period, adjoint_tensor(self.samples))
 
 
 class TorusFunction:
@@ -326,18 +318,20 @@ class QuasiPeriodicField(CoefficientField):
         return self.torus.evaluate(self.layout.embed(pts))
 
     def adjoint(self):
-        return self._carry_over(QuasiPeriodicField(self.torus.adjoint(), self.layout))
+        return QuasiPeriodicField(self.torus.adjoint(), self.layout)
 
 
 class ShiftedField(CoefficientField):
-    """A(. + shift)."""
+    """A(. + shift); a translate has its base's certificate."""
 
     def __init__(self, base, shift):
-        super().__init__(base.d, base.m, symmetric=base.symmetric, period=base.period)
-        self.base = base
+        super().__init__(base.d, base.m)
+        self.base, self.symmetric, self.period = base, base.symmetric, base.period
         self.shift = np.asarray(shift, dtype=float).reshape(base.d)
-        if base.ellipticity is not None:
-            self.attach_ellipticity(base.ellipticity)
+
+    @functools.cached_property
+    def ellipticity(self):
+        return self.base.ellipticity
 
     def _evaluate(self, pts):
         return self.base.evaluate(pts + self.shift)
@@ -347,15 +341,18 @@ class ShiftedField(CoefficientField):
 
 
 class ScaledArgumentField(CoefficientField):
-    """A(scale * x); used for the epsilon-problem coefficient A(x / eps)."""
+    """A(scale * x), the eps-problem coefficient A(x / eps); has its base's certificate."""
 
     def __init__(self, base, scale):
-        period = None if base.period is None else base.period / float(scale)
-        super().__init__(base.d, base.m, symmetric=base.symmetric, period=period)
+        super().__init__(base.d, base.m)
+        self.symmetric = base.symmetric
+        self.period = None if base.period is None else base.period / float(scale)
         self.base = base
         self.scale = float(scale)
-        if base.ellipticity is not None:
-            self.attach_ellipticity(base.ellipticity)
+
+    @functools.cached_property
+    def ellipticity(self):
+        return self.base.ellipticity
 
     def _evaluate(self, pts):
         return self.base.evaluate(pts * self.scale)
@@ -399,10 +396,18 @@ def check_ellipticity(field, sample_count=4096, rng_seed=0):
 
 
 def certify_ellipticity(field, sample_count=4096, rng_seed=0):
-    """Check and attach the certificate; operator assembly requires one."""
-    cert = check_ellipticity(field, sample_count, rng_seed)
-    field.attach_ellipticity(cert)
-    return cert
+    """Make the certificate of another sample the field's own and return it."""
+    field.ellipticity = check_ellipticity(field, sample_count, rng_seed)
+    return field.ellipticity
+
+
+def _half_lattice(n_max, m):
+    """Integer vectors 0 < ||n||_inf <= n_max in Z^m whose first nonzero entry is positive."""
+    ranges = [np.arange(-n_max, n_max + 1)] * m
+    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
+    grid = grid[np.any(grid != 0, axis=1)]
+    first_nz = np.argmax(grid != 0, axis=1)
+    return grid[grid[np.arange(len(grid)), first_nz] > 0]
 
 
 def diophantine_scan(lams, n_max):
@@ -420,14 +425,7 @@ def diophantine_scan(lams, n_max):
         raise ValueError("need at least two frequencies")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    ranges = [np.arange(-n_max, n_max + 1)] * m
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
-    nonzero = np.any(grid != 0, axis=1)
-    grid = grid[nonzero]
-    # |n.lambda| is even in n: keep representatives with first nonzero > 0
-    first_nz = np.argmax(grid != 0, axis=1)
-    keep = grid[np.arange(len(grid)), first_nz] > 0
-    grid = grid[keep]
+    grid = _half_lattice(n_max, m)          # |n.lambda| is even in n
     dots = np.abs(grid @ lams)
     res_tol = 1e-12 * (1.0 + np.sum(np.abs(lams)) * n_max)
     resonant = dots <= res_tol

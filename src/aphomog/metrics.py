@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import UnsupportedDimension
+from .fields import _half_lattice
 from .grids import Box
 
 RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
@@ -214,6 +215,22 @@ def theta_layout(layout, R, ell):
     return max(theta_quasi(f, R, ell) for f in layout.frequencies)
 
 
+def checked_radii(R_list):
+    """``R_list`` as floats; raises ValueError unless positive and strictly increasing."""
+    R_list = np.asarray(R_list, dtype=float).ravel()
+    if np.any(np.diff(R_list) <= 0) or np.any(R_list <= 0):
+        raise ValueError("R ladder must be positive and strictly increasing")
+    return R_list
+
+
+def checked_ells(ell, n_radii):
+    """One int subdivision per radius from a single ``ell`` or a list of n_radii."""
+    ells = [int(ell)] * n_radii if np.isscalar(ell) else [int(e) for e in ell]
+    if len(ells) != n_radii:
+        raise ValueError(f"ell has {len(ells)} values for {n_radii} radii")
+    return ells
+
+
 def theta_ladder(lams, R_list, ell):
     """theta over an R ladder; ``ell`` may be one subdivision or one per R.
 
@@ -221,11 +238,10 @@ def theta_ladder(lams, R_list, ell):
     the subdivision refines with R (the orbit-sampling bound needs roughly
     ell ~ R^{2/(tau+1)}), so ladders usually pass a per-R list.
     """
-    ells = [int(ell)] * len(R_list) if np.isscalar(ell) else [int(e) for e in ell]
-    if len(ells) != len(R_list):
-        raise ValueError(f"ell has {len(ells)} values for {len(R_list)} radii")
+    R_list = checked_radii(R_list)
+    ells = checked_ells(ell, len(R_list))
     vals = [theta_quasi(lams, R, e) for R, e in zip(R_list, ells)]
-    return DecayReport(np.asarray(R_list, dtype=float), vals, "theta",
+    return DecayReport(R_list, vals, "theta",
                        metadata={"ell": ells, "lambda": list(np.ravel(lams))})
 
 
@@ -316,12 +332,7 @@ def etk_bound(pset, H):
     """
     if H < 1:
         raise ValueError("H must be >= 1")
-    m = pset.dimension
-    rng = [np.arange(-H, H + 1)] * m
-    ns = np.stack(np.meshgrid(*rng, indexing="ij"), axis=-1).reshape(-1, m)
-    ns = ns[np.any(ns != 0, axis=1)]
-    first_nz = np.argmax(ns != 0, axis=1)
-    ns = ns[ns[np.arange(len(ns)), first_nz] > 0]          # exploit |S(n)| = |S(-n)|
+    ns = _half_lattice(H, pset.dimension)          # exploit |S(n)| = |S(-n)|
     total = 0.0
     pts = pset.points
     for start in range(0, len(ns), _ETK_CHUNK):
@@ -385,9 +396,7 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     already reaches the running inf for every y is dropped before its full
     table is evaluated.
     """
-    R_list = np.asarray(R_list, dtype=float).ravel()
-    if np.any(np.diff(R_list) <= 0) or np.any(R_list <= 0):
-        raise ValueError("R ladder must be positive and strictly increasing")
+    R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
         raise ValueError("norm must be 'inf' or 'euclid'")
     if z_grid_spacing is not None:

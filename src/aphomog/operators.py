@@ -111,10 +111,11 @@ class DiscreteOperator:
 def assemble(field, grid, kappa):
     """Assemble the conservative second-order stencil.
 
-    Requires an ellipticity certificate on the field; refuses to assemble
-    without one.  ``kappa`` must be nonnegative and, with periodic boundary
-    conditions and kappa = 0, the constant kernel is handled by the solver
-    through mean projection.
+    Reads the field's ellipticity certificate before sampling anything, so
+    a non-elliptic field raises :class:`EllipticityViolation` here.
+    ``kappa`` must be nonnegative and, with periodic boundary conditions and
+    kappa = 0, the constant kernel is handled by the solver through mean
+    projection.
 
     The matrix is built in one pass over stencil steps: ``coef[s]`` holds,
     for every component pair, the coefficient of u(x + s h) in the row of
@@ -123,9 +124,7 @@ def assemble(field, grid, kappa):
     (D_i the face difference, G_i the centered difference), so the matrix
     is the same bit for bit.
     """
-    if field.ellipticity is None:
-        raise ValueError("field carries no ellipticity certificate; "
-                         "run certify_ellipticity(field) first")
+    field.ellipticity          # made on first read; raises if not elliptic
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     if field.d != grid.d:

@@ -308,6 +308,23 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
     assert not (tmp_path / "elsewhere").exists()
 
 
+@pytest.mark.parametrize("command, params", [
+    ("rho", {"R_list": [4, 2]}),
+    ("theta", {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16, 32], "ell": [8] * 5}),
+    ("theta", {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 4, 2], "ell": 8}),
+    ("rate", {"eps_list": [0.25, 0.125, 0.0625]}),
+    ("rate", {"eps_list": [0.25, 0.125, 0.125, 0.0625]}),
+], ids=["rho-decreasing", "theta-ell-length", "theta-decreasing", "rate-3-eps",
+        "rate-repeated-eps"])
+def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
+                                                                   params):
+    man = {"command": command, "seed": 0, "params": params}
+    if command in cli._FIELD_COMMANDS:
+        man["field"] = F.field_to_config(F.sine_scalar_field())
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_elliptic_field_exits_2_without_result(tmp_path):
     man = _sine_manifest(T=16.0, h=1 / 64)
     man["field"] = {"variant": "constant", "d": 1, "m": 1, "value": -1}

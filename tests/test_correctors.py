@@ -121,11 +121,6 @@ class TestTruncatedRoute:
         assert c69 <= 2e-2          # honest screening level at buffer 6
         assert c912 <= 0.25 * c69   # and it keeps decaying exponentially
 
-    def test_window_margin_validation(self, golden_field):
-        with pytest.raises(ValueError, match="window"):
-            C.solve_corrector(golden_field, 8.0, h=1 / 8, buffer=1.0,
-                              window_side=100.0)
-
     def test_h_resolves_screening_length(self, golden_field):
         with pytest.raises(ValueError, match="screening"):
             C.solve_corrector(golden_field, 16.0, h=1.0)

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aphomog import fields as F
+from aphomog.correctors import solve_corrector
 from aphomog.errors import EllipticityViolation, ResonantFrequencies
+from aphomog.grids import Box, BoxGrid, PERIODIC
+from aphomog.operators import assemble
+from oracle_tools import cross_term_system
 
 
 def test_constant_identity_everywhere():
@@ -68,13 +72,46 @@ class TestEllipticity:
         assert fresh.mu >= cert.mu - 1e-3
         assert fresh.mu_inv_check <= cert.mu_inv_check + 1e-3
 
-    def test_assemble_requires_certificate(self):
-        from aphomog.grids import Box, BoxGrid, PERIODIC
-        from aphomog.operators import assemble
+    def test_assemble_certifies_a_fresh_field(self):
         f = F.sine_scalar_field()     # fresh, uncertified
+        certified = F.sine_scalar_field()
+        F.certify_ellipticity(certified)
         grid = BoxGrid(Box([0.0], [1.0]), [16], PERIODIC)
-        with pytest.raises(ValueError, match="certificate"):
-            assemble(f, grid, 1.0)
+        got, want = assemble(f, grid, 1.0).matrix, assemble(certified, grid, 1.0).matrix
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert f.ellipticity == F.check_ellipticity(f)
+
+    def test_non_elliptic_fresh_field_refused_on_first_read(self):
+        grid = BoxGrid(Box([0.0], [1.0]), [16], PERIODIC)
+        with pytest.raises(EllipticityViolation):
+            assemble(F.TrigPolynomialField(1, 1, [(np.ones(1), 0.0, 1.0)]), grid, 1.0)
+        with pytest.raises(EllipticityViolation):
+            solve_corrector(F.TrigPolynomialField(1, 1, [(np.ones(1), 0.0, 1.0)]), 4.0,
+                            h=1 / 16)
+
+    @pytest.mark.parametrize("wrap", [lambda f: F.ShiftedField(f, [0.37]),
+                                      lambda f: F.ScaledArgumentField(f, 8.0)],
+                             ids=["shifted", "scaled"])
+    def test_wrapper_has_its_base_certificate(self, wrap):
+        f = F.sine_scalar_field()
+        wrapped = wrap(f)
+        assert wrapped.ellipticity is f.ellipticity
+        assert f.ellipticity == F.check_ellipticity(f)
+        cert = F.certify_ellipticity(wrapped, 64, rng_seed=3)
+        assert wrapped.ellipticity is cert
+        assert cert == F.check_ellipticity(wrapped, 64, 3)
+        assert f.ellipticity == F.check_ellipticity(f)
+
+    def test_adjoint_certifies_to_its_base_certificate(self):
+        base = cross_term_system()
+        fresh = F.TrigPolynomialField(2, 2, base.terms)
+        assert fresh.adjoint().ellipticity == F.check_ellipticity(fresh)
+        assert fresh.adjoint().ellipticity == base.ellipticity
+
+    def test_constant_field_certifies_from_one_point(self):
+        f = F.ConstantField(np.array([[2.0, 0.3], [0.1, 1.5]]), d=2, m=1)
+        assert f.ellipticity == F.check_ellipticity(f, 4096)
 
 
 class TestAdjoint:
