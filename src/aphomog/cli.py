@@ -49,7 +49,7 @@ MANIFEST_SCHEMA = {
     "required": ["command", "seed", "params"],
     "properties": {
         "command": {"enum": list(COMMANDS)},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "params": {"type": "object"},
         "field": {"type": "object"},
     },
@@ -466,17 +466,18 @@ def _read_json(path, what):
 
 
 def reproduce(result_path):
-    """Re-run the embedded manifest and compare payloads exactly.
+    """Re-run the embedded manifest and compare payloads and artifact hashes exactly.
 
     Returns (ok, drift_list).  Raises ManifestError when the result is
     unreadable or its manifest invalid.
     """
     stored = _read_json(result_path, "result")
     try:
-        manifest, stored_hash, stored_payload = (stored["manifest"], stored["manifest_hash"],
-                                                 stored["payload"])
+        manifest, stored_hash, stored_payload, stored_artifacts = (
+            stored["manifest"], stored["manifest_hash"], stored["payload"], stored["artifacts"])
     except (KeyError, TypeError) as exc:
-        raise ManifestError(f"result lacks its manifest, hash or payload: {exc!r}") from exc
+        raise ManifestError(
+            f"result lacks its manifest, hash, payload or artifacts: {exc!r}") from exc
     if manifest_hash(manifest) != stored_hash:
         return False, [("manifest_hash", "value", (stored_hash, manifest_hash(manifest)))]
     with tempfile.TemporaryDirectory() as tmp:
@@ -484,6 +485,7 @@ def reproduce(result_path):
         with open(new_path, encoding="utf-8") as f:
             fresh = json.load(f)
     drift = _diff_payload(stored_payload, fresh["payload"])
+    _diff_payload(stored_artifacts, fresh["artifacts"], "artifacts", drift)
     return (len(drift) == 0), drift
 
 
@@ -522,7 +524,7 @@ def main(argv=None):
                           "detail": f"{type(exc).__name__}: {exc}"}))
         return 3
     if ok:
-        print("reproduce: payloads match")
+        print("reproduce: payloads and artifacts match")
         return 0
     print(json.dumps({"error": "drift", "items":
                       [{"path": p, "kind": k, "values": list(v) if v else None}

@@ -149,6 +149,8 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if bc not in ("auto", "periodic", "truncated"):
+        raise ValueError(f"unknown corrector route bc={bc!r}")
     d, m = field.d, field.m
     if h is None:
         h = 1.0 / 64.0

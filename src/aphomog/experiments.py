@@ -15,11 +15,11 @@ only improves the expansion error and is excluded from headline metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .correctors import solve_corrector
+from .correctors import homogenized_matrix, solve_corrector
 from .fields import ConstantField, ScaledArgumentField
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradient,
                     holder_seminorm, norms)
@@ -29,50 +29,28 @@ from .operators import assemble, solve
 SOLVER_FLOOR = 1e-8
 
 
-@dataclass
-class DirichletProblem:
-    """One unit-box Dirichlet problem: oscillating (eps) or effective (ahat)."""
-
-    field: object = None
-    eps: float = None
-    ahat: object = None             # HomogenizedMatrix or (d,d,m,m) tensor
-    cells: int = None
-
-    def __post_init__(self):
-        if (self.field is None) == (self.ahat is None):
-            raise ValueError("give either (field, eps) or ahat")
-        if self.field is not None and (self.eps is None or self.eps <= 0):
-            raise ValueError("the oscillating problem needs eps > 0")
-
-    def operator(self):
-        """The stencil of the problem on the unit box, zero Dirichlet data."""
-        if self.ahat is None:
-            coeff = ScaledArgumentField(self.field, 1.0 / self.eps)
-        else:
-            coeff = ConstantField(np.asarray(getattr(self.ahat, "tensor", self.ahat), dtype=float))
-        cells = default_cells(self)
-        if self.eps is not None and 1.0 / cells > self.eps / 32.0 + 1e-12:
-            raise ValueError("grid must resolve eps: h <= eps/32")
-        grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
-                       np.full(coeff.d, cells, dtype=int), DIRICHLET)
-        return assemble(coeff, grid, kappa=0.0)
+def unit_box_operator(coeff, cells):
+    """The stencil of -div(coeff grad .) on [0, 1]^d, ``cells`` per axis, zero Dirichlet data."""
+    grid = BoxGrid(Box(np.zeros(coeff.d), np.ones(coeff.d)),
+                   np.full(coeff.d, cells, dtype=int), DIRICHLET)
+    return assemble(coeff, grid, kappa=0.0)
 
 
-def default_cells(problem):
-    if problem.cells is not None:
-        return int(problem.cells)
-    if problem.eps is None:
-        return 256
-    return int(np.ceil(1.0 / (problem.eps / 32.0)))
+def _eps_cells(eps):
+    """Cells per axis of the eps problems' grid, so that h <= eps/32."""
+    return int(np.ceil(1.0 / (eps / 32.0)))
 
 
-def _solve_unit_source(op, tol):
+def eps_operator(field, eps):
+    """The unit-box stencil of the oscillating coefficient A(x/eps), on a grid with h <= eps/32."""
+    if eps <= 0:
+        raise ValueError("the oscillating problem needs eps > 0")
+    return unit_box_operator(ScaledArgumentField(field, 1.0 / eps), _eps_cells(eps))
+
+
+def solve_problem(op, tol=1e-10):
+    """FD solve of the unit-box problem of ``op`` with source 1."""
     return solve(op, GridFunction(op.grid, np.ones((op.m,) + op.grid.node_counts)), tol=tol)
-
-
-def solve_problem(problem, tol=1e-10):
-    """FD solve on the unit box [0, 1]^d with source 1 and zero boundary data."""
-    return _solve_unit_source(problem.operator(), tol)
 
 
 def _ladder_rung(field, eps, ahat, tol, cset):
@@ -82,10 +60,9 @@ def _ladder_rung(field, eps, ahat, tol, cset):
     is given (else None), on the operator of the u_eps solve.  u0 is solved
     first so that the eps operator is not held through its solve.
     """
-    p_eps = DirichletProblem(field=field, eps=eps)
-    u0 = solve_problem(DirichletProblem(ahat=ahat, cells=default_cells(p_eps)), tol=tol)
-    op = p_eps.operator()
-    u_eps = _solve_unit_source(op, tol)
+    u0 = solve_problem(unit_box_operator(ConstantField(ahat.tensor), _eps_cells(eps)), tol)
+    op = eps_operator(field, eps)
+    u_eps = solve_problem(op, tol)
     v_eps = None if cset is None else boundary_corrector(op, cset, u0, eps, tol=tol)[0]
     return u_eps, u0, v_eps
 
@@ -126,7 +103,7 @@ def two_scale_error(u_eps, u0, cset, eps, v_eps=None):
 def boundary_corrector(op, cset, u0, eps, tol=1e-10):
     """Solve the homogeneous eps-problem with the oscillatory expansion trace.
 
-    ``op`` is the eps-problem's operator (``DirichletProblem.operator``) on
+    ``op`` is the eps-problem's operator (:func:`eps_operator`) on
     u0's grid.  Returns (v_eps, report) where the report compares ||v||_H1
     with the corrector smallness (T^{-1} sup |chi_T|)^{1/2} that controls it.
     """
@@ -152,7 +129,7 @@ class RateExperiment:
     reports: dict
     fitted: dict
     floor_limited: bool
-    metadata: dict = dc_field(default_factory=dict)
+    metadata: dict
 
     def as_dict(self):
         return {
@@ -183,8 +160,6 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
     is evaluated alongside the measured errors (dominance only, never
     equality).
     """
-    from .correctors import homogenized_matrix
-
     eps_list = checked_eps(eps_list)
     rows = []
     for eps in eps_list:
@@ -233,8 +208,6 @@ def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
     of u_eps - u0 (which must decay as eps shrinks), both over the central
     subbox [1/4, 3/4]^d.
     """
-    from .correctors import homogenized_matrix
-
     eps_list = sorted(float(e) for e in eps_list)
     subbox = Box.cube(0.5, center=0.5 * np.ones(field.d), d=field.d)
     cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=1e-9)

@@ -244,20 +244,17 @@ class TrigPolynomialField(CoefficientField):
 class PeriodicSampledField(CoefficientField):
     """Node samples on a periodic lattice, order-1 (multilinear) interpolation."""
 
-    def __init__(self, period, samples, order=1):
+    def __init__(self, period, samples):
         samples = np.asarray(samples, dtype=float)
         d = samples.ndim - 4
         if d < 1 or samples.shape[-4] != samples.shape[-3] or samples.shape[-2] != samples.shape[-1]:
             raise ValueError("samples must have shape (*cells, d, d, m, m)")
         if samples.shape[-4] != d:
             raise ValueError("sample tensor dimension does not match lattice dimension")
-        if order != 1:
-            raise ValueError("only multilinear interpolation (order=1) is supported")
         m = samples.shape[-1]
         super().__init__(d, m)
         self.period = np.asarray(period, dtype=float).reshape(d)
         self.samples = samples
-        self.order = 1
         self.cells = np.array(samples.shape[:d], dtype=int)
         self.symmetric = is_symmetric_tensor(samples)
 
@@ -559,9 +556,10 @@ def field_from_config(cfg):
     if variant == "trig_polynomial":
         return TrigPolynomialField(int(cfg["d"]), int(cfg["m"]), _terms_from_cfg(cfg["terms"]))
     if variant == "periodic_sampled":
+        if int(cfg.get("order", 1)) != 1:
+            raise ValueError("only multilinear interpolation (order=1) is supported")
         return PeriodicSampledField(np.asarray(cfg["period"], dtype=float),
-                                    np.asarray(cfg["samples"], dtype=float),
-                                    order=int(cfg.get("order", 1)))
+                                    np.asarray(cfg["samples"], dtype=float))
     if variant == "quasi_periodic":
         d, m = int(cfg["d"]), int(cfg["m"])
         layout = FrequencyLayout(tuple(np.asarray(f, dtype=float) for f in cfg["layout"]))

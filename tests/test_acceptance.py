@@ -72,10 +72,9 @@ def test_criterion_03_constant_degeneracy():
         sup = cset.sup_norm()
         hm = C.homogenized_matrix(cset)
         tensor_err = abs(hm.tensor[0, 0, 0, 0] - 2.0)
-        p_eps = E.DirichletProblem(field=f, eps=1 / 16)
-        u_eps = E.solve_problem(p_eps, tol=1e-10)
-        p_hom = E.DirichletProblem(ahat=hm, cells=u_eps.grid.cells[0])
-        u0 = E.solve_problem(p_hom, tol=1e-10)
+        u_eps = E.solve_problem(E.eps_operator(f, 1 / 16), tol=1e-10)
+        u0 = E.solve_problem(E.unit_box_operator(F.ConstantField(hm.tensor),
+                                                 u_eps.grid.cells[0]), tol=1e-10)
         errs = E.two_scale_error(u_eps, u0, cset, 1 / 16)
     assert sup <= 1e-8
     assert tensor_err <= 1e-12
@@ -128,8 +127,7 @@ def test_criterion_06_rate_experiment(sine_field):
         # every eps-solve must match the quadrature closed form to O(h^2)
         oracle_errs = []
         for eps in eps_list:
-            p = E.DirichletProblem(field=sine_field, eps=eps)
-            u = E.solve_problem(p, tol=1e-9)
+            u = E.solve_problem(E.eps_operator(sine_field, eps), tol=1e-9)
             xs = u.grid.axis_nodes(0)
             n_quad = max(1 << 16, int(4096 / eps))
             oracle = dirichlet_1d_quadrature(sine_field, eps, xs, n=n_quad)

@@ -232,11 +232,11 @@ def test_every_option_is_set_by_some_call():
 def test_scan_sees_options_and_their_callers():
     options = public_options()
     assert ("max_iters", 3) in options[("operators.solve", "solve")]
-    assert ("cells", 3) in options[("experiments.DirichletProblem", "DirichletProblem")]
+    assert ("solve_info", 2) in options[("grids.GridFunction", "GridFunction")]
     assert ("run_manifest", 2, {"threads"}) in calls()          # bench/worker.py
 
 
 def test_option_count_does_not_grow():
     # a change that adds a public option raises this number in the same diff
     total = sum(len(options) for options in public_options().values())
-    assert total <= 62
+    assert total <= 56

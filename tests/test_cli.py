@@ -289,6 +289,16 @@ def test_reproduce_exit_codes(tmp_path, edit, code):
     assert cli.main(["reproduce", "--result", str(path)]) == code
 
 
+def test_reproduce_compares_the_artifacts_map(tmp_path):
+    path = pathlib.Path(cli.run_manifest(_sine_manifest("corrector", T=16.0, h=1 / 64),
+                                         str(tmp_path)))
+    assert cli.main(["reproduce", "--result", str(path)]) == 0
+    result = _read_json(path)
+    result["artifacts"]["corrector_chi_j0_b0.bin"] = "0" * 64
+    path.write_text(cli.dumps_canonical(result) + "\n")
+    assert cli.main(["reproduce", "--result", str(path)]) == 4
+
+
 def test_reproduce_of_missing_file_exits_2(tmp_path):
     assert cli.main(["reproduce", "--result", str(tmp_path / "none.json")]) == 2
 
@@ -319,6 +329,19 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
 def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
                                                                    params):
     man = {"command": command, "seed": 0, "params": params}
+    if command in cli._FIELD_COMMANDS:
+        man["field"] = F.field_to_config(F.sine_scalar_field())
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, params", [
+    ("homogenize", {"T": 16.0, "h": 1 / 64}),
+    ("rho", {"R_list": [1, 2]}),
+    ("theta", {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16], "ell": 8}),
+], ids=["homogenize", "rho", "theta"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, command, params):
+    man = {"command": command, "seed": -1, "params": params}
     if command in cli._FIELD_COMMANDS:
         man["field"] = F.field_to_config(F.sine_scalar_field())
     assert _exit_code(tmp_path, man) == 2

@@ -125,6 +125,14 @@ class TestTruncatedRoute:
         with pytest.raises(ValueError, match="screening"):
             C.solve_corrector(golden_field, 16.0, h=1.0)
 
+    def test_unknown_route_refused_before_any_grid(self, sine_field, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(C, "BoxGrid", no_grid)
+        with pytest.raises(ValueError, match="periodc"):
+            C.solve_corrector(sine_field, 4.0, h=1 / 64, bc="periodc")
+
     def test_mean_zero_shifted_golden(self, golden_field):
         # shift breaks the even symmetry; window mean stays at the
         # truncation-error level, bounded by a window-doubling comparison

@@ -8,11 +8,14 @@ from aphomog.grids import GridFunction, norms
 from oracle_tools import dirichlet_1d_quadrature
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        E.DirichletProblem()                       # neither field nor ahat
-    with pytest.raises(ValueError):
-        E.DirichletProblem(field=object(), eps=None)
+def test_problem_validation(sine_field):
+    for eps in (0, -1):
+        with pytest.raises(ValueError, match="eps > 0"):
+            E.eps_operator(sine_field, eps)
+
+
+def _effective_operator(tensor, cells):
+    return E.unit_box_operator(F.ConstantField(tensor), cells)
 
 
 class TestOracleGate:
@@ -20,34 +23,26 @@ class TestOracleGate:
 
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_eps_solve_matches_quadrature(self, sine_field, eps):
-        p = E.DirichletProblem(field=sine_field, eps=eps)
-        u = E.solve_problem(p, tol=1e-10)
+        u = E.solve_problem(E.eps_operator(sine_field, eps), tol=1e-10)
         xs = u.grid.axis_nodes(0)
         oracle = dirichlet_1d_quadrature(sine_field, eps, xs)
         h = u.grid.h[0]
         assert np.max(np.abs(u.values[0] - oracle)) <= 20.0 * h ** 2
 
     def test_homogenized_parabola(self):
-        p = E.DirichletProblem(ahat=np.sqrt(3.0) * np.ones((1, 1, 1, 1)), cells=512)
-        u = E.solve_problem(p, tol=1e-10)
+        u = E.solve_problem(_effective_operator(np.sqrt(3.0) * np.ones((1, 1, 1, 1)), 512),
+                            tol=1e-10)
         x = u.grid.axis_nodes(0)
         assert np.max(np.abs(u.values[0] - x * (1 - x) / (2 * np.sqrt(3)))) < 1e-12
-
-    def test_grid_must_resolve_eps(self, sine_field):
-        p = E.DirichletProblem(field=sine_field, eps=1 / 8, cells=64)
-        with pytest.raises(ValueError, match="resolve"):
-            E.solve_problem(p)
 
 
 class TestConstantDegeneracy:
     def test_eps_equals_homogenized(self):
         f = F.ConstantField(2.0, d=1, m=1)
         F.certify_ellipticity(f, sample_count=16)
-        p_eps = E.DirichletProblem(field=f, eps=1 / 16)
-        u_eps = E.solve_problem(p_eps, tol=1e-12)
-        p_hom = E.DirichletProblem(ahat=2.0 * np.ones((1, 1, 1, 1)),
-                                   cells=u_eps.grid.cells[0])
-        u0 = E.solve_problem(p_hom, tol=1e-12)
+        u_eps = E.solve_problem(E.eps_operator(f, 1 / 16), tol=1e-12)
+        u0 = E.solve_problem(_effective_operator(2.0 * np.ones((1, 1, 1, 1)),
+                                                 u_eps.grid.cells[0]), tol=1e-12)
         cset = C.solve_corrector(f, 16.0, h=1 / 64)
         l2, l2c, h1c = E.two_scale_error(u_eps, u0, cset, 1 / 16)
         assert l2 < 1e-10 and l2c < 1e-10 and h1c < 1e-8
@@ -59,11 +54,8 @@ class TestTwoScale:
         cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
         from aphomog.correctors import homogenized_matrix
         ahat = homogenized_matrix(cset)
-        p_eps = E.DirichletProblem(field=sine_field, eps=eps)
-        u_eps = E.solve_problem(p_eps, tol=1e-10)
-        p_hom = E.DirichletProblem(ahat=ahat,
-                                   cells=u_eps.grid.cells[0])
-        u0 = E.solve_problem(p_hom, tol=1e-10)
+        u_eps = E.solve_problem(E.eps_operator(sine_field, eps), tol=1e-10)
+        u0 = E.solve_problem(_effective_operator(ahat.tensor, u_eps.grid.cells[0]), tol=1e-10)
         _, _, h1_corr = E.two_scale_error(u_eps, u0, cset, eps)
         plain_h1 = norms(GridFunction(u_eps.grid, u_eps.values - u0.values), "H1")
         assert h1_corr < plain_h1
@@ -73,19 +65,16 @@ class TestTwoScale:
         for eps in (1 / 16, 1 / 32):
             cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
             ahat = C.homogenized_matrix(cset)
-            p_eps = E.DirichletProblem(field=sine_field, eps=eps)
-            u_eps = E.solve_problem(p_eps, tol=1e-10)
-            p_hom = E.DirichletProblem(ahat=ahat,
-                                       cells=u_eps.grid.cells[0])
-            u0 = E.solve_problem(p_hom, tol=1e-10)
+            u_eps = E.solve_problem(E.eps_operator(sine_field, eps), tol=1e-10)
+            u0 = E.solve_problem(_effective_operator(ahat.tensor, u_eps.grid.cells[0]),
+                                 tol=1e-10)
             errs[eps], _, _ = E.two_scale_error(u_eps, u0, cset, eps)
         assert 1.7 <= errs[1 / 16] / errs[1 / 32] <= 2.3
 
     def test_T_mismatch_rejected(self, sine_field):
         eps = 1 / 16
         cset = C.solve_corrector(sine_field, 24.0, h=1 / 128)
-        p = E.DirichletProblem(field=sine_field, eps=eps)
-        u = E.solve_problem(p, tol=1e-9)
+        u = E.solve_problem(E.eps_operator(sine_field, eps), tol=1e-9)
         with pytest.raises(ValueError, match="T = 1/eps"):
             E.two_scale_error(u, u, cset, eps)
 
@@ -95,10 +84,8 @@ class TestBoundaryCorrector:
         f = F.ConstantField(1.5, d=1, m=1)
         F.certify_ellipticity(f, sample_count=16)
         cset = C.solve_corrector(f, 16.0, h=1 / 64)
-        p = E.DirichletProblem(field=f, eps=1 / 16)
-        u0 = E.solve_problem(E.DirichletProblem(ahat=1.5 * np.ones((1, 1, 1, 1)), cells=512),
-                             tol=1e-11)
-        v, rep = E.boundary_corrector(p.operator(), cset, u0, p.eps)
+        u0 = E.solve_problem(_effective_operator(1.5 * np.ones((1, 1, 1, 1)), 512), tol=1e-11)
+        v, rep = E.boundary_corrector(E.eps_operator(f, 1 / 16), cset, u0, 1 / 16)
         assert rep["H1"] < 1e-9
 
     def test_periodic_stability_and_decay(self, sine_field):
@@ -106,22 +93,20 @@ class TestBoundaryCorrector:
         for eps in (1 / 8, 1 / 32):
             cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
             ahat = C.homogenized_matrix(cset)
-            p = E.DirichletProblem(field=sine_field, eps=eps)
-            u_eps = E.solve_problem(p, tol=1e-10)
-            u0 = E.solve_problem(E.DirichletProblem(ahat=ahat,
-                                                    cells=u_eps.grid.cells[0]),
+            op = E.eps_operator(sine_field, eps)
+            u_eps = E.solve_problem(op, tol=1e-10)
+            u0 = E.solve_problem(_effective_operator(ahat.tensor, u_eps.grid.cells[0]),
                                  tol=1e-10)
-            v, rep = E.boundary_corrector(p.operator(), cset, u0, eps)
+            v, rep = E.boundary_corrector(op, cset, u0, eps)
             assert rep["H1"] <= 10.0 * rep["H1_trace_term"]
             h1s.append(rep["H1"])
         assert h1s[1] < h1s[0]
 
     def test_operator_grid_must_match_u0(self, sine_field):
         cset = C.solve_corrector(sine_field, 8.0, h=1 / 64)
-        p = E.DirichletProblem(field=sine_field, eps=1 / 8)
-        u0 = E.solve_problem(E.DirichletProblem(ahat=C.homogenized_matrix(cset), cells=512))
+        u0 = E.solve_problem(_effective_operator(C.homogenized_matrix(cset).tensor, 512))
         with pytest.raises(ValueError, match="grid"):
-            E.boundary_corrector(p.operator(), cset, u0, p.eps)
+            E.boundary_corrector(E.eps_operator(sine_field, 1 / 8), cset, u0, 1 / 8)
 
 
 def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkeypatch):
@@ -148,11 +133,10 @@ def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkey
     for eps, row, (v_eps, _) in zip(ladder, exp.rows, corrections):
         cset = C.solve_corrector(sine_field, 1.0 / eps, tol=1e-9)
         ahat = C.homogenized_matrix(cset)
-        p = E.DirichletProblem(field=sine_field, eps=eps)
-        u_eps = E.solve_problem(p, tol=1e-9)
-        u0 = E.solve_problem(E.DirichletProblem(ahat=ahat, cells=u_eps.grid.cells[0]),
-                             tol=1e-9)
-        v_ref, _ = boundary_corrector(p.operator(), cset, u0, eps, tol=1e-9)
+        op = E.eps_operator(sine_field, eps)
+        u_eps = E.solve_problem(op, tol=1e-9)
+        u0 = E.solve_problem(_effective_operator(ahat.tensor, u_eps.grid.cells[0]), tol=1e-9)
+        v_ref, _ = boundary_corrector(op, cset, u0, eps, tol=1e-9)
         assert v_eps.values.tobytes() == v_ref.values.tobytes()
         l2_plain, l2_corr, h1_corr = E.two_scale_error(u_eps, u0, cset, eps, v_ref)
         h1_plain = norms(GridFunction(u_eps.grid, u_eps.values - u0.values), "H1")
@@ -188,9 +172,9 @@ class TestRateExperiment:
         ahat = C.homogenized_matrix(cset)
         errs = []
         for cells in (32 * 32, 64 * 32):
-            p = E.DirichletProblem(field=sine_field, eps=eps, cells=cells)
-            u_eps = E.solve_problem(p, tol=1e-10)
-            u0 = E.solve_problem(E.DirichletProblem(ahat=ahat, cells=cells), tol=1e-10)
+            u_eps = E.solve_problem(
+                E.unit_box_operator(F.ScaledArgumentField(sine_field, 1 / eps), cells), tol=1e-10)
+            u0 = E.solve_problem(_effective_operator(ahat.tensor, cells), tol=1e-10)
             l2, _, h1c = E.two_scale_error(u_eps, u0, cset, eps)
             errs.append((l2, h1c))
         for a, b in zip(errs[0], errs[1]):

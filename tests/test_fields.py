@@ -213,9 +213,9 @@ class TestPeriodicSampled:
         assert np.allclose(vals[0], vals[2])
 
     def test_rejects_higher_order(self):
-        t = np.zeros((8, 1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            F.PeriodicSampledField([1.0], t, order=2)
+        cfg = F.field_to_config(self._sampled_sine())
+        with pytest.raises(ValueError, match="order=1"):
+            F.field_from_config(dict(cfg, order=2))
 
 
 def test_config_round_trip(sine_field, golden_field, laminate):
