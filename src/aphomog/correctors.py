@@ -177,8 +177,9 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
                        cells * np.ones(d, dtype=int), DIRICHLET)
         window = Box.cube(T, d=d)
 
-    op = assemble(field, grid, T ** -2.0)
+    field.ellipticity          # certified before anything is sampled
     face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
+    op = assemble(field, grid, T ** -2.0, face_rows=face_rows)
 
     chi = [[None] * m for _ in range(d)]
     iterations = []

@@ -142,10 +142,13 @@ class RateExperiment:
 
 
 def checked_eps(eps_list):
-    """The eps ladder sorted; raises ValueError unless it is 4 or more distinct values."""
+    """The eps ladder sorted; raises ValueError unless it is 4 or more distinct values
+    of at most 1 (each rung solves the corrector at T = 1/eps >= 1)."""
     eps_list = sorted(float(e) for e in eps_list)
     if len(set(eps_list)) < max(4, len(eps_list)):
         raise ValueError(f"ladder needs at least 4 distinct eps values, got {eps_list}")
+    if eps_list[-1] > 1.0:
+        raise ValueError(f"eps must be at most 1 (T = 1/eps >= 1), got {eps_list[-1]}")
     return eps_list
 
 

@@ -71,6 +71,11 @@ def is_symmetric_tensor(t):
     return bool(np.max(np.abs(t - adjoint_tensor(t))) <= 1e-12 * (1.0 + np.max(np.abs(t))))
 
 
+def _is_cross_free(t):
+    """True when every cross block t[..., i, j, :, :] (i != j) is exactly zero."""
+    return not np.any(t[..., ~np.eye(t.shape[-4], dtype=bool), :, :])
+
+
 @dataclass(frozen=True)
 class Ellipticity:
     """Sampled two-sided ellipticity certificate.
@@ -159,6 +164,10 @@ def _terms_symmetric(terms):
     return all(is_symmetric_tensor(c) and is_symmetric_tensor(s) for _, c, s in terms)
 
 
+def _terms_cross_free(terms):
+    return all(_is_cross_free(c) and _is_cross_free(s) for _, c, s in terms)
+
+
 # ---------------------------------------------------------------------------
 # field variants
 
@@ -181,7 +190,14 @@ class CoefficientField:
         self.d = int(d)
         self.m = int(m)
         self.symmetric = False
+        self._cross_free = False
         self.period = None
+
+    @property
+    def cross_free(self):
+        """True when the coefficients prove every cross block a_ij (i != j) zero
+        everywhere; each variant decides it from its own coefficients."""
+        return self._cross_free
 
     @functools.cached_property
     def ellipticity(self):
@@ -210,6 +226,7 @@ class ConstantField(CoefficientField):
         super().__init__(d, m)
         self.value = as_tensor(arr, self.d, self.m)
         self.symmetric = is_symmetric_tensor(self.value)
+        self._cross_free = _is_cross_free(self.value)
         self.period = np.ones(self.d)
 
     @functools.cached_property
@@ -230,6 +247,7 @@ class TrigPolynomialField(CoefficientField):
         super().__init__(d, m)
         self.terms = _parse_terms(terms, d, d, m)
         self.symmetric = _terms_symmetric(self.terms)
+        self._cross_free = _terms_cross_free(self.terms)
         freqs = np.array([k for k, _, _ in self.terms])
         if freqs.size and np.allclose(freqs, np.round(freqs), atol=1e-12):
             self.period = np.ones(d)
@@ -257,6 +275,7 @@ class PeriodicSampledField(CoefficientField):
         self.samples = samples
         self.cells = np.array(samples.shape[:d], dtype=int)
         self.symmetric = is_symmetric_tensor(samples)
+        self._cross_free = _is_cross_free(samples)
 
     def _evaluate(self, pts):
         frac = (pts / self.period) % 1.0 * self.cells
@@ -310,6 +329,7 @@ class QuasiPeriodicField(CoefficientField):
         self.torus = torus
         self.layout = layout
         self.symmetric = _terms_symmetric(torus.terms)
+        self._cross_free = _terms_cross_free(torus.terms)
 
     def _evaluate(self, pts):
         return self.torus.evaluate(self.layout.embed(pts))
@@ -324,6 +344,7 @@ class ShiftedField(CoefficientField):
     def __init__(self, base, shift):
         super().__init__(base.d, base.m)
         self.base, self.symmetric, self.period = base, base.symmetric, base.period
+        self._cross_free = base.cross_free
         self.shift = np.asarray(shift, dtype=float).reshape(base.d)
 
     @functools.cached_property
@@ -342,7 +363,7 @@ class ScaledArgumentField(CoefficientField):
 
     def __init__(self, base, scale):
         super().__init__(base.d, base.m)
-        self.symmetric = base.symmetric
+        self.symmetric, self._cross_free = base.symmetric, base.cross_free
         self.period = None if base.period is None else base.period / float(scale)
         self.base = base
         self.scale = float(scale)

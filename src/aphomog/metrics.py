@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import UnsupportedDimension
 from .fields import _half_lattice
@@ -178,6 +177,8 @@ def covering_radius(points):
     grid is refined until the value changes by less than 5 percent and
     the resolution is at least a factor 4 finer than the answer.
     """
+    from scipy.spatial import cKDTree      # the only user of scipy.spatial
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[1]
     if m == 1:

@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -108,14 +109,18 @@ class DiscreteOperator:
         return GridFunction(self.grid, out.reshape(u.values.shape))
 
 
-def assemble(field, grid, kappa):
+def assemble(field, grid, kappa, face_rows=None):
     """Assemble the conservative second-order stencil.
 
     Reads the field's ellipticity certificate before sampling anything, so
     a non-elliptic field raises :class:`EllipticityViolation` here.
     ``kappa`` must be nonnegative and, with periodic boundary conditions and
     kappa = 0, the constant kernel is handled by the solver through mean
-    projection.
+    projection.  ``face_rows[i]``, when given, is row i of A already sampled
+    at the centers of the faces normal to axis i (shape (faces_i, d, m, m),
+    as ``CorrectorSet.face_rows``); ``a_ii`` is read from it instead of
+    evaluating the field again.  The nodes are sampled for the cross blocks
+    only when the field is not ``cross_free``.
 
     The matrix is built in one pass over stencil steps: ``coef[s]`` holds,
     for every component pair, the coefficient of u(x + s h) in the row of
@@ -143,13 +148,16 @@ def assemble(field, grid, kappa):
         _place(coef[step], src, shift, periodic)
 
     for i, e in enumerate(eye):
-        coeffs = field.evaluate(grid.face_points(i)[0])
+        if face_rows is None:
+            a = field.evaluate(grid.face_points(i)[0])[:, i, i]
+        else:
+            a = face_rows[i][:, i]
         for al in range(m):
-            face_means[i, al] = coeffs[:, i, i, al, al].mean()
-        a = np.moveaxis(coeffs[:, i, i], 0, -1).reshape((m, m) + grid.face_shape(i))
+            face_means[i, al] = a[:, al, al].mean()
+        a = np.moveaxis(a, 0, -1).reshape((m, m) + grid.face_shape(i))
         inv_h = 1.0 / grid.h[i]
         flux = (inv_h * a) * inv_h          # face f couples nodes f and f + e
-        del coeffs, a
+        del a
         # D_i^T diag(a) D_i sums its two diagonal terms before the axes add up
         diag = np.zeros((m, m) + nodes)
         _place(diag, flux, zero, periodic)
@@ -159,7 +167,7 @@ def assemble(field, grid, kappa):
         add(-e, -flux, e)
         del flux, diag
 
-    if d > 1:
+    if d > 1 and not field.cross_free:
         node_coeffs = field.evaluate(grid.node_points())
         mask = grid.interior_mask()
         for i in range(d):
@@ -229,8 +237,6 @@ def _fast_poisson(op):
     spectrally equivalent to the assembled one (Concus & Golub 1973), so
     Krylov iteration counts do not grow with the box size or 1/h.
     """
-    import scipy.fft as sfft          # imported on first use: it costs import time
-
     grid, m, d = op.grid, op.m, op.grid.d
     periodic = grid.bc == PERIODIC
     shape = tuple(int(n) if periodic else int(n) - 1 for n in grid.cells)
@@ -251,14 +257,18 @@ def _fast_poisson(op):
     axes = tuple(range(1, d + 1))
     full = (m,) + shape
 
+    # the spectrum is a fresh array: scale and invert it in place, never r
     if periodic:
         def matvec(r):
             spec = sfft.rfftn(r.reshape(full), axes=axes)
-            return sfft.irfftn(spec * inv, s=shape, axes=axes).reshape(-1)
+            spec *= inv
+            return sfft.irfftn(spec, s=shape, axes=axes, overwrite_x=True).reshape(-1)
     else:
         def matvec(r):
             spec = sfft.dstn(r.reshape(full), type=1, axes=axes, norm="ortho")
-            return sfft.idstn(spec * inv, type=1, axes=axes, norm="ortho").reshape(-1)
+            spec *= inv
+            return sfft.idstn(spec, type=1, axes=axes, norm="ortho",
+                              overwrite_x=True).reshape(-1)
 
     n_unknowns = int(np.prod(full))
     return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec)

@@ -3,15 +3,17 @@
 Everything here avoids the package's discrete operators on purpose; the
 tests compare the production paths against these.  The sparse
 face-difference matrices and the triple-product stencil assembly built from
-them are the reference for the package's one-pass assembly.  Two small
-shared test helpers sit at the end: a d = 2, m = 2 test field and an
-evaluate counter.
+them are the reference for the package's one-pass assembly, and an
+out-of-place fast Poisson solve is the reference for its preconditioner.
+Two small shared test helpers sit at the end: a d = 2, m = 2 test field and
+an evaluate counter.
 """
 
 import functools
 import itertools
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 
 from aphomog import fields as F
@@ -203,6 +205,38 @@ def triple_product_matrix(field, grid, kappa):
     if kappa:
         L = L + kappa * sp.identity(m * n_nodes, format="csr")
     return L
+
+
+def fast_poisson_out_of_place(op):
+    """The fast Poisson preconditioner with a fresh array per step: the spectrum,
+    the scaled spectrum and the inverse transform (the form before the package
+    scaled and inverted the spectrum in place)."""
+    grid, m, d = op.grid, op.m, op.grid.d
+    periodic = grid.bc == PERIODIC
+    shape = tuple(int(n) if periodic else int(n) - 1 for n in grid.cells)
+    symbol = np.full((m,) + (1,) * d, op.kappa)
+    for i, n in enumerate(grid.cells):
+        if periodic:
+            s = np.sin(np.pi * np.arange(n // 2 + 1 if i == d - 1 else n) / n)
+        else:
+            s = np.sin(0.5 * np.pi * np.arange(1, n) / n)
+        along_i = [1] * d
+        along_i[i] = s.size
+        symbol = symbol + op.face_means[i].reshape((m,) + (1,) * d) * \
+            ((2.0 * s / grid.h[i]) ** 2).reshape(along_i)
+    inv = np.zeros_like(symbol)
+    np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
+    axes = tuple(range(1, d + 1))
+    full = (m,) + shape
+
+    def matvec(r):
+        if periodic:
+            spec = sfft.rfftn(r.reshape(full), axes=axes)
+            return sfft.irfftn(spec * inv, s=shape, axes=axes).reshape(-1)
+        spec = sfft.dstn(r.reshape(full), type=1, axes=axes, norm="ortho")
+        return sfft.idstn(spec * inv, type=1, axes=axes, norm="ortho").reshape(-1)
+
+    return matvec
 
 
 def kronecker_divergence(g_faces, grid):

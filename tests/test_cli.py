@@ -324,8 +324,9 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
     ("theta", {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 4, 2], "ell": 8}),
     ("rate", {"eps_list": [0.25, 0.125, 0.0625]}),
     ("rate", {"eps_list": [0.25, 0.125, 0.125, 0.0625]}),
+    ("rate", {"eps_list": [4, 2, 1, 0.5]}),
 ], ids=["rho-decreasing", "theta-ell-length", "theta-decreasing", "rate-3-eps",
-        "rate-repeated-eps"])
+        "rate-repeated-eps", "rate-eps-above-1"])
 def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
                                                                    params):
     man = {"command": command, "seed": 0, "params": params}
@@ -384,23 +385,37 @@ def test_reproduce_accepts_results_with_the_compare_entry(tmp_path):
 
 _IMPORT_PROBE = """
 import json, sys
-import aphomog
+import aphomog.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from aphomog.cli import run_manifest, validate_manifest
 manifest = json.loads(sys.argv[1])
 validate_manifest(manifest)
 before = set(sys.modules)
 run_manifest(manifest, sys.argv[2])
+print(json.dumps(loaded))
 print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "scipy")))
 """
 
-# The lazy scipy.fft import of the fast Poisson preconditioner and the
-# uarray backend helpers it loads; nothing else may be first imported
-# inside a run, where its import time lands in the run's wall time.
-_RUN_IMPORTS_ALLOWED = ("scipy.fft", "scipy._lib._uarray", "scipy._lib.uarray")
+
+def _scipy_modules(tmp_path, man):
+    """(scipy modules loaded by ``import aphomog.cli``, those first loaded by the run)."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(man),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.strip().splitlines()[-2:]]
+
+
+_THETA_RUN = {"command": "theta", "seed": 0,
+              "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16], "ell": 8}}
 
 
 @pytest.mark.parametrize("command", ["homogenize", "rho"])
 def test_a_run_imports_no_scipy_module_beyond_fft(tmp_path, command):
+    # scipy.fft loads with the package; a run first-imports no scipy module,
+    # whose import time would land in the run's wall time
     if command == "homogenize":
         field = {"variant": "trig_polynomial", "d": 2, "m": 1,
                  "terms": [{"frequency": [0, 0], "cos": 2.0, "sin": 0.0},
@@ -410,12 +425,20 @@ def test_a_run_imports_no_scipy_module_beyond_fft(tmp_path, command):
         field = F.field_to_config(F.golden_ratio_field())
         params = {"R_list": [1, 2], "y_samples": 4, "test_points": 64}
     man = {"command": command, "seed": 0, "field": field, "params": params}
-    src = str(pathlib.Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(man),
-                           str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, check=True)
-    imported = json.loads(done.stdout.strip().splitlines()[-1])
-    allowed = _RUN_IMPORTS_ALLOWED if command == "homogenize" else ()   # rho: none
-    assert [m for m in imported if not m.startswith(allowed)] == []
+    assert _scipy_modules(tmp_path, man)[1] == []
+
+
+@pytest.fixture(scope="module")
+def theta_scipy_modules(tmp_path_factory):
+    return _scipy_modules(tmp_path_factory.mktemp("theta"), _THETA_RUN)
+
+
+def test_the_package_loads_scipy_fft_but_not_spatial(theta_scipy_modules):
+    loaded, _ = theta_scipy_modules
+    assert "scipy.fft" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+
+
+def test_a_theta_run_loads_scipy_spatial(theta_scipy_modules):
+    # covering_radius is the one user of scipy.spatial and imports it itself
+    assert "scipy.spatial" in theta_scipy_modules[1]

@@ -324,8 +324,21 @@ class TestFaceRows:
             F.certify_ellipticity(f, rng_seed=0)
         calls = count_evaluate(f)
         cs = C.solve_corrector(f, 4.0, h=1 / 16)
-        # assemble: d face sets, plus the nodes when d > 1; correctors: d face sets
-        assert len(calls) == (2 * d + 1 if d > 1 else 2)
+        # d face sets, which assemble reuses, plus the nodes for the cross blocks
+        assert len(calls) == (d + 1 if d > 1 else 1)
+        calls.clear()
+        C.homogenized_matrix(cs)
+        assert calls == []
+
+    def test_cross_free_field_samples_no_nodes(self):
+        f = F.laminate_field()
+        assert f.cross_free
+        F.certify_ellipticity(f, rng_seed=0)
+        calls = count_evaluate(f)
+        # Dirichlet route: each face set has fewer points than the node set
+        cs = C.solve_corrector(f, 1.0, h=1 / 64, buffer=0.5, bc="truncated")
+        assert calls == [len(cs.grid.face_points(i)[0]) for i in range(2)]
+        assert cs.grid.node_total not in calls
         calls.clear()
         C.homogenized_matrix(cs)
         assert calls == []

@@ -7,7 +7,7 @@ from aphomog.correctors import solve_corrector
 from aphomog.errors import EllipticityViolation, ResonantFrequencies
 from aphomog.grids import Box, BoxGrid, PERIODIC
 from aphomog.operators import assemble
-from oracle_tools import cross_term_system
+from oracle_tools import count_evaluate, cross_term_system
 
 
 def test_constant_identity_everywhere():
@@ -89,6 +89,13 @@ class TestEllipticity:
         with pytest.raises(EllipticityViolation):
             solve_corrector(F.TrigPolynomialField(1, 1, [(np.ones(1), 0.0, 1.0)]), 4.0,
                             h=1 / 16)
+
+    def test_corrector_certifies_before_sampling(self):
+        f = F.TrigPolynomialField(1, 1, [(np.ones(1), 0.0, 1.0)])
+        calls = count_evaluate(f)
+        with pytest.raises(EllipticityViolation):
+            solve_corrector(f, 4.0, h=1 / 16)
+        assert calls == [4096]            # the certificate's sample, nothing else
 
     @pytest.mark.parametrize("wrap", [lambda f: F.ShiftedField(f, [0.37]),
                                       lambda f: F.ScaledArgumentField(f, 8.0)],
@@ -189,6 +196,68 @@ class TestModulusOfContinuity:
     def test_delta_positive_required(self, golden_field):
         with pytest.raises(ValueError):
             F.modulus_of_continuity(golden_field.torus, 0.0)
+
+
+def _one_cross_entry(d, m):
+    """A (d, d, m, m) tensor whose only nonzero entry is one cross entry a_01."""
+    t = np.zeros((d, d, m, m))
+    t[0, 1, m - 1, 0] = 0.1
+    return t
+
+
+def _quasi_2d(cross):
+    iso = F.as_tensor(2.0, 2, 1)
+    wobble = _one_cross_entry(2, 1) if cross else F.as_tensor(0.5, 2, 1)
+    torus = F.TorusFunction(4, 2, 1, [(np.zeros(4), iso, 0.0),
+                                      (np.array([1.0, 0.0, 1.0, 0.0]), 0.5 * iso, 0.0),
+                                      (np.array([0.0, 1.0, 0.0, 1.0]), 0.0, wobble)])
+    return F.QuasiPeriodicField(torus, F.FrequencyLayout(([1.0, F.GOLDEN_RATIO],
+                                                          [1.0, np.sqrt(2.0)])))
+
+
+def _sampled_2d(cross):
+    samples = np.zeros((4, 4, 2, 2, 1, 1))
+    samples[..., 0, 0, 0, 0] = samples[..., 1, 1, 0, 0] = 2.0
+    if cross:
+        samples[1, 2] += _one_cross_entry(2, 1)
+    return F.PeriodicSampledField([1.0, 1.0], samples)
+
+
+CROSS_FREE_CASES = {
+    "constant_d1": (lambda: F.ConstantField(np.array([[[[2.0, 0.3], [0.1, 1.5]]]])), True),
+    "constant_d2_system": (lambda: F.ConstantField(2.0, d=2, m=2), True),
+    "constant_d2_cross": (lambda: F.ConstantField(np.array([[2.0, 0.3], [0.1, 1.5]]),
+                                                  d=2, m=1), False),
+    "trig_d1": (F.sine_scalar_field, True),
+    "trig_laminate": (F.laminate_field, True),
+    "trig_one_cross_entry": (lambda: F.TrigPolynomialField(2, 2, [
+        (np.zeros(2), F.as_tensor(2.0, 2, 2), 0.0),
+        (np.array([1.0, 0.0]), F.as_tensor(0.3, 2, 2), _one_cross_entry(2, 2))]), False),
+    "trig_cross_term_system": (cross_term_system, False),
+    "sampled_d1": (lambda: F.PeriodicSampledField([1.0], np.full((8, 1, 1, 1, 1), 2.0)), True),
+    "sampled_d2": (lambda: _sampled_2d(False), True),
+    "sampled_d2_one_cross_entry": (lambda: _sampled_2d(True), False),
+    "quasi_d1_golden": (F.golden_ratio_field, True),
+    "quasi_d2": (lambda: _quasi_2d(False), True),
+    "quasi_d2_one_cross_entry": (lambda: _quasi_2d(True), False),
+}
+
+
+class TestCrossFree:
+    @pytest.mark.parametrize("name", sorted(CROSS_FREE_CASES))
+    def test_read_from_the_coefficients(self, name):
+        make, want = CROSS_FREE_CASES[name]
+        f = make()
+        shift = np.full(f.d, 0.37)
+        for g in (f, f.adjoint(), F.ShiftedField(f, shift), F.ScaledArgumentField(f, 8.0)):
+            assert g.cross_free is want
+            a = g.evaluate(np.random.default_rng(1).uniform(-2, 2, size=(256, g.d)))
+            assert np.any(a[:, ~np.eye(g.d, dtype=bool)]) is not want
+        with pytest.raises(AttributeError):
+            f.cross_free = not want
+
+    def test_base_class_cannot_tell(self):
+        assert F.CoefficientField(2, 1).cross_free is False
 
 
 class TestPeriodicSampled:

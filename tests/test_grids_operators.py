@@ -11,8 +11,8 @@ from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
                            holder_seminorm, load_grid_function, norms,
                            save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
-from oracle_tools import (cross_term_system, face_diff_matrix, kronecker_divergence,
-                          triple_product_matrix)
+from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
+                          kronecker_divergence, triple_product_matrix)
 
 
 @pytest.fixture
@@ -234,6 +234,19 @@ class TestAgainstTripleProducts:
         _assert_same_csr(op.matrix_interior, ref[idx][:, idx].tocsr())
 
     @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+    def test_matrix_from_face_rows(self, name, bc):
+        # the corrector's face rows stand in for the field's face samples
+        field = ORACLE_FIELDS[name]()
+        grid = _oracle_grid(field.d, bc)
+        rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(field.d)]
+        op = assemble(field, grid, 0.75, face_rows=rows)
+        sampled = assemble(field, grid, 0.75)
+        _assert_same_csr(op.matrix, sampled.matrix)
+        _assert_same_csr(op.matrix, triple_product_matrix(field, grid, 0.75))
+        assert op.face_means.tobytes() == sampled.face_means.tobytes()
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_divergence(self, d, m, bc):
@@ -367,6 +380,17 @@ class TestSolve:
         cset = C.solve_corrector(cross_term_system(), 4.0, h=1 / 16, tol=1e-9)
         assert len(cset.iterations) == 4
         assert len(built) == 1
+
+    @pytest.mark.parametrize("case", ["laminate_2d", "system_2d", "mean_projection_2d",
+                                      "mean_projection_1d"])
+    def test_fast_poisson_in_place_keeps_residual_and_bits(self, case):
+        # DST-I route at m = 1 and 2; rfftn route in 2D and on the singular 1D cell
+        op, rhs = _solver_case(case)
+        r = rhs.values.reshape(-1)[op.interior_indices]
+        before = r.copy()
+        got = operators._fast_poisson(op).matvec(r)
+        assert r.tobytes() == before.tobytes()
+        assert got.tobytes() == fast_poisson_out_of_place(op)(before).tobytes()
 
     def test_deterministic_bitwise(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=0.5)
