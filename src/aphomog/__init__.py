@@ -17,9 +17,8 @@ from .fields import (ConstantField, CoefficientField, Ellipticity,
                      golden_ratio_field, identity_field, laminate_field,
                      modulus_of_continuity, sine_scalar_field)
 from .grids import (Box, BoxGrid, DIRICHLET, PERIODIC, GridFunction,
-                    centered_gradient, face_differences,
-                    grid_function_to_csv, holder_seminorm, load_grid_function,
-                    norms, save_grid_function, window_mean)
+                    centered_gradient, face_differences, holder_seminorm,
+                    load_grid_function, norms, save_grid_function, window_mean)
 from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discrepancy,
                       covering_radius, discrepancy_exact, etk_bound,
                       fit_decay_exponent, fractional_part, kronecker_point_set,

@@ -109,7 +109,8 @@ PARAMS_SCHEMAS = {
 # rules tying params together, owned by the library functions that apply them
 _PARAMS_RULES = {"rho": lambda p: M.checked_radii(p["R_list"]),
                  "theta": lambda p: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"]))),
-                 "rate": lambda p: E.checked_eps(p["eps_list"])}
+                 "rate": lambda p: E.checked_eps(p["eps_list"]),
+                 "holder": lambda p: E.checked_holder_eps(p["eps_list"])}
 
 # built once (jsonschema.validate checks the schema itself on every call);
 # best_match picks the error that jsonschema.validate would raise

@@ -152,6 +152,15 @@ def checked_eps(eps_list):
     return eps_list
 
 
+def checked_holder_eps(eps_list):
+    """The eps list sorted; raises ValueError unless its smallest eps is at most 1
+    (its one corrector is solved at T = 1/min(eps) >= 1)."""
+    eps_list = sorted(float(e) for e in eps_list)
+    if eps_list[0] > 1.0:
+        raise ValueError(f"the smallest eps must be at most 1 (T = 1/eps >= 1), got {eps_list[0]}")
+    return eps_list
+
+
 def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
                     include_boundary_corrector=False, rho_report=None):
     """Dyadic-eps convergence study against the effective problem.
@@ -211,7 +220,7 @@ def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):
     of u_eps - u0 (which must decay as eps shrinks), both over the central
     subbox [1/4, 3/4]^d.
     """
-    eps_list = sorted(float(e) for e in eps_list)
+    eps_list = checked_holder_eps(eps_list)
     subbox = Box.cube(0.5, center=0.5 * np.ones(field.d), d=field.d)
     cset = solve_corrector(field, 1.0 / min(eps_list), h=corrector_h, tol=1e-9)
     ahat = homogenized_matrix(cset)

@@ -134,15 +134,15 @@ class BoxGrid:
             w = np.multiply.outer(w, wa)
         return w
 
+    @property
+    def unknowns(self):
+        """Index slices of the nodes that carry unknowns: every node of the
+        periodic cell, the interior nodes of a Dirichlet box."""
+        return (slice(None) if self.bc == PERIODIC else slice(1, -1),) * self.d
+
     def interior_mask(self):
-        mask = np.ones(self.node_counts, dtype=bool)
-        if self.bc == DIRICHLET:
-            for ax in range(self.d):
-                sl = [slice(None)] * self.d
-                sl[ax] = 0
-                mask[tuple(sl)] = False
-                sl[ax] = -1
-                mask[tuple(sl)] = False
+        mask = np.zeros(self.node_counts, dtype=bool)
+        mask[self.unknowns] = True
         return mask
 
     def window_slices(self, window):
@@ -362,12 +362,3 @@ def load_grid_function(path):
     raw = np.frombuffer(data, dtype="<f8", offset=offset)
     return GridFunction(grid, raw.reshape((m,) + grid.node_counts).copy())
 
-
-def grid_function_to_csv(u, path):
-    """Node table: one row per node, coordinates then component values."""
-    g = u.grid
-    pts = g.node_points()
-    flat = u.values.reshape(u.m, -1).T
-    header = ",".join([f"x{i}" for i in range(g.d)] + [f"u{a}" for a in range(u.m)])
-    table = np.hstack([pts, flat])
-    np.savetxt(path, table, delimiter=",", header=header, comments="")

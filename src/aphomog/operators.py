@@ -55,6 +55,8 @@ class SolveInfo:
 class DiscreteOperator:
     """Assembled stencil for -div(A grad u) + kappa u on a BoxGrid.
 
+    ``matrix`` has a row per unknown (``grid.unknowns``, component-major)
+    and a column per node, so a Dirichlet box's boundary nodes are columns only.
     ``face_means[i, alpha]`` is the mean of the face coefficients
     a_ii^{alpha alpha} on the faces normal to axis ``i``; the solver's
     preconditioner for d >= 2 is built from them.
@@ -68,21 +70,6 @@ class DiscreteOperator:
         self.symmetric = bool(symmetric)
         self.face_means = np.asarray(face_means, dtype=float)
 
-    @functools.cached_property
-    def interior_indices(self):
-        """Flat unknown indices (component-major) kept in a Dirichlet solve."""
-        if self.grid.bc == PERIODIC:
-            return np.arange(self.m * self.grid.node_total)
-        node_mask = self.grid.interior_mask().ravel()
-        return np.flatnonzero(np.tile(node_mask, self.m))
-
-    @functools.cached_property
-    def matrix_interior(self):
-        if self.grid.bc == PERIODIC:
-            return self.matrix
-        idx = self.interior_indices
-        return self.matrix[idx][:, idx].tocsr()
-
     @property
     def singular(self):
         """True for kappa = 0 on the periodic cell: constants span the kernel."""
@@ -90,23 +77,24 @@ class DiscreteOperator:
 
     @functools.cached_property
     def preconditioner(self):
-        """Approximate inverse of ``matrix_interior``, built once per operator.
+        """Approximate inverse of the matrix on the unknowns, built once per operator.
 
-        d = 1: the exact sparse LU factor of the (block) tridiagonal matrix.
+        d = 1: the exact sparse LU factor of the unknowns' (block) tridiagonal block.
         d >= 2, or the singular periodic cell: the inverse of the
         constant-coefficient screened operator (see ``_fast_poisson``).
         """
-        mat = self.matrix_interior
         if self.grid.d == 1 and not self.singular:
-            lu = spla.splu(mat.tocsc())
-            return spla.LinearOperator(mat.shape, matvec=lu.solve)
+            cols = np.flatnonzero(np.tile(self.grid.interior_mask().ravel(), self.m))
+            lu = spla.splu(self.matrix[:, cols].tocsc())
+            return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
         return _fast_poisson(self)
 
     def apply(self, u):
-        """Apply to a GridFunction; rows at Dirichlet boundary nodes are not meaningful."""
-        flat = u.values.reshape(-1)
-        out = self.matrix @ flat
-        return GridFunction(self.grid, out.reshape(u.values.shape))
+        """Apply to a GridFunction; the rows of Dirichlet boundary nodes are 0."""
+        out = np.zeros_like(u.values)
+        rows = out[(slice(None),) + self.grid.unknowns]
+        rows[...] = (self.matrix @ u.values.reshape(-1)).reshape(rows.shape)
+        return GridFunction(self.grid, out)
 
 
 def assemble(field, grid, kappa, face_rows=None):
@@ -127,7 +115,7 @@ def assemble(field, grid, kappa, face_rows=None):
     node x.  Each entry is formed and summed as in the sparse products
     sum_i D_i^T diag(a_ii) D_i + sum_{i != j} G_i^T diag(a_ij) G_j + kappa
     (D_i the face difference, G_i the centered difference), so the matrix
-    is the same bit for bit.
+    is the same bit for bit in the unknowns' rows, the only rows it keeps.
     """
     field.ellipticity          # made on first read; raises if not elliptic
     if kappa < 0:
@@ -197,10 +185,13 @@ def assemble(field, grid, kappa, face_rows=None):
         vals[..., k] = coef.pop(s).reshape(m, m, n).transpose(0, 2, 1)
         cols[:, k] = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
     cols = cols[None, :, None, :] + (n * np.arange(m, dtype=itype))[:, None]
+    rows = grid.interior_mask().ravel()
     keep = vals != 0.0
-    indptr = np.concatenate(([0], np.cumsum(keep.reshape(m * n, -1).sum(axis=1))))
-    L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep], indptr),
-                      shape=(m * n, m * n))
+    keep &= rows[:, None, None]
+    counts = keep.reshape(m, n, -1).sum(axis=2)[:, rows].ravel()
+    L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep],
+                       np.concatenate(([0], np.cumsum(counts)))),
+                      shape=(counts.size, m * n))
     L.sort_indices()
     return DiscreteOperator(grid, m, kappa, L, symmetric=field.symmetric,
                             face_means=face_means)
@@ -271,7 +262,7 @@ def _fast_poisson(op):
                               overwrite_x=True).reshape(-1)
 
     n_unknowns = int(np.prod(full))
-    return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec)
+    return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec, dtype=float)
 
 
 def solve(op, rhs, tol=1e-10, max_iters=None):
@@ -286,28 +277,33 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    b_full = rhs.values.reshape(-1)
-    idx = op.interior_indices
-    b = b_full[idx]
     shape = rhs.values.shape
-
-    project_mean = op.singular
-    n_nodes = op.grid.node_total
+    unknowns = (slice(None),) + op.grid.unknowns
+    b = rhs.values[unknowns].reshape(-1)
 
     def _project(vec):
-        v = vec.reshape(op.m, n_nodes)
+        v = vec.reshape(op.m, -1)
         return (v - v.mean(axis=1, keepdims=True)).reshape(-1)
 
-    if project_mean:
+    if op.singular:
         b = _project(b)
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return GridFunction(op.grid, np.zeros(shape), SolveInfo(0, 0.0, 0, "trivial"))
 
-    mat = op.matrix_interior
+    # x enters the matrix through a full-grid buffer whose boundary entries
+    # stay 0.0; a row then sums +-0.0 for them, which changes no value
+    full = np.zeros(shape)
+    inner = full[unknowns]
+
+    def matvec(x):
+        inner[...] = x.reshape(inner.shape)
+        return op.matrix @ full.reshape(-1)
+
+    mat = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
     if max_iters is None:
-        max_iters = max(1000, 40 * int(np.sqrt(mat.shape[0])) + 2000)
+        max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)
     M = op.preconditioner
     method = spla.cg if op.symmetric else spla.bicgstab
     x = np.zeros_like(b)
@@ -324,9 +320,9 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
         x, _ = method(mat, b, x0=x, rtol=tol * 0.5, atol=0.0, maxiter=budget,
                       M=M, callback=_cb)
         total_iters += max(count[0], 1)
-        if project_mean:
+        if op.singular:
             x = _project(x)
-        residual = float(np.linalg.norm(mat @ x - b)) / b_norm
+        residual = float(np.linalg.norm(mat.matvec(x) - b)) / b_norm
         if residual <= tol:
             break
         restarts += 1
@@ -335,8 +331,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     if residual > tol:
         raise NonConverged(residual, total_iters)
 
-    full = np.zeros(op.m * n_nodes)
-    full[idx] = x
-    return GridFunction(op.grid, full.reshape(shape),
+    inner[...] = x.reshape(inner.shape)
+    return GridFunction(op.grid, full,
                         SolveInfo(total_iters, residual, restarts,
                                   "cg" if op.symmetric else "bicgstab"))

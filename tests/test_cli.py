@@ -325,8 +325,9 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
     ("rate", {"eps_list": [0.25, 0.125, 0.0625]}),
     ("rate", {"eps_list": [0.25, 0.125, 0.125, 0.0625]}),
     ("rate", {"eps_list": [4, 2, 1, 0.5]}),
+    ("holder", {"eps_list": [8, 4, 2, 1.5]}),
 ], ids=["rho-decreasing", "theta-ell-length", "theta-decreasing", "rate-3-eps",
-        "rate-repeated-eps", "rate-eps-above-1"])
+        "rate-repeated-eps", "rate-eps-above-1", "holder-smallest-eps-above-1"])
 def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
                                                                    params):
     man = {"command": command, "seed": 0, "params": params}
@@ -334,6 +335,13 @@ def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, comm
         man["field"] = F.field_to_config(F.sine_scalar_field())
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_holder_takes_eps_above_1_when_the_smallest_is_at_most_1(tmp_path):
+    # holder solves one corrector, at T = 1/min(eps); the rate rule is not its rule
+    man = {"command": "holder", "seed": 0, "field": F.field_to_config(F.sine_scalar_field()),
+           "params": {"eps_list": [4, 2, 1, 0.5]}}
+    assert _exit_code(tmp_path, man) == 0
 
 
 @pytest.mark.parametrize("command, params", [

@@ -7,9 +7,8 @@ from aphomog import fields as F
 from aphomog import operators
 from aphomog.errors import NonConverged
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
-                           face_differences, grid_function_to_csv,
-                           holder_seminorm, load_grid_function, norms,
-                           save_grid_function, window_mean)
+                           face_differences, holder_seminorm, load_grid_function,
+                           norms, save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
 from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
                           kronecker_divergence, triple_product_matrix)
@@ -98,15 +97,6 @@ class TestSerialization:
             path.write_bytes(bad)
             with pytest.raises(ValueError):
                 load_grid_function(path)
-
-    def test_csv(self, tmp_path):
-        g = BoxGrid(Box([0.0], [1.0]), [4], DIRICHLET)
-        u = GridFunction(g, np.arange(5.0)[None])
-        path = tmp_path / "u.csv"
-        grid_function_to_csv(u, path)
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert table.shape == (5, 2)
-        assert np.allclose(table[:, 1], np.arange(5.0))
 
 
 class TestOperator:
@@ -211,6 +201,11 @@ def _oracle_grid(d, bc):
     return BoxGrid(Box(np.full(d, -0.3), np.array([1.1, 0.7, 0.9])[:d]), cells[:d], bc)
 
 
+def _unknown_index(grid, m):
+    """Flat (component-major) node indices of the unknowns, from the interior mask."""
+    return np.flatnonzero(np.tile(grid.interior_mask().ravel(), m))
+
+
 def _assert_same_csr(a, b):
     assert a.indptr.dtype == b.indptr.dtype and a.indices.dtype == b.indices.dtype
     assert np.array_equal(a.indptr, b.indptr)
@@ -229,9 +224,10 @@ class TestAgainstTripleProducts:
         grid = _oracle_grid(field.d, bc)
         op = assemble(field, grid, kappa)
         ref = triple_product_matrix(field, grid, kappa)
-        _assert_same_csr(op.matrix, ref)
-        idx = np.flatnonzero(np.tile(grid.interior_mask().ravel(), field.m))
-        _assert_same_csr(op.matrix_interior, ref[idx][:, idx].tocsr())
+        idx = _unknown_index(grid, field.m)
+        # the oracle's rows of the unknowns, and the solver's block of them
+        _assert_same_csr(op.matrix, ref[idx])
+        _assert_same_csr(op.matrix[:, idx], ref[idx][:, idx])
 
     @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
@@ -243,8 +239,26 @@ class TestAgainstTripleProducts:
         op = assemble(field, grid, 0.75, face_rows=rows)
         sampled = assemble(field, grid, 0.75)
         _assert_same_csr(op.matrix, sampled.matrix)
-        _assert_same_csr(op.matrix, triple_product_matrix(field, grid, 0.75))
+        _assert_same_csr(op.matrix, triple_product_matrix(field, grid, 0.75)[
+            _unknown_index(grid, field.m)])
         assert op.face_means.tobytes() == sampled.face_means.tobytes()
+
+    @pytest.mark.parametrize("name", ["trig_d1_m1", "trig_d1_m2", "cross_d2_m1", "cross_d2_m2"])
+    def test_dirichlet_rows_are_the_unknowns(self, name):
+        field = ORACLE_FIELDS[name]()
+        grid = _oracle_grid(field.d, DIRICHLET)
+        op = assemble(field, grid, 0.75)
+        n_unknowns = int(np.prod([n - 2 for n in grid.node_counts]))
+        assert op.matrix.shape == (field.m * n_unknowns, field.m * grid.node_total)
+        rng = np.random.default_rng(3)
+        u = GridFunction(grid, rng.standard_normal((field.m,) + grid.node_counts))
+        got = op.apply(u).values
+        unknowns = (slice(None),) + grid.unknowns
+        boundary = np.ones(got.shape, dtype=bool)
+        boundary[unknowns] = False
+        assert np.all(got[boundary] == 0.0)
+        ref = triple_product_matrix(field, grid, 0.75)[_unknown_index(grid, field.m)]
+        assert got[unknowns].tobytes() == (ref @ u.values.ravel()).tobytes()
 
     @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("m", [1, 2])
@@ -344,10 +358,11 @@ class TestSolve:
         u = solve(op, rhs, tol=tol)
         assert u.solve_info.method == method
         assert 1 <= u.solve_info.iterations <= max_iterations
-        idx = op.interior_indices
-        mat = op.matrix_interior
-        b = rhs.values.reshape(-1)[idx]
-        got = u.values.reshape(-1)[idx]
+        unknowns = (slice(None),) + op.grid.unknowns
+        cols = np.arange(op.matrix.shape[1]).reshape(rhs.values.shape)[unknowns].ravel()
+        mat = op.matrix[:, cols]
+        b = rhs.values[unknowns].ravel()
+        got = u.values[unknowns].ravel()
         sigma = np.linalg.svd(mat.toarray(), compute_uv=False)
         if op.singular:
             def centered(v):
@@ -386,11 +401,25 @@ class TestSolve:
     def test_fast_poisson_in_place_keeps_residual_and_bits(self, case):
         # DST-I route at m = 1 and 2; rfftn route in 2D and on the singular 1D cell
         op, rhs = _solver_case(case)
-        r = rhs.values.reshape(-1)[op.interior_indices]
+        r = rhs.values[(slice(None),) + op.grid.unknowns].ravel()
         before = r.copy()
         got = operators._fast_poisson(op).matvec(r)
         assert r.tobytes() == before.tobytes()
         assert got.tobytes() == fast_poisson_out_of_place(op)(before).tobytes()
+
+    def test_preconditioner_makes_no_probe_transform(self, monkeypatch):
+        # a LinearOperator given no dtype applies itself to zeros to find one
+        calls = []
+        dstn = operators.sfft.dstn
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dstn(*args, **kwargs)
+
+        op, _ = _solver_case("laminate_2d")
+        monkeypatch.setattr(operators.sfft, "dstn", counting)
+        assert op.preconditioner.dtype == np.float64
+        assert calls == []
 
     def test_deterministic_bitwise(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=0.5)
