@@ -148,6 +148,11 @@ def _trig_sum(points, terms, d, m):
     """sum over terms of cos(2 pi k.x) C + sin(2 pi k.x) S at points (N, len(k))."""
     out = np.zeros((points.shape[0], d, d, m, m))
     for k, cos_c, sin_c in terms:
+        if not np.any(k):
+            # cos 0 C = C exactly, and sin(+-0) S adds a signed zero, which
+            # changes no sum that starts from +0.0
+            out += cos_c
+            continue
         ph = 2.0 * np.pi * (points @ k)
         if np.any(cos_c):
             out += np.cos(ph)[:, None, None, None, None] * cos_c

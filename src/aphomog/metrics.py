@@ -29,9 +29,12 @@ RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
 # rho_ladder evaluates and compares in batches of at most _RHO_BATCH_ENTRIES
 # float64 entries (2 MB): field evaluation allocates several temporaries per
 # point, and larger batches measured slower with a higher peak memory.  The
-# sup over the first _RHO_PROBE_POINTS test points prunes z shifts.
+# sup over the first _RHO_PROBE_POINTS test points prunes z shifts; a probe
+# batch holds as many shifts as a probe of _RHO_PROBE_BATCH_POINTS points
+# would fit in one batch, which caps the survivors' full table of a batch.
 _RHO_BATCH_ENTRIES = 1 << 18
-_RHO_PROBE_POINTS = 64
+_RHO_PROBE_POINTS = 16
+_RHO_PROBE_BATCH_POINTS = 64
 # covering_radius refines a probe grid of _COVER_START points per axis,
 # doubling it until the value moves by less than _COVER_REL_TOL or the next
 # grid would exceed _COVER_MAX points per axis.
@@ -175,7 +178,9 @@ def covering_radius(points):
     Distances wrap around the torus, so the two representatives of a
     boundary coordinate count as one point.  Grid-based search; the probe
     grid is refined until the value changes by less than 5 percent and
-    the resolution is at least a factor 4 finer than the answer.
+    the resolution is at least a factor 4 finer than the answer.  A finer
+    grid queries only the probes that can still hold its max, so every
+    level's value equals the max over its full grid bit for bit.
     """
     from scipy.spatial import cKDTree      # the only user of scipy.spatial
 
@@ -186,10 +191,19 @@ def covering_radius(points):
     tree = cKDTree((pts + 0.5) % 1.0, boxsize=1.0)
     g = _COVER_START
     prev = None
+    # upper bounds of the distance at every probe of the current grid: exact
+    # where queried, else the parent probe's bound plus the fine spacing, the
+    # sup-norm offset to the parent (the distance is 1-Lipschitz).  The coarse grid is a
+    # subgrid of the fine one, so the coarse max bounds the fine max from
+    # below and only probes whose bound reaches it are queried.
+    bound = np.full((g,) * m, np.inf)
+    floor = -np.inf
     while True:
-        axes = [np.linspace(0.0, 1.0, g, endpoint=False)] * m
-        probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        axis = np.linspace(0.0, 1.0, g, endpoint=False)
+        idx = np.nonzero(bound >= floor)
+        probes = np.stack([axis[i] for i in idx], axis=-1)
         dists, _ = tree.query(probes, k=1, p=np.inf)
+        bound[idx] = dists
         val = float(np.max(dists))
         spacing = 1.0 / g
         fine_enough = spacing <= val / 4.0 if val > 0 else True
@@ -199,6 +213,10 @@ def covering_radius(points):
             return val
         prev = val
         g = 2 * g
+        for ax in range(m):
+            bound = np.repeat(bound, 2, axis=ax)
+        bound += 1.0 / g + 1e-12
+        floor = val - 1e-12
 
 
 def theta_quasi(lams, R, ell):
@@ -393,9 +411,11 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     The values equal the plain scan over every (y, z, test point) triple
     bit for bit; the scan only skips work that cannot change a min or a
     max.  Each z shift is scanned once per ladder (a rung skips the z an
-    earlier rung scanned), and a z whose sup over the first 64 test points
-    already reaches the running inf for every y is dropped before its full
-    table is evaluated.
+    earlier rung scanned).  The sup over the first 16 test points bounds
+    the full sup from below: a z whose bound already reaches the running
+    inf for every y is dropped before its full table is evaluated, and a
+    surviving z computes its full sup only for the y whose bound is still
+    below the running inf when its turn comes.
     """
     R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
@@ -422,10 +442,11 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         ay[start:start + max_rows] = _field_samples(field, tpts, ys[start:start + max_rows])
 
     # the sup over the first n_probe test points bounds the full sup from
-    # below, so a z whose bound reaches best[y] for every y cannot lower best
+    # below, so a (z, y) pair whose bound reaches best[y] cannot lower it
     n_probe = min(_RHO_PROBE_POINTS, test_points)
     ay_probe = ay[:, :n_probe * entries]
-    probe_rows = max(1, _RHO_BATCH_ENTRIES // ay_probe.size)
+    probe_rows = max(1, _RHO_BATCH_ENTRIES // (
+        y_samples * min(_RHO_PROBE_BATCH_POINTS, test_points) * entries))
     buf = np.empty_like(ay)
     best = np.full(y_samples, np.inf)
     scanned = _row_keys(np.empty((0, d)))
@@ -440,22 +461,32 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         fresh = ~np.isin(keys, scanned)
         zs = zs[fresh]
         scanned = np.concatenate([scanned, keys[fresh]])
-        n_full = 0
+        n_full = n_rows = 0
         for start in range(0, zs.shape[0], probe_rows):
             zb = zs[start:start + probe_rows]
             gap = ay_probe - _field_samples(field, tpts[:n_probe], zb)[:, None]
             np.abs(gap, out=gap)
-            survivors = zb[np.any(np.max(gap, axis=2) < best, axis=1)]
-            n_full += survivors.shape[0]
-            for s in range(0, survivors.shape[0], max_rows):
-                # sup over test points of |A(.+y) - A(.+z)|, then inf over z
-                for az in _field_samples(field, tpts, survivors[s:s + max_rows]):
-                    np.subtract(ay, az, out=buf)
-                    np.abs(buf, out=buf)
-                    best = np.minimum(best, np.max(buf, axis=1))
+            bound = np.max(gap, axis=2)
+            survivors = np.flatnonzero(np.any(bound < best, axis=1))
+            n_full += survivors.size
+            for s in range(0, survivors.size, max_rows):
+                part = survivors[s:s + max_rows]
+                # sup over test points of |A(.+y) - A(.+z)| for the y whose
+                # bound is still below best[y], then inf over z
+                for k, az in zip(part, _field_samples(field, tpts, zb[part])):
+                    rows = np.flatnonzero(bound[k] < best)
+                    if rows.size == 0:
+                        continue
+                    n_rows += rows.size
+                    sub = buf[:rows.size]
+                    np.take(ay, rows, axis=0, out=sub, mode="clip")
+                    np.subtract(sub, az, out=sub)
+                    np.abs(sub, out=sub)
+                    best[rows] = np.minimum(best[rows], np.max(sub, axis=1))
         values.append(float(np.max(best)))
-        log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d rho=%.9g",
-                 R, spacing, zs.shape[0], n_full, values[-1])
+        log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d "
+                 "full_rows=%d rho=%.9g",
+                 R, spacing, zs.shape[0], n_full, n_rows, values[-1])
     return DecayReport(R_list, values, "rho", metadata={
         "norm": norm, "y_samples": y_samples, "test_points": test_points,
         "z_spacings": spacings, "rng_seed": rng_seed,

@@ -17,6 +17,7 @@ import scipy.fft as sfft
 import scipy.sparse as sp
 
 from aphomog import fields as F
+from aphomog import metrics as M
 from aphomog.grids import Box, PERIODIC
 
 
@@ -94,6 +95,42 @@ def brute_covering_radius(points, grid=512):
         dmin = np.max(diff, axis=2).min(axis=1)
         best = max(best, float(dmin.max()))
     return best
+
+
+def trig_sum_by_phase(points, terms, d, m):
+    """sum over terms of cos(2 pi k.x) C + sin(2 pi k.x) S, every term through
+    its phase (the form before the package added zero-frequency terms directly)."""
+    out = np.zeros((points.shape[0], d, d, m, m))
+    for k, cos_c, sin_c in terms:
+        ph = 2.0 * np.pi * (points @ k)
+        if np.any(cos_c):
+            out += np.cos(ph)[:, None, None, None, None] * cos_c
+        if np.any(sin_c):
+            out += np.sin(ph)[:, None, None, None, None] * sin_c
+    return out
+
+
+def covering_radius_full_grid(points):
+    """covering_radius with every probe of every refinement level queried
+    (the form before the package pruned the probes of finer levels)."""
+    from scipy.spatial import cKDTree
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m = pts.shape[1]
+    tree = cKDTree((pts + 0.5) % 1.0, boxsize=1.0)
+    g = M._COVER_START
+    prev = None
+    while True:
+        axes = [np.linspace(0.0, 1.0, g, endpoint=False)] * m
+        probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        dists, _ = tree.query(probes, k=1, p=np.inf)
+        val = float(np.max(dists))
+        fine_enough = 1.0 / g <= val / 4.0 if val > 0 else True
+        stable = prev is not None and abs(val - prev) <= M._COVER_REL_TOL * max(val, 1e-300)
+        if (fine_enough and stable) or 2 * g > M._COVER_MAX:
+            return val
+        prev = val
+        g = 2 * g
 
 
 def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,

@@ -7,7 +7,7 @@ from aphomog.correctors import solve_corrector
 from aphomog.errors import EllipticityViolation, ResonantFrequencies
 from aphomog.grids import Box, BoxGrid, PERIODIC
 from aphomog.operators import assemble
-from oracle_tools import count_evaluate, cross_term_system
+from oracle_tools import count_evaluate, cross_term_system, trig_sum_by_phase
 
 
 def test_constant_identity_everywhere():
@@ -29,6 +29,24 @@ def test_quasi_periodic_example_value(golden_field):
 def test_nonfinite_point_rejected(sine_field):
     with pytest.raises(ValueError):
         sine_field.evaluate(np.array([np.nan]))
+
+
+def test_zero_frequency_terms_match_phase_formula_bytewise():
+    # a zero-frequency cos term and a zero-frequency sin term (whose sine
+    # is a signed zero), evaluated at negative points as well
+    rng = np.random.default_rng(7)
+    c0, s0, c1 = (rng.normal(size=(2, 2, 2, 2)) for _ in range(3))
+    f = F.TrigPolynomialField(2, 2, [(np.zeros(2), c0, np.zeros((2, 2, 2, 2))),
+                                     (np.array([1.0, -2.0]), c1, c0),
+                                     (np.zeros(2), np.zeros((2, 2, 2, 2)), s0)])
+    pts = np.concatenate([rng.uniform(-40.0, 40.0, size=(200, 2)),
+                          [[0.0, 0.0], [-0.0, -0.0], [-3.5, 0.0], [-1e-300, -7.0]]])
+    got = f.evaluate(pts)
+    assert got.tobytes() == trig_sum_by_phase(pts, f.terms, 2, 2).tobytes()
+    torus = F.golden_ratio_field().torus
+    t = np.stack([pts[:, 0], -pts[:, 1]], axis=1)
+    assert torus.evaluate(t).tobytes() == \
+        trig_sum_by_phase(t, torus.terms, 1, 1).tobytes()
 
 
 def test_quasi_periodic_integer_torus_shift():

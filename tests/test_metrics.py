@@ -8,7 +8,7 @@ from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.errors import UnsupportedDimension
 from oracle_tools import (brute_covering_radius, brute_discrepancy, brute_rho_ladder,
-                          count_evaluate, cross_term_system)
+                          count_evaluate, covering_radius_full_grid, cross_term_system)
 
 PHI = F.GOLDEN_RATIO
 
@@ -192,6 +192,12 @@ class TestTheta:
         with pytest.raises(ValueError, match=f"ell has {len(ell)} values for 3 radii"):
             M.theta_ladder([1.0, PHI], [2, 4, 8], ell)
 
+    @pytest.mark.parametrize("R, ell", [(4, 4), (16, 16), (64, 64), (128, 64), (256, 128)])
+    def test_pruned_refinement_equals_full_grid(self, R, ell):
+        # N = 2 R ell = 32 ... 65 536 Kronecker points of (1, phi)
+        pts = M.kronecker_point_set([1.0, PHI], R, ell).points
+        assert M.covering_radius(pts) == covering_radius_full_grid(pts)
+
     def test_matches_brute_force(self):
         pts = M.kronecker_point_set([1.0, PHI], 8, 4).points
         got = M.covering_radius(pts)
@@ -277,8 +283,9 @@ class TestRho:
          dict(z_grid_spacing=0.25, y_samples=4, test_points=96, norm="euclid")),
         ("cross_term", [0.5, 1], dict(z_grid_spacing=0.25, y_samples=4, test_points=100)),
         ("golden_field", [1, 2], dict(z_grid_spacing=1 / 32, y_samples=1, test_points=20)),
+        ("golden_field", [1, 2], dict(z_grid_spacing=1 / 32, y_samples=8, test_points=9)),
     ], ids=["golden-nested", "sine-default-spacing", "laminate-inf", "laminate-euclid",
-            "cross-term-d2-m2", "few-points-one-y"])
+            "cross-term-d2-m2", "few-points-one-y", "probe-is-every-point"])
     def test_rho_ladder_matches_brute_force(self, request, name, R_list, kw):
         field = cross_term_system() if name == "cross_term" else request.getfixturevalue(name)
         rep = M.rho_ladder(field, R_list, rng_seed=4, **kw)
@@ -292,6 +299,28 @@ class TestRho:
         M.rho_ladder(f, [1, 2], z_grid_spacing=1 / 64, y_samples=8, test_points=128)
         assert calls[0] == 8 * 128
         assert len(calls) <= 1 + 2 * 2
+
+    def test_rho_ladder_per_y_pruning_matches_brute_force(self, caplog):
+        # a surviving z computes its sup only for the y it can still lower
+        field = cross_term_system()
+        kw = dict(z_grid_spacing=1 / 8, y_samples=16, test_points=256)
+        with caplog.at_level(logging.INFO, logger="aphomog"):
+            rep = M.rho_ladder(field, [0.5, 1], rng_seed=4, **kw)
+        assert np.array_equal(rep.values, brute_rho_ladder(field, [0.5, 1], rng_seed=4, **kw))
+        rungs = [dict(kv.split("=") for kv in r.getMessage().split()[1:])
+                 for r in caplog.records if r.name == "aphomog.metrics"]
+        full_shifts = sum(int(f["full_shifts"]) for f in rungs)
+        full_rows = sum(int(f["full_rows"]) for f in rungs)
+        assert 0 < full_rows < full_shifts * 16
+
+    def test_rho_ladder_evaluate_calls_stay_small(self):
+        # the bench rho manifest's budgets: no evaluate call may exceed the
+        # largest one of the 64-point probe, 64 shifts of 1024 points
+        f = F.golden_ratio_field()
+        calls = count_evaluate(f)
+        M.rho_ladder(f, [2, 4, 8, 16, 32], z_grid_spacing=1 / 64, test_points=1024,
+                     rng_seed=0)
+        assert max(calls) <= 64 * 1024
 
     def test_rho_ladder_logs_each_rung(self, golden_field, caplog):
         with caplog.at_level(logging.INFO, logger="aphomog"):
