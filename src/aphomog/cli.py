@@ -9,12 +9,14 @@ manifest and compare payloads exactly.
 Exit codes: 0 success; 2 unreadable input, manifest schema violation, a
 NaN or infinity in params or field, params that do not fit together, or a
 field config that is unusable or not elliptic; 3 compute failure; 4
-reproduction drift.
+reproduction drift.  A run writes nothing until its compute returns, so
+exits 2 and 3 leave the output directory as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -30,6 +32,7 @@ from importlib.metadata import version as pkg_version
 
 import numpy as np
 import jsonschema
+import scipy
 from jsonschema.exceptions import best_match
 
 from . import correctors as C
@@ -37,27 +40,9 @@ from . import experiments as E
 from . import fields as F
 from . import metrics as M
 from .errors import EllipticityViolation, NonConverged
-from .grids import Box, save_grid_function, window_mean
+from .grids import save_grid_function, window_mean
 
 log = logging.getLogger("aphomog")
-
-COMMANDS = ("corrector", "homogenize", "rho", "theta", "discrepancy",
-            "rate", "holder", "flux")
-
-MANIFEST_SCHEMA = {
-    "type": "object",
-    "required": ["command", "seed", "params"],
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {"type": "object"},
-        "field": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
-_FIELD_COMMANDS = {"corrector", "homogenize", "rho", "rate", "holder", "flux"}
-
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _POSITIVE_OR_NULL = {"type": ["number", "null"], "exclusiveMinimum": 0}
@@ -80,44 +65,6 @@ _CORRECTOR_PARAMS = _params(["T"], {
     "T": _T, "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
     "bc": {"enum": ["auto", "periodic", "truncated"]}, "tol": _POSITIVE})
 
-# per-command params, checked by validate_manifest before any compute
-PARAMS_SCHEMAS = {
-    "corrector": _CORRECTOR_PARAMS,
-    "homogenize": _CORRECTOR_PARAMS,
-    "rho": _params(["R_list"], {
-        "R_list": _list_of(_POSITIVE), "y_samples": _COUNT_OR_NULL,
-        "test_points": _COUNT_OR_NULL, "z_spacing": _POSITIVE_OR_NULL,
-        "norm": {"enum": ["inf", "euclid"]}}),
-    "theta": _params(["lambda", "R_list", "ell"], {
-        "lambda": _list_of({"type": "number"}), "R_list": _list_of(_POSITIVE),
-        "ell": {"anyOf": [_COUNT, _list_of(_COUNT)]}}),
-    "discrepancy": _params(["lambda", "R", "ell"], {
-        "lambda": _list_of({"type": "number"}), "R": _COUNT, "ell": _COUNT,
-        "H_list": _list_of(_COUNT)}),
-    "rate": _params(["eps_list"], {
-        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
-        "tol": _POSITIVE, "boundary_corrector": {"type": "boolean"}}),
-    "holder": _params(["eps_list"], {
-        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
-        "sigma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}),
-    "flux": _params(["T_list"], {
-        "T_list": _list_of(_T), "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
-        "region_factor": _POSITIVE, "tol": _POSITIVE}),
-}
-
-
-# rules tying params together, owned by the library functions that apply them
-_PARAMS_RULES = {"rho": lambda p: M.checked_radii(p["R_list"]),
-                 "theta": lambda p: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"]))),
-                 "rate": lambda p: E.checked_eps(p["eps_list"]),
-                 "holder": lambda p: E.checked_holder_eps(p["eps_list"])}
-
-# built once (jsonschema.validate checks the schema itself on every call);
-# best_match picks the error that jsonschema.validate would raise
-_MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
-_PARAMS_VALIDATORS = {cmd: jsonschema.Draft202012Validator(schema)
-                      for cmd, schema in PARAMS_SCHEMAS.items()}
-
 
 class ManifestError(ValueError):
     pass
@@ -133,24 +80,6 @@ def _check_finite(obj, path):
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             _check_finite(v, f"{path}[{i}]")
-
-
-def validate_manifest(manifest):
-    exc = best_match(_MANIFEST_VALIDATOR.iter_errors(manifest))
-    if exc is not None:
-        raise ManifestError(str(exc.message)) from exc
-    # JSON Schema "number" admits NaN and infinity, which json.load reads
-    for key in ("params", "field"):
-        _check_finite(manifest.get(key), key)
-    exc = best_match(_PARAMS_VALIDATORS[manifest["command"]].iter_errors(manifest["params"]))
-    if exc is not None:
-        raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
-    if manifest["command"] in _FIELD_COMMANDS and "field" not in manifest:
-        raise ManifestError(f"command {manifest['command']!r} needs a field config")
-    try:
-        _PARAMS_RULES.get(manifest["command"], lambda p: None)(manifest["params"])
-    except ValueError as exc:
-        raise ManifestError(f"params: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +137,6 @@ def _text(text):
 # pipelines
 
 
-def _field_from(manifest):
-    try:
-        field = F.field_from_config(manifest["field"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"invalid field config: {type(exc).__name__}: {exc}") from exc
-    try:
-        F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
-    except EllipticityViolation as exc:
-        raise ManifestError(f"field not elliptic: {exc}") from exc
-    return field
-
-
 def _corrector_payload(cset):
     _, rel = C.energy_identity_residual(cset)
     means = [[window_mean(cset.chi[j][b], cset.window).tolist()
@@ -237,27 +154,24 @@ def _solver_params(p):
     return p.get("h"), float(p.get("buffer", 6.0)), float(p.get("tol", 1e-10))
 
 
-def _corrector_from(manifest):
+def _corrector_from(manifest, field):
     """Solve the correctors of the manifest; shared by corrector and homogenize."""
     p = manifest["params"]
     h, buffer, tol = _solver_params(p)
-    return C.solve_corrector(_field_from(manifest), float(p["T"]), h=h,
+    return C.solve_corrector(field, float(p["T"]), h=h,
                              buffer=buffer, bc=p.get("bc", "auto"), tol=tol)
 
 
-def _run_corrector(manifest, write):
-    cset = _corrector_from(manifest)
+def _run_corrector(manifest, field):
+    cset = _corrector_from(manifest, field)
     payload = _corrector_payload(cset)
-    for j in range(cset.d):
-        for b in range(cset.m):
-            write(f"corrector_chi_j{j}_b{b}.bin",
-                  functools.partial(save_grid_function, cset.chi[j][b]))
-    summary = f"corrector T={cset.T:g} mode={cset.mode} sup={payload['sup_norm']:.6g}"
-    return payload, summary
+    files = {f"corrector_chi_j{j}_b{b}.bin": functools.partial(save_grid_function, u)
+             for j, row in enumerate(cset.chi) for b, u in enumerate(row)}
+    return payload, f"corrector T={cset.T:g} mode={cset.mode} sup={payload['sup_norm']:.6g}", files
 
 
-def _run_homogenize(manifest, write):
-    cset = _corrector_from(manifest)
+def _run_homogenize(manifest, field):
+    cset = _corrector_from(manifest, field)
     hm = C.homogenized_matrix(cset)
     payload = {
         "ahat": hm.tensor.tolist(),
@@ -267,12 +181,10 @@ def _run_homogenize(manifest, write):
         "ellipticity_ok": hm.ellipticity_ok,
         "corrector": _corrector_payload(cset),
     }
-    summary = f"homogenize T={cset.T:g} ahat[0,0]={hm.tensor[0, 0, 0, 0]:.9g}"
-    return payload, summary
+    return payload, f"homogenize T={cset.T:g} ahat[0,0]={hm.tensor[0, 0, 0, 0]:.9g}", {}
 
 
-def _run_rho(manifest, write):
-    field = _field_from(manifest)
+def _run_rho(manifest, field):
     p = manifest["params"]
     rep = M.rho_ladder(field, p["R_list"],
                        y_samples=p.get("y_samples"),
@@ -282,25 +194,21 @@ def _run_rho(manifest, write):
                        rng_seed=int(manifest["seed"]))
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    write("rho.csv", rep.to_csv)
-    payload = {"report": rep.as_dict()}
     summary = (f"rho R in [{rep.parameters[0]:g}, {rep.parameters[-1]:g}] "
                f"exponent={rep.fitted_exponent}")
-    return payload, summary
+    return {"report": rep.as_dict()}, summary, {"rho.csv": rep.to_csv}
 
 
-def _run_theta(manifest, write):
+def _run_theta(manifest, field):
     p = manifest["params"]
     rep = M.theta_ladder(p["lambda"], p["R_list"], p["ell"])
     if rep.values.size >= 3 and np.all(rep.values > 0):
         rep.fit()
-    write("theta.csv", rep.to_csv)
-    payload = {"report": rep.as_dict()}
-    summary = f"theta ladder exponent={rep.fitted_exponent}"
-    return payload, summary
+    return ({"report": rep.as_dict()}, f"theta ladder exponent={rep.fitted_exponent}",
+            {"theta.csv": rep.to_csv})
 
 
-def _run_discrepancy(manifest, write):
+def _run_discrepancy(manifest, field):
     p = manifest["params"]
     pset = M.kronecker_point_set(p["lambda"], int(p["R"]), int(p["ell"]))
     exact = M.discrepancy_exact(pset) if pset.dimension <= 2 else None
@@ -310,12 +218,10 @@ def _run_discrepancy(manifest, write):
                "covering_bound": None if exact is None
                else M.covering_from_discrepancy(exact, pset.dimension),
                "provenance": pset.provenance}
-    summary = f"discrepancy N={pset.size} exact={exact}"
-    return payload, summary
+    return payload, f"discrepancy N={pset.size} exact={exact}", {}
 
 
-def _run_rate(manifest, write):
-    field = _field_from(manifest)
+def _run_rate(manifest, field):
     p = manifest["params"]
     exp = E.rate_experiment(field, p["eps_list"],
                             corrector_h=p.get("corrector_h"),
@@ -327,92 +233,172 @@ def _run_rate(manifest, write):
         lines.append(f"{r['eps']:.17g},{r['cells']},{r['L2_plain']:.17g},"
                      f"{r['L2_corrected']:.17g},{r['H1_plain']:.17g},"
                      f"{r['H1_corrected']:.17g}")
-    write("rate.csv", _text("\n".join(lines) + "\n"))
-    payload = exp.as_dict()
     if exp.floor_limited:
         summary = "rate: floor-limited (errors at solver floor)"
     else:
-        slope = exp.fitted.get("L2_plain", {}).get("slope")
-        summary = f"rate: fitted L2 slope={slope}"
-    return payload, summary
+        summary = f"rate: fitted L2 slope={exp.fitted.get('L2_plain', {}).get('slope')}"
+    return exp.as_dict(), summary, {"rate.csv": _text("\n".join(lines) + "\n")}
 
 
-def _run_holder(manifest, write):
-    field = _field_from(manifest)
+def _run_holder(manifest, field):
     p = manifest["params"]
     rep = E.holder_uniformity(field, p["eps_list"], sigma=float(p.get("sigma", 0.5)),
                               corrector_h=p.get("corrector_h"),
                               rng_seed=int(manifest["seed"]))
-    payload = rep
-    summary = f"holder sigma={rep['sigma']} uniformity_ratio={rep['uniformity_ratio']:.4g}"
-    return payload, summary
+    return rep, f"holder sigma={rep['sigma']} uniformity_ratio={rep['uniformity_ratio']:.4g}", {}
 
 
-def _run_flux(manifest, write):
-    field = _field_from(manifest)
+def _flux_regions(p, field):
+    """The flux region of each T of the ladder (None on the cell route)."""
+    h, buffer, _ = _solver_params(p)
+    region_factor = float(p.get("region_factor", 9.0))
+    return [C.flux_region(field, float(T), h, buffer, region_factor) for T in p["T_list"]]
+
+
+def _run_flux(manifest, field):
     p = manifest["params"]
     h, buffer, tol = _solver_params(p)
     reports = []
-    for T in p["T_list"]:
-        T = float(T)
-        cset = C.solve_corrector(field, T, h=h, buffer=buffer, tol=tol)
-        region = None
-        if cset.mode == "truncated":
-            region = Box.cube(float(p.get("region_factor", 9.0)) * T, d=field.d)
+    for T, region in zip(p["T_list"], _flux_regions(p, field)):
+        cset = C.solve_corrector(field, float(T), h=h, buffer=buffer, tol=tol)
         flux = C.flux_tensor(cset, region=region)
         _, rep = C.solve_flux_corrector(flux, tol=tol)
         rep["mean_abs"] = float(np.max(np.abs(flux.mean)))
         reports.append(rep)
-    payload = {"reports": reports}
-    summary = f"flux T ladder n={len(reports)} last sup_f_scaled=" \
-              f"{reports[-1]['sup_f_scaled']:.4g}"
-    return payload, summary
+    summary = f"flux T ladder n={len(reports)} last sup_f_scaled={reports[-1]['sup_f_scaled']:.4g}"
+    return {"reports": reports}, summary, {}
 
 
-_PIPELINES = {
-    "corrector": _run_corrector,
-    "homogenize": _run_homogenize,
-    "rho": _run_rho,
-    "theta": _run_theta,
-    "discrepancy": _run_discrepancy,
-    "rate": _run_rate,
-    "holder": _run_holder,
-    "flux": _run_flux,
+# ---------------------------------------------------------------------------
+# commands
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One command: its closed params schema, its pipeline ``run(manifest, field)
+    -> (payload, summary, {companion name: writer of a path})``, which writes
+    nothing, whether it needs a field, and the ``rule(params, field)`` that
+    raises ValueError for params that do not fit together (the library owns it)."""
+
+    params: dict
+    run: object
+    needs_field: bool = True
+    rule: object = lambda params, field: None
+
+    @functools.cached_property
+    def validator(self):
+        # built once (jsonschema.validate checks the schema itself on every call)
+        return jsonschema.Draft202012Validator(self.params)
+
+
+COMMANDS = {
+    "corrector": _Command(_CORRECTOR_PARAMS, _run_corrector),
+    "homogenize": _Command(_CORRECTOR_PARAMS, _run_homogenize),
+    "rho": _Command(_params(["R_list"], {
+        "R_list": _list_of(_POSITIVE), "y_samples": _COUNT_OR_NULL,
+        "test_points": _COUNT_OR_NULL, "z_spacing": _POSITIVE_OR_NULL,
+        "norm": {"enum": ["inf", "euclid"]}}), _run_rho,
+        rule=lambda p, field: M.checked_radii(p["R_list"])),
+    "theta": _Command(_params(["lambda", "R_list", "ell"], {
+        "lambda": _list_of({"type": "number"}), "R_list": _list_of(_POSITIVE),
+        "ell": {"anyOf": [_COUNT, _list_of(_COUNT)]}}), _run_theta, needs_field=False,
+        rule=lambda p, field: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"])))),
+    "discrepancy": _Command(_params(["lambda", "R", "ell"], {
+        "lambda": _list_of({"type": "number"}), "R": _COUNT, "ell": _COUNT,
+        "H_list": _list_of(_COUNT)}), _run_discrepancy, needs_field=False),
+    "rate": _Command(_params(["eps_list"], {
+        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
+        "tol": _POSITIVE, "boundary_corrector": {"type": "boolean"}}), _run_rate,
+        rule=lambda p, field: E.checked_eps(p["eps_list"])),
+    "holder": _Command(_params(["eps_list"], {
+        "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
+        "sigma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}),
+        _run_holder, rule=lambda p, field: E.checked_holder_eps(p["eps_list"])),
+    "flux": _Command(_params(["T_list"], {
+        "T_list": _list_of(_T), "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
+        "region_factor": _POSITIVE, "tol": _POSITIVE}), _run_flux, rule=_flux_regions),
 }
+
+MANIFEST_SCHEMA = {
+    "type": "object",
+    "required": ["command", "seed", "params"],
+    "properties": {
+        "command": {"enum": list(COMMANDS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "params": {"type": "object"},
+        "field": {"type": "object"},
+    },
+    "additionalProperties": False,
+}
+
+# best_match picks the error that jsonschema.validate would raise
+_MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
+
+
+def validate_manifest(manifest):
+    """Check the whole manifest before any compute; return its field, built but not sampled."""
+    exc = best_match(_MANIFEST_VALIDATOR.iter_errors(manifest))
+    if exc is not None:
+        raise ManifestError(str(exc.message)) from exc
+    # JSON Schema "number" admits NaN and infinity, which json.load reads
+    for key in ("params", "field"):
+        _check_finite(manifest.get(key), key)
+    command = COMMANDS[manifest["command"]]
+    exc = best_match(command.validator.iter_errors(manifest["params"]))
+    if exc is not None:
+        raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
+    field = None
+    if command.needs_field:
+        if "field" not in manifest:
+            raise ManifestError(f"command {manifest['command']!r} needs a field config")
+        try:
+            field = F.field_from_config(manifest["field"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(
+                f"invalid field config: {type(exc).__name__}: {exc}") from exc
+    try:
+        command.rule(manifest["params"], field)
+    except ValueError as exc:
+        raise ManifestError(f"params: {exc}") from exc
+    return field
+
+
+def _environment():
+    """Versions of the interpreter and of the libraries the numbers come from."""
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
 
 def run_manifest(manifest, out_dir, threads=None):
-    """Validate, dispatch, and write the result artifact atomically.
+    """Validate, compute, then write the companion files and the result.
 
-    Returns the path of the result JSON.  Raises ManifestError on schema
-    violations; compute failures propagate.  ``threads`` has no effect
-    (the benchmark harness passes it).
+    Returns the path of the result JSON.  Raises ManifestError on an
+    invalid manifest or a field that is not elliptic; compute failures
+    propagate.  Nothing is written (``out_dir`` is not even created) until
+    the compute returns.  ``threads`` has no effect (the benchmark harness
+    passes it).
     """
     t0 = time.perf_counter()
-    validate_manifest(manifest)
-    os.makedirs(out_dir, exist_ok=True)
+    field = validate_manifest(manifest)
+    if field is not None:
+        try:
+            F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
+        except EllipticityViolation as exc:
+            raise ManifestError(f"field not elliptic: {exc}") from exc
     np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
-    written = []
-
-    def write(name, writer):
-        """Write companion file ``name`` of ``out_dir`` atomically and record it."""
-        _atomic_write(os.path.join(out_dir, name), writer)
-        written.append(name)
-
-    payload, summary = _PIPELINES[manifest["command"]](manifest, write)
+    payload, summary, files = COMMANDS[manifest["command"]].run(manifest, field)
     artifacts = {}
-    for name in sorted(set(written)):
-        with open(os.path.join(out_dir, name), "rb") as f:
+    for name, writer in files.items():
+        path = os.path.join(out_dir, name)
+        _atomic_write(path, writer)
+        with open(path, "rb") as f:
             artifacts[name] = hashlib.sha256(f.read()).hexdigest()
     result = {
         "tool": {"name": "aphomog", "version": _tool_version()},
         "manifest": manifest,
         "manifest_hash": manifest_hash(manifest),
         "seed": manifest["seed"],
-        "environment": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
+        "environment": _environment(),
         "payload": payload,
         "artifacts": artifacts,      # sha256 of companion files (CSV, binaries)
     }
@@ -482,9 +468,7 @@ def reproduce(result_path):
     if manifest_hash(manifest) != stored_hash:
         return False, [("manifest_hash", "value", (stored_hash, manifest_hash(manifest)))]
     with tempfile.TemporaryDirectory() as tmp:
-        new_path = run_manifest(manifest, tmp)
-        with open(new_path, encoding="utf-8") as f:
-            fresh = json.load(f)
+        fresh = _read_json(run_manifest(manifest, tmp), "result")
     drift = _diff_payload(stored_payload, fresh["payload"])
     _diff_payload(stored_artifacts, fresh["artifacts"], "artifacts", drift)
     return (len(drift) == 0), drift
@@ -527,9 +511,13 @@ def main(argv=None):
     if ok:
         print("reproduce: payloads and artifacts match")
         return 0
+    stored = _read_json(args.result, "result").get("environment")
+    stored = stored if isinstance(stored, dict) else {}
     print(json.dumps({"error": "drift", "items":
                       [{"path": p, "kind": k, "values": list(v) if v else None}
-                       for p, k, v in drift[:50]]}))
+                       for p, k, v in drift[:50]],
+                      "environment": [k for k, v in sorted(_environment().items())
+                                      if stored.get(k) != v]}))
     return 4
 
 

@@ -138,6 +138,22 @@ def _corrector_rhs(face_rows, grid, j, beta):
     return divergence_rhs([rows[:, j, :, beta].T for rows in face_rows], grid)
 
 
+def _resolved_h(T, h):
+    """The grid step ``h`` (1/64 when None) if it resolves the screening length, h <= T/64."""
+    h = 1.0 / 64.0 if h is None else h
+    return h if h <= T / 64.0 + 1e-12 else None
+
+
+def _truncated_grid(d, T, h, buffer):
+    """The truncated route's grid: even cells per axis on a cube of side >= (2 buffer + 1) T."""
+    side = (2.0 * buffer + 1.0) * T
+    cells = int(np.ceil(side / h))
+    cells += cells % 2
+    half = 0.5 * cells * h
+    return BoxGrid(Box(-half * np.ones(d), half * np.ones(d)),
+                   cells * np.ones(d, dtype=int), DIRICHLET)
+
+
 def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=None):
     """Solve the screened cell problems for every (direction, component).
 
@@ -152,9 +168,8 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
     if bc not in ("auto", "periodic", "truncated"):
         raise ValueError(f"unknown corrector route bc={bc!r}")
     d, m = field.d, field.m
+    h = _resolved_h(T, h)
     if h is None:
-        h = 1.0 / 64.0
-    if h > T / 64.0 + 1e-12:
         raise ValueError("h must resolve the screening length: h <= T/64")
 
     mode = bc
@@ -169,12 +184,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
         window = None
         buffer = 0.0
     else:
-        side = (2.0 * buffer + 1.0) * T
-        cells = int(np.ceil(side / h))
-        cells += cells % 2
-        half = 0.5 * cells * h
-        grid = BoxGrid(Box(-half * np.ones(d), half * np.ones(d)),
-                       cells * np.ones(d, dtype=int), DIRICHLET)
+        grid = _truncated_grid(d, T, h, buffer)
         window = Box.cube(T, d=d)
 
     field.ellipticity          # certified before anything is sampled
@@ -505,6 +515,34 @@ def gradient_cauchy_decay(csets):
 # flux corrector and translation response
 
 
+def _checked_flux_box(grid, slices, T):
+    """The box the nodes of ``slices`` span; raises ValueError unless its sides are >= 3T."""
+    box = Box(np.array([grid.axis_nodes(ax)[s.start] for ax, s in enumerate(slices)]),
+              np.array([grid.axis_nodes(ax)[s.stop - 1] for ax, s in enumerate(slices)]))
+    if box.sides.min() < 3.0 * T:
+        raise ValueError("flux region must span at least 3 screening lengths")
+    return box
+
+
+def flux_region(field, T, h, buffer, region_factor):
+    """The cube of side ``region_factor`` T a flux ladder samples at T, or None on
+    the cell route of a field with a period, which ignores ``buffer`` and
+    ``region_factor``.  Raises ValueError unless the cube lies in the grid box of
+    ``solve_corrector`` and its snapped nodes span 3T; an h (None: 1/64) above
+    T/64 is left to ``solve_corrector``, which refuses it."""
+    if field.period is not None:
+        return None
+    region = Box.cube(region_factor * T, d=field.d)
+    h = _resolved_h(T, h)
+    if h is not None:
+        grid = _truncated_grid(field.d, T, h, buffer)
+        if not grid.box.contains(region):
+            raise ValueError(f"flux region of side {region_factor:g} T does not fit in the "
+                             f"corrector box of side {grid.box.sides[0] / T:g} T")
+        _checked_flux_box(grid, grid.window_slices(region), T)
+    return region
+
+
 def solve_flux_corrector(flux, tol=1e-10):
     """Screened Poisson solve  -Lap f + T^{-2} f = B - <B>  per tensor entry.
 
@@ -529,12 +567,8 @@ def solve_flux_corrector(flux, tol=1e-10):
     else:
         if min(region_shape) < 8:
             raise ValueError("flux region too small to re-truncate")
-        lo = np.array([flux.grid.axis_nodes(ax)[flux.slices[ax].start] for ax in range(d)])
-        hi = np.array([flux.grid.axis_nodes(ax)[flux.slices[ax].stop - 1] for ax in range(d)])
-        side = (hi - lo).min()
-        if side < 3.0 * T:
-            raise ValueError("flux region must span at least 3 screening lengths")
-        grid = BoxGrid(Box(lo, hi), np.array(region_shape) - 1, DIRICHLET)
+        box = _checked_flux_box(flux.grid, flux.slices, T)
+        grid = BoxGrid(box, np.array(region_shape) - 1, DIRICHLET)
         report_window = Box.cube(T, d=d)
     op = assemble(lap_field, grid, T ** -2.0)
     rsl = (slice(None), *grid.window_slices(report_window))

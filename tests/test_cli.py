@@ -200,7 +200,7 @@ def test_run_exit_codes(tmp_path, edit, code):
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_empty_params_exit_2(tmp_path, command):
     man = {"command": command, "seed": 0, "params": {}}
-    if command in cli._FIELD_COMMANDS:
+    if cli.COMMANDS[command].needs_field:
         man["field"] = F.field_to_config(F.sine_scalar_field())
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out" / f"{command}_result.json").exists()
@@ -254,9 +254,9 @@ def test_unreadable_manifest_exits_2(tmp_path):
     assert cli.main(["run", "--manifest", str(man_path), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("name", ["manifest"] + list(cli.PARAMS_SCHEMAS))
+@pytest.mark.parametrize("name", ["manifest"] + list(cli.COMMANDS))
 def test_schemas_are_valid_json_schemas(name):
-    schema = cli.MANIFEST_SCHEMA if name == "manifest" else cli.PARAMS_SCHEMAS[name]
+    schema = cli.MANIFEST_SCHEMA if name == "manifest" else cli.COMMANDS[name].params
     jsonschema.Draft202012Validator.check_schema(schema)
 
 
@@ -331,7 +331,7 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
 def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
                                                                    params):
     man = {"command": command, "seed": 0, "params": params}
-    if command in cli._FIELD_COMMANDS:
+    if cli.COMMANDS[command].needs_field:
         man["field"] = F.field_to_config(F.sine_scalar_field())
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
@@ -351,7 +351,7 @@ def test_holder_takes_eps_above_1_when_the_smallest_is_at_most_1(tmp_path):
 ], ids=["homogenize", "rho", "theta"])
 def test_negative_seed_exits_2_and_writes_nothing(tmp_path, command, params):
     man = {"command": command, "seed": -1, "params": params}
-    if command in cli._FIELD_COMMANDS:
+    if cli.COMMANDS[command].needs_field:
         man["field"] = F.field_to_config(F.sine_scalar_field())
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
@@ -450,3 +450,100 @@ def test_the_package_loads_scipy_fft_but_not_spatial(theta_scipy_modules):
 def test_a_theta_run_loads_scipy_spatial(theta_scipy_modules):
     # covering_radius is the one user of scipy.spatial and imports it itself
     assert "scipy.spatial" in theta_scipy_modules[1]
+
+
+# ---------------------------------------------------------------------------
+# a run writes nothing until its compute returns
+
+
+@pytest.mark.parametrize("field", [
+    {"variant": "constant", "d": 1, "m": 1, "value": -1},
+    {"variant": "trig_polynomial", "d": 1},                 # no m, no terms
+], ids=["not-elliptic", "unbuildable"])
+def test_a_field_that_fails_exits_2_and_leaves_no_out(tmp_path, field):
+    man = _sine_manifest(T=16.0, h=1 / 64)
+    man["field"] = field
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_compute_failure_exits_3_and_leaves_no_out(tmp_path):
+    man = _sine_manifest("corrector", T=16.0, h=1.0)        # h > T/64: refused by the solver
+    assert _exit_code(tmp_path, man) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, code", [
+    ({"params": {"T": 16.0, "h": 1.0}}, 3),
+    ({"field": {"variant": "constant", "d": 1, "m": 1, "value": -1}}, 2),
+], ids=["compute-failure", "not-elliptic"])
+def test_a_failing_rerun_leaves_the_earlier_result_byte_identical(tmp_path, edit, code):
+    man = _sine_manifest("corrector", T=16.0, h=1 / 64)
+    cli.run_manifest(man, str(tmp_path / "out"))
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert "corrector_chi_j0_b0.bin" in before
+    man.update(edit)
+    assert _exit_code(tmp_path, man) == code
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+# one-key mutations of every params key of every demo command, set or not
+_MUTATIONS = [0, -1, 1, 2, 0.5, 3.5, [], [1], [1, 2], [2, 1], [0.5, 0.25], "x", None, True, {}]
+_SWEEP = [(path, key, value) for path in DEMO_MANIFESTS
+          for key in cli.COMMANDS[_read_json(path)["command"]].params["properties"]
+          for value in _MUTATIONS]
+
+
+@pytest.mark.parametrize("path, key, value", _SWEEP, ids=[
+    f"{p.stem}-{k}={json.dumps(v, separators=(',', ':'))}" for p, k, v in _SWEEP])
+def test_one_key_mutation_exits_0_or_2_and_a_failure_leaves_no_out(tmp_path, path, key,
+                                                                    value):
+    man = _read_json(path)
+    man["params"][key] = value
+    code = _exit_code(tmp_path, man)
+    # a step coarser than T/64 is the one compute failure a params key can cause
+    assert code in (0, 2) or (code == 3 and key in ("h", "corrector_h")), code
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
+def _flux_manifest(**params):
+    man = _read_json(DEMO_MANIFESTS[0].with_name("flux_golden.json"))
+    man["params"].update(params)
+    return man
+
+
+@pytest.mark.parametrize("key, value", [("region_factor", v) for v in (2, 1, 0.5)]
+                         + [("buffer", v) for v in (0, 1, 2, 0.5, 3.5)])
+def test_flux_region_that_does_not_fit_exits_2_and_writes_nothing(tmp_path, key, value):
+    assert _exit_code(tmp_path, _flux_manifest(**{key: value})) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("buffer, region_factor, code", [
+    (4, 9, 0), (3.99, 9, 2),        # the region of side 9T fits a box of side (2 buffer + 1) T
+    (6, 3, 0), (6, 2.99, 2),        # the snapped region spans at least 3T
+])
+def test_flux_region_boundaries_at_T16(tmp_path, buffer, region_factor, code):
+    man = _flux_manifest(T_list=[16.0], h=1 / 64, buffer=buffer, region_factor=region_factor)
+    assert _exit_code(tmp_path, man) == code
+
+
+def test_flux_on_a_periodic_field_ignores_region_factor_and_buffer(tmp_path):
+    man = {"command": "flux", "seed": 7, "field": F.field_to_config(F.sine_scalar_field()),
+           "params": {"T_list": [16.0], "h": 1 / 64, "buffer": 0, "region_factor": 2}}
+    assert _exit_code(tmp_path, man) == 0
+
+
+def test_reproduce_lists_the_environment_keys_that_changed(tmp_path, capsys):
+    path = pathlib.Path(cli.run_manifest(_THETA_RUN, str(tmp_path)))
+    result = _read_json(path)
+    assert sorted(result["environment"]) == ["numpy", "python", "scipy"]
+    result["environment"]["scipy"] = "0.0"
+    path.write_text(cli.dumps_canonical(result) + "\n")
+    # only the payload and the artifacts map are compared
+    assert cli.main(["reproduce", "--result", str(path)]) == 0
+    result["payload"]["report"]["values"][0] += 1.0
+    path.write_text(cli.dumps_canonical(result) + "\n")
+    capsys.readouterr()
+    assert cli.main(["reproduce", "--result", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["environment"] == ["scipy"]

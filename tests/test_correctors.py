@@ -404,6 +404,32 @@ class TestFluxCorrector:
         with pytest.raises(ValueError, match="screening"):
             C.solve_flux_corrector(flux)
 
+    @pytest.mark.parametrize("buffer, region_factor, fits", [
+        (6, 3, True), (6, 2.99, False), (4, 9, True), (3.99, 9, False)])
+    def test_flux_region_refuses_what_the_solves_refuse(self, golden_field, buffer,
+                                                        region_factor, fits):
+        T = 4.0
+        cset = C.solve_corrector(golden_field, T, buffer=buffer)
+
+        def both():
+            region = C.flux_region(golden_field, T, None, buffer, region_factor)
+            assert np.array_equal(region.sides, [region_factor * T])
+            C.solve_flux_corrector(C.flux_tensor(cset, region=region))
+
+        if fits:
+            both()
+            return
+        with pytest.raises(ValueError):
+            C.flux_region(golden_field, T, None, buffer, region_factor)
+        with pytest.raises(ValueError):
+            C.solve_flux_corrector(C.flux_tensor(cset, region=Box.cube(region_factor * T)))
+
+    def test_flux_region_leaves_the_cell_route_and_a_coarse_h_alone(self, golden_field,
+                                                                      sine_field):
+        assert C.flux_region(sine_field, 16.0, 1 / 64, 0.0, 2.0) is None
+        # h > T/64 is solve_corrector's to refuse, as a compute failure
+        assert C.flux_region(golden_field, 16.0, 1.0, 0.0, 2.0) is not None
+
 
 class TestScalingsAndTranslation:
     def test_golden_scaled_sup_decreasing(self, golden_csets):
