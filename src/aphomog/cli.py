@@ -65,6 +65,31 @@ _CORRECTOR_PARAMS = _params(["T"], {
     "T": _T, "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
     "bc": {"enum": ["auto", "periodic", "truncated"]}, "tol": _POSITIVE})
 
+# one closed schema per field variant; numpy reads the numbers nested in a tensor
+_TENSOR = {"type": ["number", "array"]}
+_TERMS = {"type": "array", "items": _params(["frequency", "cos", "sin"], {
+    "frequency": _list_of({"type": "number"}), "cos": _TENSOR, "sin": _TENSOR})}
+
+
+def _field(required, **properties):
+    return _params(["variant", *required], {"variant": {}, "d": _COUNT, "m": _COUNT,
+                                            **properties})
+
+
+FIELD_SCHEMAS = {
+    "constant": _field(["value"], value=_TENSOR),
+    "trig_polynomial": _field(["d", "m", "terms"], terms=_TERMS),
+    "periodic_sampled": _field(["period", "samples"], period=_list_of(_POSITIVE),
+                               order={"const": 1}, samples={"type": "array"}),
+    "quasi_periodic": _field(["d", "m", "layout", "torus_terms"], torus_terms=_TERMS,
+                             layout=_list_of(_list_of({"type": "number"}))),
+}
+_FIELD_VALIDATOR = jsonschema.Draft202012Validator({
+    "type": "object", "required": ["variant"],
+    "properties": {"variant": {"enum": list(FIELD_SCHEMAS)}},
+    "allOf": [{"if": {"required": ["variant"], "properties": {"variant": {"const": v}}},
+               "then": schema} for v, schema in FIELD_SCHEMAS.items()]})
+
 
 class ManifestError(ValueError):
     pass
@@ -351,6 +376,9 @@ def validate_manifest(manifest):
     if command.needs_field:
         if "field" not in manifest:
             raise ManifestError(f"command {manifest['command']!r} needs a field config")
+        exc = best_match(_FIELD_VALIDATOR.iter_errors(manifest["field"]))
+        if exc is not None:
+            raise ManifestError(f"field{exc.json_path[1:]}: {exc.message}") from exc
         try:
             field = F.field_from_config(manifest["field"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import ShiftedField, identity_field, tensor_matrix
-from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
+from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _face_pairs,
                     centered_gradient, face_differences, holder_seminorm)
 from .metrics import DecayReport
 from .operators import assemble, divergence_rhs, solve
@@ -207,35 +207,6 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
 # effective tensor from window-averaged fluxes
 
 
-def _face_average(arr, ax, bc):
-    """Average node data onto the centers of faces orthogonal to ``ax``."""
-    if bc == PERIODIC:
-        return 0.5 * (arr + np.roll(arr, -1, axis=ax))
-    sl_lo = [slice(None)] * arr.ndim
-    sl_hi = [slice(None)] * arr.ndim
-    sl_lo[ax] = slice(None, -1)
-    sl_hi[ax] = slice(1, None)
-    return 0.5 * (arr[tuple(sl_lo)] + arr[tuple(sl_hi)])
-
-
-def _face_window_slices(grid, window, ax):
-    """Index slices selecting faces (normal to ax) with centers in the window."""
-    if window is None:
-        return tuple(slice(None) for _ in range(grid.d))
-    sls = []
-    for a in range(grid.d):
-        if a == ax:
-            lo = grid.box.lo[a] + 0.5 * grid.h[a]
-            i0 = int(np.ceil((window.lo[a] - lo) / grid.h[a] - 1e-9))
-            i1 = int(np.floor((window.hi[a] - lo) / grid.h[a] + 1e-9))
-            i0, i1 = max(i0, 0), min(i1, grid.cells[a] - 1)
-            sls.append(slice(i0, i1 + 1))
-        else:
-            s = grid.window_slices(window)[a]
-            sls.append(s)
-    return tuple(sls)
-
-
 def corrector_flux(cset, j, beta):
     """Flux arrays per direction i for solution (j, beta), at i-face centers.
 
@@ -254,7 +225,8 @@ def corrector_flux(cset, j, beta):
         for k in range(grid.d):
             if k == i:
                 continue
-            trans = _face_average(grads[k], 1 + i, grid.bc).reshape(m, -1)
+            behind, ahead = _face_pairs(grads[k], 1 + i, grid.bc == PERIODIC)
+            trans = (0.5 * (behind + ahead)).reshape(m, -1)
             flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
         out.append(flux)
     return out
@@ -275,7 +247,7 @@ def homogenized_matrix(cset, window=None):
     fluxes = [[corrector_flux(cset, j, b) for b in range(m)] for j in range(d)]
     for i, rows in enumerate(cset.face_rows):
         shape = (m,) + grid.face_shape(i)
-        fsl = _face_window_slices(grid, window, i)
+        fsl = grid.face_window_slices(window, i)
         for j in range(d):
             for b in range(m):
                 integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
@@ -312,8 +284,7 @@ def flux_tensor(cset, ahat=None, region=None):
     if region is None:
         region = cset.window
     sls = grid.window_slices(region)
-    mesh = grid.node_mesh()
-    pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
+    pts = grid.slice_points(sls)
     coeffs = cset.field.evaluate(pts)                  # (N, d, d, m, m)
     shape = tuple(len(range(*s.indices(grid.node_counts[ax]))) for ax, s in enumerate(sls))
     values = np.empty((d, d, m, m) + shape)
@@ -352,8 +323,7 @@ def energy_identity_residual(cset):
     grid = cset.grid
     d, m = cset.d, cset.m
     sls = grid.window_slices(cset.window)
-    mesh = grid.node_mesh()
-    pts = np.stack([g[sls].ravel() for g in mesh], axis=1)
+    pts = grid.slice_points(sls)
     coeffs = cset.field.evaluate(pts)
     if cset.window is None:
         weights = None
@@ -457,15 +427,10 @@ def windowed_gradient_sup(cset, r):
 
 
 def _aligned_window_faces(ca, cb, ax, window):
-    ga, gb = ca.grid, cb.grid
-    sa = _face_window_slices(ga, window, ax)
-    sb = _face_window_slices(gb, window, ax)
-    for a in range(ga.d):
-        xa = (ga.box.lo[a] + ga.h[a] * (0.5 if a == ax else 0.0)
-              + ga.h[a] * np.arange(*sa[a].indices(10 ** 9)))
-        xb = (gb.box.lo[a] + gb.h[a] * (0.5 if a == ax else 0.0)
-              + gb.h[a] * np.arange(*sb[a].indices(10 ** 9)))
-        if xa.size != xb.size or not np.allclose(xa, xb, atol=1e-9):
+    sa = ca.grid.face_window_slices(window, ax)
+    sb = cb.grid.face_window_slices(window, ax)
+    for xa, xb, s_a, s_b in zip(ca.grid.face_axes(ax), cb.grid.face_axes(ax), sa, sb):
+        if xa[s_a].size != xb[s_b].size or not np.allclose(xa[s_a], xb[s_b], atol=1e-9):
             raise ValueError("corrector grids are not aligned on the common window")
     return sa, sb
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityViolation, ResonantFrequencies
+from .grids import _multilinear
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -161,10 +162,6 @@ def _trig_sum(points, terms, d, m):
     return out
 
 
-def _adjoint_terms(terms):
-    return [(k, adjoint_tensor(c), adjoint_tensor(s)) for k, c, s in terms]
-
-
 def _terms_symmetric(terms):
     return all(is_symmetric_tensor(c) and is_symmetric_tensor(s) for _, c, s in terms)
 
@@ -217,8 +214,9 @@ class CoefficientField:
     def _evaluate(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def adjoint(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def adjoint(self):
+        """The index-swapped field A*(y) = adjoint_tensor(A(y))."""
+        return _Adjoint(self)
 
 
 class ConstantField(CoefficientField):
@@ -241,9 +239,6 @@ class ConstantField(CoefficientField):
     def _evaluate(self, pts):
         return np.broadcast_to(self.value, (pts.shape[0],) + self.value.shape).copy()
 
-    def adjoint(self):
-        return ConstantField(adjoint_tensor(self.value))
-
 
 class TrigPolynomialField(CoefficientField):
     """A(y) = sum over terms of cos(2 pi k.y) C + sin(2 pi k.y) S."""
@@ -259,9 +254,6 @@ class TrigPolynomialField(CoefficientField):
 
     def _evaluate(self, pts):
         return _trig_sum(pts, self.terms, self.d, self.m)
-
-    def adjoint(self):
-        return TrigPolynomialField(self.d, self.m, _adjoint_terms(self.terms))
 
 
 class PeriodicSampledField(CoefficientField):
@@ -283,21 +275,8 @@ class PeriodicSampledField(CoefficientField):
         self._cross_free = _is_cross_free(samples)
 
     def _evaluate(self, pts):
-        frac = (pts / self.period) % 1.0 * self.cells
-        base = np.floor(frac).astype(int) % self.cells
-        w = frac - np.floor(frac)
-        n = pts.shape[0]
-        out = np.zeros((n, self.d, self.d, self.m, self.m))
-        for corner in itertools.product((0, 1), repeat=self.d):
-            idx = tuple(((base[:, ax] + corner[ax]) % self.cells[ax]) for ax in range(self.d))
-            weight = np.ones(n)
-            for ax in range(self.d):
-                weight = weight * (w[:, ax] if corner[ax] else 1.0 - w[:, ax])
-            out += weight[:, None, None, None, None] * self.samples[idx]
-        return out
-
-    def adjoint(self):
-        return PeriodicSampledField(self.period, adjoint_tensor(self.samples))
+        return _multilinear(self.samples, (pts / self.period) % 1.0 * self.cells,
+                            self.cells, periodic=True)
 
 
 class TorusFunction:
@@ -320,9 +299,6 @@ class TorusFunction:
         return _trig_sum(np.atleast_2d(np.asarray(t, dtype=float)), self.terms,
                          self.d, self.m)
 
-    def adjoint(self):
-        return TorusFunction(self.dimension, self.d, self.m, _adjoint_terms(self.terms))
-
 
 class QuasiPeriodicField(CoefficientField):
     """A(x) = B(j_lambda(x)) with B periodic on the M-torus."""
@@ -339,49 +315,52 @@ class QuasiPeriodicField(CoefficientField):
     def _evaluate(self, pts):
         return self.torus.evaluate(self.layout.embed(pts))
 
-    def adjoint(self):
-        return QuasiPeriodicField(self.torus.adjoint(), self.layout)
 
+class _Transformed(CoefficientField):
+    """A pointwise transform of ``base``: it shares the base's symmetry, cross
+    blocks, period and certificate."""
 
-class ShiftedField(CoefficientField):
-    """A(. + shift); a translate has its base's certificate."""
-
-    def __init__(self, base, shift):
+    def __init__(self, base):
         super().__init__(base.d, base.m)
         self.base, self.symmetric, self.period = base, base.symmetric, base.period
         self._cross_free = base.cross_free
-        self.shift = np.asarray(shift, dtype=float).reshape(base.d)
 
     @functools.cached_property
     def ellipticity(self):
         return self.base.ellipticity
+
+
+class _Adjoint(_Transformed):
+    """adjoint_tensor(A(y)); transposition keeps the symmetric part, so the certificate."""
+
+    def _evaluate(self, pts):
+        return adjoint_tensor(self.base.evaluate(pts))
+
+    def adjoint(self):
+        return self.base
+
+
+class ShiftedField(_Transformed):
+    """A(. + shift)."""
+
+    def __init__(self, base, shift):
+        super().__init__(base)
+        self.shift = np.asarray(shift, dtype=float).reshape(base.d)
 
     def _evaluate(self, pts):
         return self.base.evaluate(pts + self.shift)
 
-    def adjoint(self):
-        return ShiftedField(self.base.adjoint(), self.shift)
 
-
-class ScaledArgumentField(CoefficientField):
-    """A(scale * x), the eps-problem coefficient A(x / eps); has its base's certificate."""
+class ScaledArgumentField(_Transformed):
+    """A(scale * x), the eps-problem coefficient A(x / eps)."""
 
     def __init__(self, base, scale):
-        super().__init__(base.d, base.m)
-        self.symmetric, self._cross_free = base.symmetric, base.cross_free
+        super().__init__(base)
         self.period = None if base.period is None else base.period / float(scale)
-        self.base = base
         self.scale = float(scale)
-
-    @functools.cached_property
-    def ellipticity(self):
-        return self.base.ellipticity
 
     def _evaluate(self, pts):
         return self.base.evaluate(pts * self.scale)
-
-    def adjoint(self):
-        return ScaledArgumentField(self.base.adjoint(), self.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -99,22 +99,26 @@ class BoxGrid:
         axes = [self.axis_nodes(ax) for ax in range(self.d)]
         return np.meshgrid(*axes, indexing="ij")
 
+    def slice_points(self, sls):
+        """The nodes of the index slices ``sls`` (one per axis) as points (N, d), C order."""
+        return _mesh_points([self.axis_nodes(ax)[s] for ax, s in enumerate(sls)])
+
     def node_points(self):
-        mesh = self.node_mesh()
-        return np.stack([g.ravel() for g in mesh], axis=1)
+        return self.slice_points((slice(None),) * self.d)
 
     def face_shape(self, ax):
         """Index shape of the faces normal to ``ax``: cells along ax, nodes across."""
         return tuple(int(self.cells[a]) if a == ax else n
                      for a, n in enumerate(self.node_counts))
 
+    def face_axes(self, ax):
+        """Per-axis center coordinates of the faces normal to ``ax``: midpoints along ax."""
+        return [self.axis_nodes(a)[:n] + 0.5 * self.h[a] if a == ax else self.axis_nodes(a)
+                for a, n in enumerate(self.face_shape(ax))]
+
     def face_points(self, ax):
-        """Face centers for faces normal to axis ``ax``: midpoints along ax."""
-        shape = self.face_shape(ax)
-        axes = [self.axis_nodes(a)[:n] + 0.5 * self.h[a] if a == ax else self.axis_nodes(a)
-                for a, n in enumerate(shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=1), shape
+        """Face centers for faces normal to axis ``ax`` as points, with their index shape."""
+        return _mesh_points(self.face_axes(ax)), self.face_shape(ax)
 
     def trapezoid_weights(self, sls=None):
         """Trapezoid weights per node of the grid or of the sub-box ``sls``.
@@ -164,6 +168,17 @@ class BoxGrid:
             sls.append(slice(i0, i1 + 1))
         return tuple(sls)
 
+    def face_window_slices(self, window, ax):
+        """Slices of the faces normal to ``ax`` whose centers lie in ``window`` (None: all)."""
+        if window is None:
+            return (slice(None),) * self.d
+        sls = list(self.window_slices(window))
+        lo = self.box.lo[ax] + 0.5 * self.h[ax]
+        i0 = int(np.ceil((window.lo[ax] - lo) / self.h[ax] - 1e-9))
+        i1 = int(np.floor((window.hi[ax] - lo) / self.h[ax] + 1e-9))
+        sls[ax] = slice(max(i0, 0), min(i1, self.cells[ax] - 1) + 1)
+        return tuple(sls)
+
     def __eq__(self, other):
         return (isinstance(other, BoxGrid) and self.bc == other.bc
                 and np.array_equal(self.cells, other.cells)
@@ -199,7 +214,7 @@ class GridFunction:
         return GridFunction(grid, np.zeros((1,) + grid.node_counts))
 
     def interpolate(self, points):
-        """Multilinear interpolation; periodic grids wrap the coordinates."""
+        """Multilinear interpolation, shape (m, N); periodic grids wrap the coordinates."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g = self.grid
         rel = (pts - g.box.lo) / g.h
@@ -207,33 +222,49 @@ class GridFunction:
             rel = rel % g.cells
         else:
             rel = np.clip(rel, 0.0, np.asarray(g.cells, dtype=float))
-        base = np.floor(rel).astype(int)
-        base = np.minimum(base, np.asarray(g.cells) - 1)
-        w = rel - base
-        out = np.zeros((self.m, pts.shape[0]))
-        for corner in itertools.product((0, 1), repeat=g.d):
-            idx = []
-            weight = np.ones(pts.shape[0])
-            for ax in range(g.d):
-                ia = base[:, ax] + corner[ax]
-                if g.bc == PERIODIC:
-                    ia = ia % g.cells[ax]
-                idx.append(ia)
-                weight = weight * (w[:, ax] if corner[ax] else 1.0 - w[:, ax])
-            out += weight * self.values[(slice(None), *idx)]
-        return out
+        table = np.moveaxis(self.values, 0, -1)             # (*nodes, m)
+        return np.ascontiguousarray(_multilinear(table, rel, g.cells, g.bc == PERIODIC).T)
+
+
+def _mesh_points(axes):
+    """The tensor product of per-axis coordinates as points (N, d), C order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _multilinear(table, rel, cells, periodic):
+    """Multilinear interpolation of node data ``table`` (node axes first, any
+    trailing shape) at node-unit coordinates ``rel`` (N, d) in [0, cells];
+    shape (N, *trailing).  Periodic axes wrap the corner indices."""
+    n, d = rel.shape
+    base = np.minimum(np.floor(rel).astype(int), cells - 1)
+    w = rel - base
+    out = np.zeros((n,) + table.shape[d:])
+    for corner in itertools.product((0, 1), repeat=d):
+        idx = (base + corner) % cells if periodic else base + corner
+        weight = np.ones(n)
+        for ax in range(d):
+            weight = weight * (w[:, ax] if corner[ax] else 1.0 - w[:, ax])
+        out += weight.reshape((n,) + (1,) * (out.ndim - 1)) * table[tuple(idx.T)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # differences and norms
 
 
+def _face_pairs(arr, ax, periodic):
+    """(behind, ahead): the node data on either side of each face normal to array
+    axis ``ax``; on the periodic cell the last face wraps to node 0."""
+    if periodic:
+        return arr, np.roll(arr, -1, axis=ax)
+    head = (slice(None),) * ax
+    return arr[head + (slice(None, -1),)], arr[head + (slice(1, None),)]
+
+
 def face_differences(u, ax):
     """Normal differences at faces orthogonal to ``ax``: (u_next - u_this)/h."""
-    vals, g = u.values, u.grid
-    if g.bc == PERIODIC:
-        vals = np.concatenate([vals, np.take(vals, [0], axis=1 + ax)], axis=1 + ax)
-    return np.diff(vals, axis=1 + ax) / g.h[ax]
+    behind, ahead = _face_pairs(u.values, 1 + ax, u.grid.bc == PERIODIC)
+    return (ahead - behind) / u.grid.h[ax]
 
 
 def centered_gradient(u):
@@ -300,13 +331,9 @@ def holder_seminorm(u, sigma, pair_budget=4096, rng_seed=0, window=None):
     rng = np.random.default_rng(rng_seed)
     flat = vals.reshape(vals.shape[0], -1)
     n_nodes = flat.shape[1]
-    axes_nodes = [g.axis_nodes(ax)[sls[ax]] for ax in range(g.d)]
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    corner_ids = []
-    for corner in np.ndindex(*(2,) * g.d):
-        idx = tuple((0 if c == 0 else shape[ax] - 1) for ax, c in enumerate(corner))
-        corner_ids.append(np.ravel_multi_index(idx, shape))
+    coords = g.slice_points(sls)
+    corner_ids = [np.ravel_multi_index(tuple(c * (n - 1) for c, n in zip(corner, shape)), shape)
+                  for corner in np.ndindex(*(2,) * g.d)]
     ia = np.concatenate([rng.integers(0, n_nodes, pair_budget), np.array(corner_ids)])
     ib = np.concatenate([rng.integers(0, n_nodes, pair_budget),
                          np.array(corner_ids[::-1])])

@@ -506,6 +506,55 @@ def test_one_key_mutation_exits_0_or_2_and_a_failure_leaves_no_out(tmp_path, pat
     assert (tmp_path / "out").exists() == (code == 0)
 
 
+# one-key mutations of every field key of every demo field config, set or not
+_FIELD_DEMOS = [path for path in DEMO_MANIFESTS if "field" in _read_json(path)]
+_FIELD_KEYS = sorted({k for schema in cli.FIELD_SCHEMAS.values() for k in schema["properties"]}
+                     | {"bogus"})
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+@pytest.mark.parametrize("path, key", [(p, k) for p in _FIELD_DEMOS for k in _FIELD_KEYS],
+                         ids=[f"{p.stem}-{k}" for p in _FIELD_DEMOS for k in _FIELD_KEYS])
+def test_one_key_field_mutation_is_refused_by_the_closed_schema(path, key):
+    assert len(_FIELD_DEMOS) == 6
+    closed = cli.FIELD_SCHEMAS[_read_json(path)["field"]["variant"]]["properties"]
+    for value in _MUTATIONS:
+        man = _read_json(path)
+        man["field"][key] = value
+        # no demo value is another variant's name; d and m are counts, order only 1
+        must_refuse = (key not in closed or key == "variant"
+                       or (key in ("d", "m", "order") and not _is_count(value))
+                       or (key == "order" and value != 1))
+        try:
+            field = cli.validate_manifest(man)        # no compute runs
+        except cli.ManifestError:
+            continue
+        assert not must_refuse, (key, value)
+        assert isinstance(field, F.CoefficientField)
+
+
+@pytest.mark.parametrize("edit", [{"d": True}, {"bogus": 1}, {"order": 2}],
+                         ids=["d-true", "bogus", "order-2"])
+def test_a_field_key_outside_the_closed_schema_exits_2_and_leaves_no_out(tmp_path, edit):
+    man = _read_json(DEMO_MANIFESTS[0].with_name("rho_golden.json"))
+    man["field"].update(edit)
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_stock_field_config_validates():
+    sampled = F.PeriodicSampledField([1.0, 2.0], 2.0 + np.zeros((4, 8, 2, 2, 1, 1)))
+    for f in (F.identity_field(2, 2), F.sine_scalar_field(), F.laminate_field(),
+              F.golden_ratio_field(), sampled):
+        cfg = json.loads(json.dumps(F.field_to_config(f)))
+        jsonschema.validate(cfg, cli.FIELD_SCHEMAS[cfg["variant"]])
+        man = {"command": "homogenize", "seed": 0, "params": {"T": 1.0}, "field": cfg}
+        assert F.field_to_config(cli.validate_manifest(man)) == cfg
+
+
 def _flux_manifest(**params):
     man = _read_json(DEMO_MANIFESTS[0].with_name("flux_golden.json"))
     man["params"].update(params)

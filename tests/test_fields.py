@@ -148,7 +148,7 @@ class TestAdjoint:
 
     def test_constant_transpose(self):
         f = F.ConstantField(np.array([[1.0, 0.3], [0.0, 1.0]]), d=2, m=1)
-        a = f.adjoint().value[:, :, 0, 0]
+        a = f.adjoint().evaluate(np.zeros(2))[:, :, 0, 0]
         assert np.allclose(a, [[1.0, 0.0], [0.3, 1.0]])
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -165,6 +165,34 @@ class TestAdjoint:
             pts = rng.uniform(-4, 4, size=(20, f.d))
             assert np.allclose(f.adjoint().adjoint().evaluate(pts),
                                f.evaluate(pts))
+
+
+def _sampled_cross_term_system():
+    f = cross_term_system()
+    nodes = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [4, 4], PERIODIC).node_points()
+    return F.PeriodicSampledField([1.0, 1.0], f.evaluate(nodes).reshape(4, 4, 2, 2, 2, 2))
+
+
+ADJOINT_CASES = {
+    "constant": lambda: F.ConstantField(np.array([[2.0, 0.3], [0.1, 1.5]]), d=2, m=1),
+    "trig_polynomial": cross_term_system,
+    "periodic_sampled": _sampled_cross_term_system,
+    "quasi_periodic": lambda: _quasi_2d(True),
+    "shifted": lambda: F.ShiftedField(cross_term_system(), [0.3, -0.2]),
+    "scaled": lambda: F.ScaledArgumentField(cross_term_system(), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_adjoint_transposes_values_and_shares_the_certificate(name):
+    f = ADJOINT_CASES[name]()
+    pts = np.random.default_rng(3).uniform(-3, 3, size=(64, 2))
+    adj = f.adjoint()
+    assert np.array_equal(adj.evaluate(pts), F.adjoint_tensor(f.evaluate(pts)))
+    assert not np.array_equal(adj.evaluate(pts), f.evaluate(pts))
+    assert adj.adjoint() is f
+    assert adj.ellipticity == f.ellipticity
+    assert (adj.symmetric, adj.cross_free) == (f.symmetric, f.cross_free)
 
 
 class TestDiophantine:
@@ -298,6 +326,12 @@ class TestPeriodicSampled:
         vals = f.evaluate(xs)
         assert np.allclose(vals[0], vals[1])
         assert np.allclose(vals[0], vals[2])
+
+    def test_a_wrapped_coordinate_that_rounds_to_the_period_is_node_0(self):
+        samples = np.random.default_rng(2).standard_normal((4, 8, 2, 2, 2, 2))
+        f = F.PeriodicSampledField([1.0, 0.5], samples)
+        assert np.mod(-1e-18, 1.0) == 1.0
+        assert f.evaluate(np.array([-1e-18, -1e-18])).tobytes() == samples[0, 0].tobytes()
 
     def test_rejects_higher_order(self):
         cfg = F.field_to_config(self._sampled_sine())

@@ -56,6 +56,33 @@ class TestGridBasics:
         assert np.allclose(u.interpolate(q)[0], 2 * q[:, 0] + 1)
 
 
+    def test_periodic_interpolation_at_a_coordinate_that_rounds_to_the_period(self):
+        g = BoxGrid(Box([0.0, 0.0], [1.0, 2.0]), [8, 16], PERIODIC)
+        u = GridFunction(g, np.random.default_rng(4).standard_normal((2, 8, 16)))
+        got = u.interpolate(np.array([[-1e-18, -1e-18]]))[:, 0]
+        assert got.tobytes() == u.values[:, 0, 0].tobytes()
+
+    @pytest.mark.parametrize("window", [Box([0.5, -0.375], [1.25, 0.5]),
+                                        Box([0.55, -0.4], [1.3, 0.46])],
+                             ids=["edges-on-nodes", "edges-off-nodes"])
+    def test_face_window_slices_select_the_faces_centered_in_the_window(self, window):
+        g = BoxGrid(Box([0.0, -1.0], [2.0, 1.0]), [8, 16], DIRICHLET)
+        for ax in range(2):
+            axes = g.face_axes(ax)
+            fsl = g.face_window_slices(window, ax)
+            centers = axes[ax]
+            # no window edge lies on a face center along the normal axis
+            assert not np.any(np.isin(centers, [window.lo[ax], window.hi[ax]]))
+            inside = (centers >= window.lo[ax]) & (centers <= window.hi[ax])
+            assert np.array_equal(centers[fsl[ax]], centers[inside])
+            # across, the faces sit on nodes, snapped outward like window_slices
+            across = 1 - ax
+            assert fsl[across] == g.window_slices(window)[across]
+            nodes = axes[across][fsl[across]]
+            assert nodes[0] <= window.lo[across] < nodes[1]
+            assert nodes[-2] < window.hi[across] <= nodes[-1]
+
+
 class TestHolderSeminorm:
     def test_linear_function_sigma_half(self):
         g = BoxGrid(Box([0.0], [1.0]), [128], DIRICHLET)
