@@ -403,8 +403,8 @@ def run_manifest(manifest, out_dir, threads=None):
     Returns the path of the result JSON.  Raises ManifestError on an
     invalid manifest or a field that is not elliptic; compute failures
     propagate.  Nothing is written (``out_dir`` is not even created) until
-    the compute returns.  ``threads`` has no effect (the benchmark harness
-    passes it).
+    the compute returns and its payload serializes.  ``threads`` has no
+    effect (the benchmark harness passes it).
     """
     t0 = time.perf_counter()
     field = validate_manifest(manifest)
@@ -415,6 +415,7 @@ def run_manifest(manifest, out_dir, threads=None):
             raise ManifestError(f"field not elliptic: {exc}") from exc
     np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
     payload, summary, files = COMMANDS[manifest["command"]].run(manifest, field)
+    dumps_canonical(payload)       # a non-finite value fails here, before any write
     artifacts = {}
     for name, writer in files.items():
         path = os.path.join(out_dir, name)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import ShiftedField, identity_field, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _face_pairs,
-                    centered_gradient, face_differences, holder_seminorm)
+                    _trapezoid_means, centered_gradient, face_differences, holder_seminorm)
 from .metrics import DecayReport
 from .operators import assemble, divergence_rhs, solve
 
@@ -304,9 +304,7 @@ def flux_tensor(cset, ahat=None, region=None):
         # the whole periodic cell: the plain node average is the wrap-around mean
         mean = values.reshape(d, d, m, m, -1).mean(axis=-1)
     else:
-        w = grid.trapezoid_weights(sls)
-        mean = np.tensordot(values, w, axes=(tuple(range(4, 4 + d)),
-                                             tuple(range(d)))) / float(np.sum(w))
+        mean = _trapezoid_means(values, grid.trapezoid_weights(sls))
     return FluxTensor(values=values, grid=grid, slices=sls, mean=mean, T=cset.T)
 
 

@@ -529,9 +529,17 @@ def _terms_cfg(terms):
             for k, c, s in terms]
 
 
+def _tensor_from_cfg(x):
+    """A config's tensor as floats; booleans and strings are refused, not cast."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"tensor entries must be numbers, not {arr.dtype.name}")
+    return arr.astype(float)
+
+
 def _terms_from_cfg(items):
-    return [(np.asarray(t["frequency"], dtype=float), np.asarray(t["cos"], dtype=float),
-             np.asarray(t["sin"], dtype=float)) for t in items]
+    return [(np.asarray(t["frequency"], dtype=float), _tensor_from_cfg(t["cos"]),
+             _tensor_from_cfg(t["sin"])) for t in items]
 
 
 def field_to_config(field):
@@ -553,18 +561,30 @@ def field_to_config(field):
 
 
 def field_from_config(cfg):
-    """Build a field from its JSON-compatible configuration dictionary."""
+    """Build a field from its JSON-compatible configuration dictionary.
+
+    Raises ValueError when the ``d`` or ``m`` the config states is not the
+    built field's.
+    """
+    field = _field_from_config(cfg)
+    for key in ("d", "m"):
+        if key in cfg and cfg[key] != getattr(field, key):
+            raise ValueError(f"the config states {key} = {cfg[key]} but its field has "
+                             f"{key} = {getattr(field, key)}")
+    return field
+
+
+def _field_from_config(cfg):
     variant = cfg["variant"]
     if variant == "constant":
-        return ConstantField(np.asarray(cfg["value"], dtype=float),
-                             d=cfg.get("d"), m=cfg.get("m"))
+        return ConstantField(_tensor_from_cfg(cfg["value"]), d=cfg.get("d"), m=cfg.get("m"))
     if variant == "trig_polynomial":
         return TrigPolynomialField(int(cfg["d"]), int(cfg["m"]), _terms_from_cfg(cfg["terms"]))
     if variant == "periodic_sampled":
         if int(cfg.get("order", 1)) != 1:
             raise ValueError("only multilinear interpolation (order=1) is supported")
         return PeriodicSampledField(np.asarray(cfg["period"], dtype=float),
-                                    np.asarray(cfg["samples"], dtype=float))
+                                    _tensor_from_cfg(cfg["samples"]))
     if variant == "quasi_periodic":
         d, m = int(cfg["d"]), int(cfg["m"])
         layout = FrequencyLayout(tuple(np.asarray(f, dtype=float) for f in cfg["layout"]))

@@ -283,14 +283,38 @@ def centered_gradient(u):
     return out
 
 
+# below OpenBLAS's threading cutoff for ddot (n > 10000), so each chunk's
+# dot runs on one thread whatever the BLAS thread count
+_DOT_CHUNK = 8192
+
+
+def _dot(a, b):
+    """Inner product of two 1D float arrays in a fixed order.
+
+    ``np.dot`` over consecutive chunks of at most 8192 entries, summed left
+    to right: up to 8192 entries it is ``np.dot`` itself, and beyond that
+    its rounding does not depend on how many threads BLAS may use.
+    """
+    total = np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
+    for lo in range(_DOT_CHUNK, a.shape[0], _DOT_CHUNK):
+        total += np.dot(a[lo:lo + _DOT_CHUNK], b[lo:lo + _DOT_CHUNK])
+    return total
+
+
+def _trapezoid_means(vals, w):
+    """Weighted means over the trailing axes: ``vals`` (..., *w.shape) against
+    the trapezoid weights ``w``, one fixed-order ``_dot`` per leading entry."""
+    flat = w.reshape(-1)
+    sums = [_dot(row, flat) for row in vals.reshape(-1, flat.size)]
+    return np.reshape(sums, vals.shape[:vals.ndim - w.ndim]) / float(np.sum(w))
+
+
 def window_mean(u, window=None):
     """Trapezoid-consistent volume average per component over a window."""
     g = u.grid
     sls = None if window is None else g.window_slices(window)
-    w = g.trapezoid_weights(sls)
     vals = u.values if sls is None else u.values[(slice(None), *sls)]
-    total = float(np.sum(w))
-    return np.tensordot(vals, w, axes=(tuple(range(1, vals.ndim)), tuple(range(w.ndim)))) / total
+    return _trapezoid_means(vals, g.trapezoid_weights(sls))
 
 
 def norms(u, kind):

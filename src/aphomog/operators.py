@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConverged
-from .grids import PERIODIC, GridFunction
+from .grids import PERIODIC, GridFunction, _dot
 
 
 def _place(dest, src, shift, periodic):
@@ -265,15 +265,90 @@ def _fast_poisson(op):
     return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec, dtype=float)
 
 
+def _norm(v):
+    return np.sqrt(_dot(v, v))
+
+
+def _cg(matvec, psolve, b, x, atol, maxiter):
+    """Preconditioned conjugate gradients from ``x`` (updated in place) until
+    ||r|| < atol; returns (x, completed iterations).
+
+    The recurrences, stopping test and iteration count are scipy 1.17's
+    ``cg`` operation for operation; every inner product and norm is ``_dot``.
+    """
+    r = b - matvec(x) if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if _norm(r) < atol:
+            return x, iteration
+        z = psolve(r)
+        rho = _dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
+def _bicgstab(matvec, psolve, b, x, atol, maxiter):
+    """Preconditioned BiCGSTAB, as :func:`_cg` for scipy 1.17's ``bicgstab``:
+    the same recurrences, stopping tests and breakdown checks (a breakdown
+    returns the iterate so far), and every inner product and norm is ``_dot``.
+    """
+    tiny = np.finfo(np.float64).eps ** 2
+    r = b - matvec(x) if x.any() else b.copy()
+    r0 = r.copy()
+    for iteration in range(maxiter):
+        if _norm(r) < atol:
+            return x, iteration
+        rho = _dot(r0, r)
+        if np.abs(rho) < tiny:
+            return x, iteration
+        if iteration > 0:
+            if np.abs(omega) < tiny:
+                return x, iteration
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = _dot(r0, v)
+        if rv == 0:
+            return x, iteration
+        alpha = rho / rv
+        r -= alpha * v
+        # scipy copies r into s here; the two stay equal until r's update below
+        if _norm(r) < atol:
+            x += alpha * phat
+            return x, iteration
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = _dot(t, r) / _dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
 def solve(op, rhs, tol=1e-10, max_iters=None):
     """Krylov solve to a relative residual ||L u - b|| / ||b|| <= tol.
 
     Conjugate gradients for symmetric operators, BiCGSTAB otherwise, both
     preconditioned with ``op.preconditioner``; the true residual is
     re-checked after each Krylov run and the iteration restarts from the
-    current iterate if the recursion drifted.  Raises
-    :class:`NonConverged` when the budget is exhausted.  A zero right-hand
-    side returns the zero function immediately.
+    current iterate if the recursion drifted.  Every inner product is the
+    fixed-order ``_dot``, so the result does not depend on the BLAS thread
+    count.  Raises :class:`NonConverged` when the budget is exhausted.  A
+    zero right-hand side returns the zero function immediately.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -288,7 +363,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     if op.singular:
         b = _project(b)
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = float(_norm(b))
     if b_norm == 0.0:
         return GridFunction(op.grid, np.zeros(shape), SolveInfo(0, 0.0, 0, "trivial"))
 
@@ -301,28 +376,21 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
         inner[...] = x.reshape(inner.shape)
         return op.matrix @ full.reshape(-1)
 
-    mat = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
     if max_iters is None:
         max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)
-    M = op.preconditioner
-    method = spla.cg if op.symmetric else spla.bicgstab
+    krylov = _cg if op.symmetric else _bicgstab
+    atol = tol * 0.5 * b_norm
     x = np.zeros_like(b)
     total_iters = 0
     restarts = 0
     residual = np.inf
     while total_iters < max_iters:
-        budget = max_iters - total_iters
-        count = [0]
-
-        def _cb(_xk):
-            count[0] += 1
-
-        x, _ = method(mat, b, x0=x, rtol=tol * 0.5, atol=0.0, maxiter=budget,
-                      M=M, callback=_cb)
-        total_iters += max(count[0], 1)
+        x, iters = krylov(matvec, op.preconditioner.matvec, b, x, atol,
+                          max_iters - total_iters)
+        total_iters += max(iters, 1)
         if op.singular:
             x = _project(x)
-        residual = float(np.linalg.norm(mat.matvec(x) - b)) / b_norm
+        residual = float(_norm(matvec(x) - b)) / b_norm
         if residual <= tol:
             break
         restarts += 1

@@ -3,8 +3,9 @@
 Everything here avoids the package's discrete operators on purpose; the
 tests compare the production paths against these.  The sparse
 face-difference matrices and the triple-product stencil assembly built from
-them are the reference for the package's one-pass assembly, and an
-out-of-place fast Poisson solve is the reference for its preconditioner.
+them are the reference for the package's one-pass assembly, an out-of-place
+fast Poisson solve for its preconditioner, and the solver as it ran on
+scipy's ``cg`` and ``bicgstab`` for its own Krylov loops.
 Two small shared test helpers sit at the end: a d = 2, m = 2 test field and
 an evaluate counter.
 """
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from aphomog import fields as F
 from aphomog import metrics as M
@@ -274,6 +276,57 @@ def fast_poisson_out_of_place(op):
         return sfft.idstn(spec * inv, type=1, axes=axes, norm="ortho").reshape(-1)
 
     return matvec
+
+
+def scipy_krylov_solve(op, rhs, tol, max_iters=None):
+    """``operators.solve`` as it ran on scipy's ``cg`` and ``bicgstab``, whose
+    inner products are threaded BLAS ``ddot`` above 10 000 entries; returns
+    (solution values, iterations as the callback counts them, residual,
+    restarts); the caller compares the residual with ``tol``."""
+    shape = rhs.values.shape
+    unknowns = (slice(None),) + op.grid.unknowns
+    b = rhs.values[unknowns].reshape(-1)
+
+    def project(vec):
+        v = vec.reshape(op.m, -1)
+        return (v - v.mean(axis=1, keepdims=True)).reshape(-1)
+
+    if op.singular:
+        b = project(b)
+    b_norm = float(np.linalg.norm(b))
+    full = np.zeros(shape)
+    inner = full[unknowns]
+
+    def matvec(x):
+        inner[...] = x.reshape(inner.shape)
+        return op.matrix @ full.reshape(-1)
+
+    mat = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
+    if max_iters is None:
+        max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)
+    method = spla.cg if op.symmetric else spla.bicgstab
+    x = np.zeros_like(b)
+    total_iters, restarts, residual = 0, 0, np.inf
+    while total_iters < max_iters:
+        count = [0]
+
+        def callback(_xk):
+            count[0] += 1
+
+        x, _ = method(mat, b, x0=x, rtol=tol * 0.5, atol=0.0,
+                      maxiter=max_iters - total_iters, M=op.preconditioner,
+                      callback=callback)
+        total_iters += max(count[0], 1)
+        if op.singular:
+            x = project(x)
+        residual = float(np.linalg.norm(mat.matvec(x) - b)) / b_norm
+        if residual <= tol:
+            break
+        restarts += 1
+        if restarts > 4:
+            break
+    inner[...] = x.reshape(inner.shape)
+    return full, total_iters, residual, restarts
 
 
 def kronecker_divergence(g_faces, grid):

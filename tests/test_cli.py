@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -596,3 +597,76 @@ def test_reproduce_lists_the_environment_keys_that_changed(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["reproduce", "--result", str(path)]) == 4
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["environment"] == ["scipy"]
+
+
+@pytest.mark.parametrize("edit", [
+    {"d": 2},                                  # the golden field, with scalar terms, has d = 1
+    {"variant": "constant", "d": 3, "m": 2, "value": [[[[2.0]], [[0.0]]], [[[0.0]], [[2.0]]]]},
+    {"variant": "periodic_sampled", "d": 1, "m": 2, "period": [1.0, 2.0], "order": 1,
+     "samples": (2.0 + np.zeros((4, 4, 2, 2, 1, 1))).tolist()},
+], ids=["golden-d2", "constant-d3-m2", "periodic_sampled"])
+def test_a_config_whose_d_or_m_is_not_its_fields_exits_2_and_leaves_no_out(tmp_path, edit):
+    man = _read_json(DEMO_MANIFESTS[0].with_name("rho_golden.json"))
+    for term in man["field"]["torus_terms"]:
+        term["cos"], term["sin"] = term["cos"][0][0][0][0], term["sin"][0][0][0][0]
+    man["field"] = edit if "variant" in edit else dict(man["field"], **edit)
+    with pytest.raises(ValueError, match="the config states"):
+        F.field_from_config(man["field"])
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("leaf", ["2", True], ids=["string", "boolean"])
+def test_a_tensor_of_strings_or_booleans_exits_2_and_leaves_no_out(tmp_path, leaf):
+    # numpy would read "2" as 2.0 and True as 1.0
+    man = _read_json(DEMO_MANIFESTS[0].with_name("rho_golden.json"))
+    man["field"]["torus_terms"][0]["cos"] = [[[[leaf]]]]
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_payload_exits_3_and_writes_no_companion(tmp_path, monkeypatch):
+    def run(manifest, field):
+        return {"value": float("nan")}, "nan", {"companion.csv": cli._text("a,b\n")}
+
+    monkeypatch.setitem(cli.COMMANDS, "rho", dataclasses.replace(cli.COMMANDS["rho"], run=run))
+    man = _read_json(DEMO_MANIFESTS[0].with_name("rho_golden.json"))
+    assert _exit_code(tmp_path, man) == 3
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# results do not depend on the BLAS thread count
+
+def _bench_field_homogenize():
+    """The 2D quasi-periodic homogenize run of the benchmark: 191^2 = 36481 unknowns."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    terms = [{"frequency": k, "cos": c, "sin": 0.0}
+             for k, c in [([0, 0, 0, 0], 2.0), ([1, 0, 1, 0], 0.5), ([0, 1, 0, 1], 0.5)]]
+    return {"command": "homogenize", "seed": 0,
+            "field": {"variant": "quasi_periodic", "d": 2, "m": 1,
+                      "layout": [[1.0, phi], [1.0, np.sqrt(2.0)]], "torus_terms": terms},
+            "params": {"T": 4, "h": 0.0625, "buffer": 1, "bc": "truncated", "tol": 1e-9}}
+
+
+def _run_with_blas_threads(tmp_path, man, threads):
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    man_path, out = tmp_path / "man.json", tmp_path / f"out{threads}"
+    man_path.write_text(json.dumps(man))
+    subprocess.run([sys.executable, "-m", "aphomog.cli", "run", "--manifest", str(man_path),
+                    "--out", str(out)], env=env, capture_output=True, check=True)
+    result = _read_json(next(out.glob("*_result.json")))
+    return cli.dumps_canonical(result["payload"]), result["artifacts"]
+
+
+@pytest.mark.parametrize("name", ["corrector_golden", "flux_golden", "homogenize_2d"])
+def test_payload_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, name):
+    # each run has inner products over more than 10 000 entries, which
+    # threaded BLAS splits across threads
+    if name == "homogenize_2d":
+        man = _bench_field_homogenize()
+    else:
+        man = _read_json(DEMO_MANIFESTS[0].with_name(f"{name}.json"))
+    assert _run_with_blas_threads(tmp_path, man, 1) == _run_with_blas_threads(tmp_path, man, 2)

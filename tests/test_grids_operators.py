@@ -6,12 +6,12 @@ from aphomog import correctors as C
 from aphomog import fields as F
 from aphomog import operators
 from aphomog.errors import NonConverged
-from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
+from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _dot,
                            face_differences, holder_seminorm, load_grid_function,
                            norms, save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
 from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
-                          kronecker_divergence, triple_product_matrix)
+                          kronecker_divergence, scipy_krylov_solve, triple_product_matrix)
 
 
 @pytest.fixture
@@ -47,6 +47,22 @@ class TestGridBasics:
         g = BoxGrid(Box([0.0], [4.0]), [64], DIRICHLET)
         u = GridFunction(g, np.full((1, 65), 2.5))
         assert window_mean(u, Box([1.0], [2.0]))[0] == pytest.approx(2.5)
+
+    def test_window_mean_is_a_fixed_order_dot_and_near_the_blas_contraction(self):
+        # 19 481 window nodes, so the chunked dot sums three chunks per component
+        g = BoxGrid(Box([0.0, 0.0], [2.0, 2.0]), [160, 160], DIRICHLET)
+        values = 1.0 + np.random.default_rng(3).random((2, 161, 161))
+        window = Box([0.5, 0.0], [2.0, 2.0])
+        sls = g.window_slices(window)
+        w = g.trapezoid_weights(sls)
+        vals = values[(slice(None), *sls)]
+        got = window_mean(GridFunction(g, values), window)
+        for c in range(2):
+            want = _dot(vals[c].ravel(), w.ravel()) / float(np.sum(w))
+            assert got[c].tobytes() == want.tobytes()
+        # positive terms: the two summation orders agree to n eps
+        blas = np.tensordot(vals, w, axes=([1, 2], [0, 1])) / float(np.sum(w))
+        np.testing.assert_allclose(got, blas, rtol=w.size * np.finfo(float).eps, atol=0.0)
 
     def test_interpolation_linear_exact(self):
         g = BoxGrid(Box([0.0], [1.0]), [32], DIRICHLET)
@@ -337,6 +353,11 @@ class TestDivergence:
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
 
+# one operator per branch of the solver and its preconditioner (see _solver_case)
+SOLVER_CASES = ["lu_1d", "mean_projection_1d", "laminate_2d", "cross_term_2d",
+                "mean_projection_2d", "nonsymmetric_2d", "system_2d"]
+
+
 class TestSolve:
     def test_recovers_known_solution(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=1.0)
@@ -448,6 +469,28 @@ class TestSolve:
         assert op.preconditioner.dtype == np.float64
         assert calls == []
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("case", SOLVER_CASES)
+    def test_krylov_loops_match_scipy_bytes(self, case, tol):
+        # at most 8192 unknowns, where every _dot is np.dot itself
+        op, rhs = _solver_case(case)
+        assert op.matrix.shape[0] <= 8192
+        u = solve(op, rhs, tol=tol)
+        values, iterations, residual, restarts = scipy_krylov_solve(op, rhs, tol)
+        assert u.values.tobytes() == values.tobytes()
+        info = u.solve_info
+        assert (info.iterations, info.residual, info.restarts) == (iterations, residual, restarts)
+
+    @pytest.mark.parametrize("case", [c for c in SOLVER_CASES if c != "lu_1d"])
+    def test_exhausted_budget_matches_scipy(self, case):
+        # three iterations, then a restart with no budget left
+        op, rhs = _solver_case(case)
+        _, iterations, residual, restarts = scipy_krylov_solve(op, rhs, 1e-14, max_iters=3)
+        with pytest.raises(NonConverged) as exc:
+            solve(op, rhs, tol=1e-14, max_iters=3)
+        assert (exc.value.iterations, exc.value.residual) == (iterations, residual)
+        assert (iterations, restarts) == (3, 1)
+
     def test_deterministic_bitwise(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=0.5)
         rng = np.random.default_rng(2)
@@ -474,6 +517,22 @@ class TestSolve:
             errs.append(norms(GridFunction(grid, u.values - u_fn(x)[None]), "L2"))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+
+class TestFixedOrderDot:
+    @pytest.mark.parametrize("n", [0, 1, 1000, 8191, 8192])
+    def test_one_chunk_is_np_dot(self, n):
+        a, b = np.random.default_rng(n).standard_normal((2, n))
+        assert _dot(a, b).tobytes() == np.dot(a, b).tobytes()
+
+    @pytest.mark.parametrize("n", [8193, 10001, 3 * 8192, 50000])
+    def test_longer_vectors_sum_their_chunks_left_to_right(self, n):
+        a, b = np.random.default_rng(n).standard_normal((2, n))
+        chunks = [np.dot(a[lo:lo + 8192], b[lo:lo + 8192]) for lo in range(0, n, 8192)]
+        want = chunks[0]
+        for c in chunks[1:]:
+            want = want + c
+        assert _dot(a, b).tobytes() == want.tobytes()
 
 
 def _solver_case(name):
