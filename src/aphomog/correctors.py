@@ -22,6 +22,7 @@ pairs instead).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,8 +42,8 @@ class CorrectorSet:
     truncated route, and None (the whole cell) on the periodic route.
     ``face_rows[i]`` is row i of A at the centers of the faces normal to
     axis i, shape (faces_i, d, m, m) in ``grid.face_shape(i)`` order, sampled
-    once by ``solve_corrector``; the right-hand sides, the fluxes and the
-    effective tensor all read it.
+    once by ``solve_corrector``; the right-hand sides and the effective
+    tensor's face fluxes read it.
     """
 
     field: object
@@ -207,51 +208,49 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
 # effective tensor from window-averaged fluxes
 
 
-def corrector_flux(cset, j, beta):
-    """Flux arrays per direction i for solution (j, beta), at i-face centers.
-
-    flux_i^alpha(f) = a_ii^{ag}(f) D_i chi^g(f)
-                    + sum_{k != i} a_ik^{ag}(f) avg_i(centered_k chi^g)(f)
-    """
-    grid = cset.grid
-    u = cset.chi[j][beta]
-    m = cset.m
-    grads = centered_gradient(u) if grid.d > 1 else None
-    out = []
-    for i, rows in enumerate(cset.face_rows):
-        shape = (m,) + grid.face_shape(i)
-        normal = face_differences(u, i)
-        flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
-        for k in range(grid.d):
-            if k == i:
-                continue
-            behind, ahead = _face_pairs(grads[k], 1 + i, grid.bc == PERIODIC)
-            trans = (0.5 * (behind + ahead)).reshape(m, -1)
-            flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
-        out.append(flux)
-    return out
-
-
 def homogenized_matrix(cset, window=None):
     """Window-averaged approximate effective tensor with ellipticity check.
 
     Entry (i, j, a, b) is the mean over i-faces in the window of
-    a_ij^{ab}(f) + flux_i^a[chi_j^b](f); face-midpoint quadrature.
+    a_ij^{ab}(f) + flux_i^a[chi_j^b](f); face-midpoint quadrature, with the flux
+    computed on those faces only:
+
+        flux_i^a(f) = a_ii^{ag}(f) D_i chi^g(f)
+                    + sum_{k != i} a_ik^{ag}(f) avg_i(centered_k chi^g)(f)
+
     ``window`` defaults to the set's own window.
     """
     grid = cset.grid
     d, m = cset.d, cset.m
+    periodic = grid.bc == PERIODIC
     if window is None:
         window = cset.window
-    ahat = np.zeros((d, d, m, m))
-    fluxes = [[corrector_flux(cset, j, b) for b in range(m)] for j in range(d)]
+    # per axis i: the window's face slices and row i of A on those faces
+    windowed = []
     for i, rows in enumerate(cset.face_rows):
-        shape = (m,) + grid.face_shape(i)
-        fsl = grid.face_window_slices(window, i)
-        for j in range(d):
-            for b in range(m):
-                integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
-                ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
+        fsl = (slice(None), *grid.face_window_slices(window, i))
+        rows = rows.reshape(grid.face_shape(i) + rows.shape[1:])[fsl[1:]]
+        windowed.append((fsl, rows.reshape((-1,) + rows.shape[d:])))
+    ahat = np.zeros((d, d, m, m))
+    for j, b in itertools.product(range(d), range(m)):
+        u = cset.chi[j][b]
+        grads = centered_gradient(u)
+        for i, (fsl, rows) in enumerate(windowed):
+            behind, ahead = _face_pairs(u.values, 1 + i, periodic)
+            normal = (ahead[fsl] - behind[fsl]) / grid.h[i]
+            shape = normal.shape
+            flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
+            for k in range(d):
+                if k != i:
+                    behind, ahead = _face_pairs(grads[k], 1 + i, periodic)
+                    trans = (0.5 * (behind[fsl] + ahead[fsl])).reshape(m, -1)
+                    flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
+            # the integrand fills the window of an array over all i-faces with the
+            # components innermost (nothing else of it is written), and the mean
+            # sums it as that window, whatever part of the grid the window covers
+            faces = np.moveaxis(np.empty(grid.face_shape(i) + (m,)), -1, 0)[fsl]
+            np.add(rows[:, j, :, b].T.reshape(shape), flux, out=faces)
+            ahat[i, j, :, b] = faces.reshape(m, -1).mean(axis=1)
     lam = _sym_eigs(ahat)[0]
     mu = cset.field.ellipticity.mu
     return HomogenizedMatrix(tensor=ahat, source=("approximate", cset.T),
@@ -268,6 +267,19 @@ def reference_matrix(tensor):
 # pointwise diagnostics on interior regions
 
 
+def _node_samples(cset, sls):
+    """A and every chi's centered gradient at the nodes of the index slices ``sls``.
+
+    Returns (coeffs, grads) with the node axes last: coeffs[i, k, a, g] is
+    a_ik^{ag} and grads[j, b, k, g] is d_k chi_j^{gb}, each of the slices' shape.
+    """
+    grads = np.array([[centered_gradient(u)[(slice(None), slice(None), *sls)] for u in row]
+                      for row in cset.chi])
+    coeffs = cset.field.evaluate(cset.grid.slice_points(sls))       # (N, d, d, m, m)
+    coeffs = np.moveaxis(coeffs, 0, -1).reshape(coeffs.shape[1:] + grads.shape[4:])
+    return coeffs, grads
+
+
 def flux_tensor(cset, ahat=None, region=None):
     """Node-sampled oscillatory flux  ahat - A - A grad chi  with its mean.
 
@@ -278,28 +290,17 @@ def flux_tensor(cset, ahat=None, region=None):
     """
     if ahat is None:
         ahat = homogenized_matrix(cset)
-    a_t = ahat.tensor
     grid = cset.grid
     d, m = cset.d, cset.m
     if region is None:
         region = cset.window
     sls = grid.window_slices(region)
-    pts = grid.slice_points(sls)
-    coeffs = cset.field.evaluate(pts)                  # (N, d, d, m, m)
-    shape = tuple(len(range(*s.indices(grid.node_counts[ax]))) for ax, s in enumerate(sls))
-    values = np.empty((d, d, m, m) + shape)
-    grads = [[centered_gradient(cset.chi[j][b]) for b in range(m)] for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for al in range(m):
-                for b in range(m):
-                    acc = np.full(pts.shape[0], a_t[i, j, al, b])
-                    acc -= coeffs[:, i, j, al, b]
-                    for k in range(d):
-                        for g in range(m):
-                            acc -= coeffs[:, i, k, al, g] * \
-                                grads[j][b][k][g][sls].ravel()
-                    values[i, j, al, b] = acc.reshape(shape)
+    coeffs, grads = _node_samples(cset, sls)
+    # values[i, j, a, b] = ahat - a_ij^{ab} - sum_k sum_g a_ik^{ag} d_k chi_j^{gb}, in C
+    # order, so the periodic mean sums each entry's nodes contiguously
+    values = np.subtract(ahat.tensor[(...,) + (None,) * d], coeffs, order="C")
+    for k, g in itertools.product(range(d), range(m)):
+        values -= coeffs[:, k, :, g][:, None, :, None] * grads[:, :, k, g][None, :, None, :]
     if region is None:
         # the whole periodic cell: the plain node average is the wrap-around mean
         mean = values.reshape(d, d, m, m, -1).mean(axis=-1)
@@ -321,8 +322,7 @@ def energy_identity_residual(cset):
     grid = cset.grid
     d, m = cset.d, cset.m
     sls = grid.window_slices(cset.window)
-    pts = grid.slice_points(sls)
-    coeffs = cset.field.evaluate(pts)
+    coeffs, grads = _node_samples(cset, sls)
     if cset.window is None:
         weights = None
     else:
@@ -330,32 +330,21 @@ def energy_identity_residual(cset):
         weights = weights / weights.sum()
 
     def _avg(x):
-        return float(np.mean(x)) if weights is None else float(np.sum(weights * x))
+        x = x.reshape(d, m, -1)
+        return np.mean(x, axis=-1) if weights is None else np.sum(weights * x, axis=-1)
 
-    res = np.zeros((d, m))
-    rel = np.zeros((d, m))
-    for j in range(d):
-        for b in range(m):
-            u = cset.chi[j][b]
-            grad = centered_gradient(u)
-            g = np.stack([grad[k][(slice(None), *sls)].reshape(m, -1)
-                          for k in range(d)])        # (d, m, N)
-            energy = np.zeros(pts.shape[0])
-            for i in range(d):
-                for k in range(d):
-                    for al in range(m):
-                        for ga in range(m):
-                            energy += coeffs[:, i, k, al, ga] * g[k, ga] * g[i, al]
-            mass = np.sum(u.values[(slice(None), *sls)].reshape(m, -1) ** 2, axis=0)
-            rhs = np.zeros(pts.shape[0])
-            for i in range(d):
-                for al in range(m):
-                    rhs -= coeffs[:, i, j, al, b] * g[i, al]
-            lhs_val = _avg(energy) + cset.kappa * _avg(mass)
-            rhs_val = _avg(rhs)
-            res[j, b] = lhs_val - rhs_val
-            rel[j, b] = abs(res[j, b]) / (abs(lhs_val) + abs(rhs_val) + 1.0)
-    return res, rel
+    # per (j, b): sum_{i, k, a, g} a_ik^{ag} d_k chi^g d_i chi^a and -sum_{i, a} a_ij^{ab} d_i chi^a
+    energy = np.zeros_like(grads[:, :, 0, 0])
+    for i, k, al, ga in itertools.product(range(d), range(d), range(m), range(m)):
+        energy += coeffs[i, k, al, ga] * grads[:, :, k, ga] * grads[:, :, i, al]
+    rhs = np.zeros_like(energy)
+    for i, al in itertools.product(range(d), range(m)):
+        rhs -= coeffs[i, :, al] * grads[:, :, i, al]
+    chi = np.array([[u.values[(slice(None), *sls)] for u in row] for row in cset.chi])
+    lhs_val = _avg(energy) + cset.kappa * _avg(np.sum(chi ** 2, axis=2))
+    rhs_val = _avg(rhs)
+    res = lhs_val - rhs_val
+    return res, np.abs(res) / (np.abs(lhs_val) + np.abs(rhs_val) + 1.0)
 
 
 # ---------------------------------------------------------------------------

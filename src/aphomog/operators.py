@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NonConverged
 from .grids import PERIODIC, GridFunction, _dot
@@ -77,16 +76,17 @@ class DiscreteOperator:
 
     @functools.cached_property
     def preconditioner(self):
-        """Approximate inverse of the matrix on the unknowns, built once per operator.
+        """Approximate inverse of the matrix on the unknowns, a function of the
+        residual built once per operator.
 
-        d = 1: the exact sparse LU factor of the unknowns' (block) tridiagonal block.
-        d >= 2, or the singular periodic cell: the inverse of the
-        constant-coefficient screened operator (see ``_fast_poisson``).
+        d = 1: the solve with the exact sparse LU factor of the unknowns'
+        (block) tridiagonal block.  d >= 2, or the singular periodic cell: the
+        inverse of the constant-coefficient screened operator (see ``_fast_poisson``).
         """
         if self.grid.d == 1 and not self.singular:
+            from scipy.sparse.linalg import splu
             cols = np.flatnonzero(np.tile(self.grid.interior_mask().ravel(), self.m))
-            lu = spla.splu(self.matrix[:, cols].tocsc())
-            return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+            return splu(self.matrix[:, cols].tocsc()).solve
         return _fast_poisson(self)
 
     def apply(self, u):
@@ -218,7 +218,7 @@ def divergence_rhs(g_faces, grid):
 
 
 def _fast_poisson(op):
-    """Inverse of sum_i abar_i (-Delta_h,i) + kappa per component, as a LinearOperator.
+    """Inverse of sum_i abar_i (-Delta_h,i) + kappa per component, as a function.
 
     ``abar_i`` = ``op.face_means[i]``.  The 1D second differences are
     diagonalized by the orthonormal DST-I on the interior nodes of the
@@ -261,8 +261,7 @@ def _fast_poisson(op):
             return sfft.idstn(spec, type=1, axes=axes, norm="ortho",
                               overwrite_x=True).reshape(-1)
 
-    n_unknowns = int(np.prod(full))
-    return spla.LinearOperator((n_unknowns, n_unknowns), matvec=matvec, dtype=float)
+    return matvec
 
 
 def _norm(v):
@@ -385,7 +384,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     restarts = 0
     residual = np.inf
     while total_iters < max_iters:
-        x, iters = krylov(matvec, op.preconditioner.matvec, b, x, atol,
+        x, iters = krylov(matvec, op.preconditioner, b, x, atol,
                           max_iters - total_iters)
         total_iters += max(iters, 1)
         if op.singular:

@@ -4,8 +4,9 @@ Everything here avoids the package's discrete operators on purpose; the
 tests compare the production paths against these.  The sparse
 face-difference matrices and the triple-product stencil assembly built from
 them are the reference for the package's one-pass assembly, an out-of-place
-fast Poisson solve for its preconditioner, and the solver as it ran on
-scipy's ``cg`` and ``bicgstab`` for its own Krylov loops.
+fast Poisson solve for its preconditioner, the solver as it ran on
+scipy's ``cg`` and ``bicgstab`` for its own Krylov loops, and the corrector
+statistics as explicit loops over every tensor index for the vectorised ones.
 Two small shared test helpers sit at the end: a d = 2, m = 2 test field and
 an evaluate counter.
 """
@@ -20,7 +21,8 @@ import scipy.sparse.linalg as spla
 
 from aphomog import fields as F
 from aphomog import metrics as M
-from aphomog.grids import Box, PERIODIC
+from aphomog.grids import (Box, PERIODIC, _face_pairs, _trapezoid_means, centered_gradient,
+                           face_differences)
 
 
 def scalar_profile(field, xs):
@@ -302,6 +304,7 @@ def scipy_krylov_solve(op, rhs, tol, max_iters=None):
         return op.matrix @ full.reshape(-1)
 
     mat = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
+    precond = spla.LinearOperator((b.size, b.size), matvec=op.preconditioner, dtype=float)
     if max_iters is None:
         max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)
     method = spla.cg if op.symmetric else spla.bicgstab
@@ -314,7 +317,7 @@ def scipy_krylov_solve(op, rhs, tol, max_iters=None):
             count[0] += 1
 
         x, _ = method(mat, b, x0=x, rtol=tol * 0.5, atol=0.0,
-                      maxiter=max_iters - total_iters, M=op.preconditioner,
+                      maxiter=max_iters - total_iters, M=precond,
                       callback=callback)
         total_iters += max(count[0], 1)
         if op.singular:
@@ -327,6 +330,113 @@ def scipy_krylov_solve(op, rhs, tol, max_iters=None):
             break
     inner[...] = x.reshape(inner.shape)
     return full, total_iters, residual, restarts
+
+
+def corrector_flux_loops(cset, j, beta):
+    """Flux arrays per direction i for solution (j, beta) at every i-face center:
+    a_ii^{ag} D_i chi^g + sum_{k != i} a_ik^{ag} avg_i(centered_k chi^g)."""
+    grid = cset.grid
+    u = cset.chi[j][beta]
+    m = cset.m
+    grads = centered_gradient(u) if grid.d > 1 else None
+    out = []
+    for i, rows in enumerate(cset.face_rows):
+        shape = (m,) + grid.face_shape(i)
+        normal = face_differences(u, i)
+        flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
+        for k in range(grid.d):
+            if k == i:
+                continue
+            behind, ahead = _face_pairs(grads[k], 1 + i, grid.bc == PERIODIC)
+            trans = (0.5 * (behind + ahead)).reshape(m, -1)
+            flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
+        out.append(flux)
+    return out
+
+
+def homogenized_tensor_loops(cset, window=None):
+    """``homogenized_matrix``'s tensor from fluxes on every face of the grid,
+    then the window's faces (the form before the package computed the fluxes
+    on the window's faces only)."""
+    grid = cset.grid
+    d, m = cset.d, cset.m
+    if window is None:
+        window = cset.window
+    ahat = np.zeros((d, d, m, m))
+    fluxes = [[corrector_flux_loops(cset, j, b) for b in range(m)] for j in range(d)]
+    for i, rows in enumerate(cset.face_rows):
+        shape = (m,) + grid.face_shape(i)
+        fsl = grid.face_window_slices(window, i)
+        for j in range(d):
+            for b in range(m):
+                integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
+                ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
+    return ahat
+
+
+def flux_tensor_loops(cset, a_t, region=None):
+    """``flux_tensor``'s (values, mean) with one loop per tensor index."""
+    grid = cset.grid
+    d, m = cset.d, cset.m
+    if region is None:
+        region = cset.window
+    sls = grid.window_slices(region)
+    pts = grid.slice_points(sls)
+    coeffs = cset.field.evaluate(pts)
+    shape = tuple(len(range(*s.indices(grid.node_counts[ax]))) for ax, s in enumerate(sls))
+    values = np.empty((d, d, m, m) + shape)
+    grads = [[centered_gradient(cset.chi[j][b]) for b in range(m)] for j in range(d)]
+    for i, j, al, b in itertools.product(range(d), range(d), range(m), range(m)):
+        acc = np.full(pts.shape[0], a_t[i, j, al, b])
+        acc -= coeffs[:, i, j, al, b]
+        for k in range(d):
+            for g in range(m):
+                acc -= coeffs[:, i, k, al, g] * grads[j][b][k][g][sls].ravel()
+        values[i, j, al, b] = acc.reshape(shape)
+    if region is None:
+        mean = values.reshape(d, d, m, m, -1).mean(axis=-1)
+    else:
+        mean = _trapezoid_means(values, grid.trapezoid_weights(sls))
+    return values, mean
+
+
+def energy_identity_residual_loops(cset):
+    """``energy_identity_residual`` with one loop per tensor index and one
+    average per (direction, component)."""
+    grid = cset.grid
+    d, m = cset.d, cset.m
+    sls = grid.window_slices(cset.window)
+    pts = grid.slice_points(sls)
+    coeffs = cset.field.evaluate(pts)
+    if cset.window is None:
+        weights = None
+    else:
+        weights = grid.trapezoid_weights(sls).ravel()
+        weights = weights / weights.sum()
+
+    def _avg(x):
+        return float(np.mean(x)) if weights is None else float(np.sum(weights * x))
+
+    res = np.zeros((d, m))
+    rel = np.zeros((d, m))
+    for j in range(d):
+        for b in range(m):
+            u = cset.chi[j][b]
+            grad = centered_gradient(u)
+            g = np.stack([grad[k][(slice(None), *sls)].reshape(m, -1) for k in range(d)])
+            energy = np.zeros(pts.shape[0])
+            for i, k, al, ga in itertools.product(range(d), range(d), range(m), range(m)):
+                energy += coeffs[:, i, k, al, ga] * g[k, ga] * g[i, al]
+            mass = np.sum(u.values[(slice(None), *sls)].reshape(m, -1) ** 2, axis=0)
+            rhs = np.zeros(pts.shape[0])
+            for i in range(d):
+                for al in range(m):
+                    rhs -= coeffs[:, i, j, al, b] * g[i, al]
+            lhs_val = _avg(energy) + cset.kappa * _avg(mass)
+            rhs_val = _avg(rhs)
+            res[j, b] = lhs_val - rhs_val
+            rel[j, b] = abs(res[j, b]) / (abs(lhs_val) + abs(rhs_val) + 1.0)
+    return res, rel
 
 
 def kronecker_divergence(g_faces, grid):

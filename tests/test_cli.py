@@ -419,12 +419,16 @@ def _scipy_modules(tmp_path, man):
 
 _THETA_RUN = {"command": "theta", "seed": 0,
               "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16], "ell": 8}}
+_CORRECTOR_1D_RUN = {"command": "corrector", "seed": 0,
+                     "field": F.field_to_config(F.golden_ratio_field()),
+                     "params": {"T": 2, "h": 1 / 32, "buffer": 1}}
 
 
 @pytest.mark.parametrize("command", ["homogenize", "rho"])
 def test_a_run_imports_no_scipy_module_beyond_fft(tmp_path, command):
-    # scipy.fft loads with the package; a run first-imports no scipy module,
-    # whose import time would land in the run's wall time
+    # scipy.fft loads with the package; a d = 2 homogenize or a rho run
+    # first-imports no scipy module, whose import time would land in the run's
+    # wall time (a 1D solve imports scipy.sparse.linalg, theta scipy.spatial)
     if command == "homogenize":
         field = {"variant": "trig_polynomial", "d": 2, "m": 1,
                  "terms": [{"frequency": [0, 0], "cos": 2.0, "sin": 0.0},
@@ -445,12 +449,19 @@ def theta_scipy_modules(tmp_path_factory):
 def test_the_package_loads_scipy_fft_but_not_spatial(theta_scipy_modules):
     loaded, _ = theta_scipy_modules
     assert "scipy.fft" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse.linalg"))]
 
 
 def test_a_theta_run_loads_scipy_spatial(theta_scipy_modules):
     # covering_radius is the one user of scipy.spatial and imports it itself
     assert "scipy.spatial" in theta_scipy_modules[1]
+
+
+def test_a_1d_corrector_run_loads_scipy_sparse_linalg(tmp_path):
+    # the d = 1 preconditioner is the one user of splu and imports it itself
+    loaded, run = _scipy_modules(tmp_path, _CORRECTOR_1D_RUN)
+    assert not [m for m in loaded if m.startswith("scipy.sparse.linalg")]
+    assert "scipy.sparse.linalg" in run
 
 
 # ---------------------------------------------------------------------------

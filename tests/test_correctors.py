@@ -7,8 +7,9 @@ from aphomog import correctors as C
 from aphomog import fields as F
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradient,
                            norms, window_mean)
-from oracle_tools import (count_evaluate, cross_term_system, exact_corrector_1d,
-                          harmonic_mean_1d)
+from oracle_tools import (count_evaluate, cross_term_system, energy_identity_residual_loops,
+                          exact_corrector_1d, flux_tensor_loops, harmonic_mean_1d,
+                          homogenized_tensor_loops)
 
 PHI = F.GOLDEN_RATIO
 
@@ -342,6 +343,42 @@ class TestFaceRows:
         calls.clear()
         C.homogenized_matrix(cs)
         assert calls == []
+
+
+@pytest.fixture(scope="module", params=["periodic", "truncated"])
+def cross_term_cset(request):
+    # d = 2, m = 2, nonsymmetric: the summation order of every component sum shows
+    if request.param == "periodic":
+        return C.solve_corrector(cross_term_system(), 4.0, h=1 / 16, bc="periodic")
+    return C.solve_corrector(cross_term_system(), 1.0, h=1 / 64, buffer=0.5, bc="truncated")
+
+
+class TestStatisticsMatchLoops:
+    """The statistics equal their one-loop-per-index forms byte for byte."""
+
+    def test_homogenized_matrix(self, cross_term_cset):
+        got = C.homogenized_matrix(cross_term_cset).tensor
+        assert got.tobytes() == homogenized_tensor_loops(cross_term_cset).tobytes()
+
+    def test_homogenized_matrix_in_a_smaller_window(self, cross_term_cset):
+        grid = cross_term_cset.grid
+        window = Box.cube(0.25 * grid.box.sides[0], center=0.5 * (grid.box.lo + grid.box.hi),
+                          d=2)
+        got = C.homogenized_matrix(cross_term_cset, window=window).tensor
+        assert got.tobytes() == homogenized_tensor_loops(cross_term_cset, window).tobytes()
+
+    def test_flux_tensor(self, cross_term_cset):
+        ahat = C.homogenized_matrix(cross_term_cset)
+        flux = C.flux_tensor(cross_term_cset, ahat=ahat)
+        values, mean = flux_tensor_loops(cross_term_cset, ahat.tensor)
+        assert flux.values.tobytes() == values.tobytes()
+        assert flux.mean.tobytes() == mean.tobytes()
+
+    def test_energy_identity_residual(self, cross_term_cset):
+        res, rel = C.energy_identity_residual(cross_term_cset)
+        want_res, want_rel = energy_identity_residual_loops(cross_term_cset)
+        assert res.tobytes() == want_res.tobytes()
+        assert rel.tobytes() == want_rel.tobytes()
 
 
 class TestFluxTensor:

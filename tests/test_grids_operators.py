@@ -451,12 +451,12 @@ class TestSolve:
         op, rhs = _solver_case(case)
         r = rhs.values[(slice(None),) + op.grid.unknowns].ravel()
         before = r.copy()
-        got = operators._fast_poisson(op).matvec(r)
+        got = operators._fast_poisson(op)(r)
         assert r.tobytes() == before.tobytes()
         assert got.tobytes() == fast_poisson_out_of_place(op)(before).tobytes()
 
     def test_preconditioner_makes_no_probe_transform(self, monkeypatch):
-        # a LinearOperator given no dtype applies itself to zeros to find one
+        # building the preconditioner transforms nothing; only a Krylov step does
         calls = []
         dstn = operators.sfft.dstn
 
@@ -466,7 +466,7 @@ class TestSolve:
 
         op, _ = _solver_case("laminate_2d")
         monkeypatch.setattr(operators.sfft, "dstn", counting)
-        assert op.preconditioner.dtype == np.float64
+        assert callable(op.preconditioner)
         assert calls == []
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
