@@ -22,6 +22,7 @@ pairs instead).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from .fields import ShiftedField, identity_field, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _face_pairs,
-                    _trapezoid_means, centered_gradient, face_differences, holder_seminorm)
+                    _gradient_at, _trapezoid_means, centered_gradient, face_differences,
+                    holder_seminorm)
 from .metrics import DecayReport
 from .operators import assemble, divergence_rhs, solve
 
@@ -73,6 +75,13 @@ class CorrectorSet:
     def kappa(self):
         """The screening coefficient T^{-2} of the solves."""
         return self.T ** -2.0
+
+    @functools.cached_property
+    def window_gradients(self):
+        """Every chi's centered gradient at the window's nodes (the whole cell
+        on the periodic route), taken once for all window statistics:
+        [j, b, k, g] is d_k chi_j^{gb}."""
+        return _take_gradients(self, self.grid.window_slices(self.window))
 
     def sup_norm(self):
         """max |chi| over the window (the whole cell on the periodic route)."""
@@ -225,25 +234,31 @@ def homogenized_matrix(cset, window=None):
     periodic = grid.bc == PERIODIC
     if window is None:
         window = cset.window
+    # the gradients are taken on the window's nodes, which hold both nodes of
+    # every face in the window; gsl[i] are the window's i-faces in that block
+    sls = grid.window_slices(window)
+    grads = _gradients(cset, sls)
     # per axis i: the window's face slices and row i of A on those faces
     windowed = []
     for i, rows in enumerate(cset.face_rows):
         fsl = (slice(None), *grid.face_window_slices(window, i))
+        gsl = (slice(None),) + tuple(f if f.start is None else
+                                     slice(f.start - s.start, f.stop - s.start)
+                                     for f, s in zip(fsl[1:], sls))
         rows = rows.reshape(grid.face_shape(i) + rows.shape[1:])[fsl[1:]]
-        windowed.append((fsl, rows.reshape((-1,) + rows.shape[d:])))
+        windowed.append((fsl, gsl, rows.reshape((-1,) + rows.shape[d:])))
     ahat = np.zeros((d, d, m, m))
     for j, b in itertools.product(range(d), range(m)):
         u = cset.chi[j][b]
-        grads = centered_gradient(u)
-        for i, (fsl, rows) in enumerate(windowed):
+        for i, (fsl, gsl, rows) in enumerate(windowed):
             behind, ahead = _face_pairs(u.values, 1 + i, periodic)
             normal = (ahead[fsl] - behind[fsl]) / grid.h[i]
             shape = normal.shape
             flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
             for k in range(d):
                 if k != i:
-                    behind, ahead = _face_pairs(grads[k], 1 + i, periodic)
-                    trans = (0.5 * (behind[fsl] + ahead[fsl])).reshape(m, -1)
+                    behind, ahead = _face_pairs(grads[j, b, k], 1 + i, periodic)
+                    trans = (0.5 * (behind[gsl] + ahead[gsl])).reshape(m, -1)
                     flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
             # the integrand fills the window of an array over all i-faces with the
             # components innermost (nothing else of it is written), and the mean
@@ -267,14 +282,26 @@ def reference_matrix(tensor):
 # pointwise diagnostics on interior regions
 
 
+def _take_gradients(cset, sls):
+    """Every chi's centered gradient at the nodes of the index slices ``sls``."""
+    return np.array([[_gradient_at(u, sls) for u in row] for row in cset.chi])
+
+
+def _gradients(cset, sls):
+    """:func:`_take_gradients`, read from the set's ``window_gradients`` when
+    ``sls`` are its window's slices."""
+    if sls == cset.grid.window_slices(cset.window):
+        return cset.window_gradients
+    return _take_gradients(cset, sls)
+
+
 def _node_samples(cset, sls):
     """A and every chi's centered gradient at the nodes of the index slices ``sls``.
 
     Returns (coeffs, grads) with the node axes last: coeffs[i, k, a, g] is
     a_ik^{ag} and grads[j, b, k, g] is d_k chi_j^{gb}, each of the slices' shape.
     """
-    grads = np.array([[centered_gradient(u)[(slice(None), slice(None), *sls)] for u in row]
-                      for row in cset.chi])
+    grads = _gradients(cset, sls)
     coeffs = cset.field.evaluate(cset.grid.slice_points(sls))       # (N, d, d, m, m)
     coeffs = np.moveaxis(coeffs, 0, -1).reshape(coeffs.shape[1:] + grads.shape[4:])
     return coeffs, grads

@@ -272,14 +272,37 @@ def centered_gradient(u):
 
     Returns an array of shape (d, m, *nodes).
     """
+    return _gradient_at(u, (slice(None),) * u.grid.d)
+
+
+def _gradient_at(u, sls):
+    """:func:`centered_gradient` at the nodes of the index slices ``sls`` (one
+    per axis, step 1), of their shape: read from a block of nodes just larger
+    than theirs (wrapped on the periodic cell), bit for bit the whole grid's
+    gradient there."""
     vals, g = u.values, u.grid
-    out = np.empty((g.d,) + vals.shape)
-    for ax in range(g.d):
-        if g.bc == PERIODIC:
-            out[ax] = (np.roll(vals, -1, axis=1 + ax) - np.roll(vals, 1, axis=1 + ax)) \
-                / (2.0 * g.h[ax])
+    periodic = g.bc == PERIODIC
+    block, inner = vals, [slice(None)]
+    for ax, (s, n) in enumerate(zip(sls, g.node_counts)):
+        lo, hi, _ = s.indices(n)
+        if periodic and (lo, hi) == (0, n):
+            inner.append(slice(None))       # the roll below wraps the whole axis
+        elif periodic:
+            block = np.take(block, np.arange(lo - 1, hi + 1), axis=1 + ax, mode="wrap")
+            inner.append(slice(1, hi - lo + 1))
         else:
-            out[ax] = np.gradient(vals, g.h[ax], axis=1 + ax, edge_order=2)
+            # two nodes around: an edge node's one-sided difference reads two inward
+            a, b = max(lo - 2, 0), min(hi + 2, n)
+            block = block[(slice(None),) * (1 + ax) + (slice(a, b),)]
+            inner.append(slice(lo - a, hi - a))
+    inner = tuple(inner)
+    out = np.empty((g.d,) + block[inner].shape)
+    for ax in range(g.d):
+        if periodic:
+            out[ax] = ((np.roll(block, -1, axis=1 + ax) - np.roll(block, 1, axis=1 + ax))
+                       / (2.0 * g.h[ax]))[inner]
+        else:
+            out[ax] = np.gradient(block, g.h[ax], axis=1 + ax, edge_order=2)[inner]
     return out
 
 

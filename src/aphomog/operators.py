@@ -18,8 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sp
 
 from .errors import NonConverged
 from .grids import PERIODIC, GridFunction, _dot
@@ -51,21 +49,29 @@ class SolveInfo:
     method: str
 
 
+# rows per block of the stencil matvec: its partial sums and products, two
+# arrays of this length, stay in a core's L2 cache (at 769^2 nodes 16384 to
+# 65536 rows per block were fastest, 8192 and 131072 up to 30 % slower)
+_MATVEC_BLOCK = 32768
+
+
 class DiscreteOperator:
     """Assembled stencil for -div(A grad u) + kappa u on a BoxGrid.
 
-    ``matrix`` has a row per unknown (``grid.unknowns``, component-major)
-    and a column per node, so a Dirichlet box's boundary nodes are columns only.
+    ``coef[step]``, one (m, m, *nodes) array per stencil step, holds for
+    every component pair the coefficient of u(x + step h) in the row of node
+    x.  The operator's rows are the unknowns' (``grid.unknowns``,
+    component-major); a Dirichlet box's boundary nodes enter as columns only.
     ``face_means[i, alpha]`` is the mean of the face coefficients
     a_ii^{alpha alpha} on the faces normal to axis ``i``; the solver's
     preconditioner for d >= 2 is built from them.
     """
 
-    def __init__(self, grid, m, kappa, matrix, symmetric, face_means):
+    def __init__(self, grid, m, kappa, coef, symmetric, face_means):
         self.grid = grid
         self.kappa = float(kappa)
         self.m = m
-        self.matrix = matrix.tocsr()
+        self.coef = coef
         self.symmetric = bool(symmetric)
         self.face_means = np.asarray(face_means, dtype=float)
 
@@ -73,6 +79,125 @@ class DiscreteOperator:
     def singular(self):
         """True for kappa = 0 on the periodic cell: constants span the kernel."""
         return self.kappa == 0.0 and self.grid.bc == PERIODIC
+
+    @functools.cached_property
+    def matrix(self):
+        """The operator as a CSR matrix with a row per unknown and a column
+        per node, built on first read: only the d = 1 preconditioner needs it.
+
+        Its rows hold the nonzero coefficients in ascending column order,
+        the order in which ``matvec`` sums them.
+        """
+        import scipy.sparse as sp
+        grid, m, d = self.grid, self.m, self.grid.d
+        n = grid.node_total
+        order = sorted(self.coef)
+        itype = np.int32 if m * n < 2 ** 31 else np.int64
+        node = np.arange(n, dtype=itype).reshape(grid.node_counts)
+        vals = np.empty((m, n, m, len(order)))
+        cols = np.empty((n, len(order)), dtype=itype)
+        for k, s in enumerate(order):
+            vals[..., k] = self.coef[s].reshape(m, m, n).transpose(0, 2, 1)
+            cols[:, k] = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
+        cols = cols[None, :, None, :] + (n * np.arange(m, dtype=itype))[:, None]
+        rows = grid.interior_mask().ravel()
+        keep = vals != 0.0
+        keep &= rows[:, None, None]
+        counts = keep.reshape(m, n, -1).sum(axis=2)[:, rows].ravel()
+        L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep],
+                           np.concatenate(([0], np.cumsum(counts)))),
+                          shape=(counts.size, m * n))
+        L.sort_indices()
+        return L
+
+    @functools.cached_property
+    def _plan(self):
+        """How ``matvec`` walks the stencil: (unknowns' shape, blocks, wrap).
+
+        A row x whose neighbours x + step do not wrap takes its terms in
+        ascending column order, component by component and then by the
+        step's flat offset, so each term is one product of flat contiguous
+        slices.  The rows run in blocks of whole slabs along axis 0, so that
+        a block's partial sums and products (views of two buffers kept here,
+        so one matvec runs at a time per operator) stay in cache while its
+        terms add up.  A block holds its output rows, its views of the two
+        buffers and of the unknowns among its sums, and per row component
+        its terms as (coefficients, column component, first and last node).
+        Rows of the periodic cell's outer layer may wrap: ``wrap`` gathers
+        them term by term with their columns sorted, as the CSR stores them.
+        """
+        grid, m = self.grid, self.m
+        nodes, n = grid.node_counts, grid.node_total
+        strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
+        offset = {s: int(np.dot(s, strides)) for s in self.coef}
+        lo, hi = -min(offset.values()), n - max(offset.values())
+        steps = sorted(self.coef, key=offset.get)
+        terms = [[(self.coef[s][al, be].reshape(-1), be, offset[s])
+                  for be in range(m) for s in steps if np.any(self.coef[s][al, be])]
+                 for al in range(m)]
+        (first, *across), slab = grid.unknowns, n // nodes[0]
+        start, stop, _ = first.indices(nodes[0])
+        k = min(max(1, _MATVEC_BLOCK // slab), stop - start)
+        # a block copies out sums outside its rows [a, b) too (boundary nodes,
+        # or wrapping rows replaced below), so they start as numbers
+        y, tmp = np.zeros(k * slab), np.empty(k * slab)
+        blocks = []
+        for i in range(start, stop, k):
+            j = min(i + k, stop)
+            a = max(i * slab, lo)
+            b = max(min(j * slab, hi), a)
+            sums = y[:(j - i) * slab].reshape((j - i,) + nodes[1:])[(slice(None), *across)]
+            blocks.append((slice(i - start, j - start), y[a - i * slab:b - i * slab],
+                           tmp[:b - a], sums,
+                           [[(c[a:b], be, a + off, b + off) for c, be, off in row]
+                            for row in terms]))
+        shape = (stop - start,) + sums.shape[1:]
+        if grid.bc != PERIODIC:
+            return shape, blocks, None
+        edge = np.ones(nodes, dtype=bool)
+        edge[(slice(1, -1),) * grid.d] = False
+        rows = np.flatnonzero(edge)
+        at = np.unravel_index(rows, nodes)
+        steps = sorted(self.coef)
+        cols = np.stack([be * n + np.ravel_multi_index(
+            tuple((c + t) % size for c, t, size in zip(at, s, nodes)), nodes)
+            for be in range(m) for s in steps])
+        vals = np.stack([self.coef[s].reshape(m, m, n)[:, be, rows]
+                         for be in range(m) for s in steps], axis=1)
+        order = np.argsort(cols, axis=0, kind="stable")
+        return shape, blocks, (rows, np.take_along_axis(cols, order, axis=0),
+                               np.take_along_axis(vals, order[None], axis=1))
+
+    def matvec(self, values):
+        """The operator's rows applied to node values (m, *nodes): a fresh flat
+        array over the unknowns, bit for bit ``matrix @ values.ravel()``.
+
+        Every row is summed in its CSR column order without fused
+        multiply-adds, as ``csr_matvec`` does; a coefficient the CSR drops
+        as zero adds +-0.0, which changes no nonzero sum.
+        """
+        m = self.m
+        shape, blocks, wrap = self._plan
+        x = values.reshape(m, -1)
+        out = np.empty((m,) + shape)
+        for rows, ya, tb, sums, terms in blocks:
+            for al, ((c, be, xa, xb), *rest) in enumerate(terms):
+                np.multiply(c, x[be, xa:xb], out=ya)
+                for c, be, xa, xb in rest:
+                    np.multiply(c, x[be, xa:xb], out=tb)
+                    ya += tb
+                # csr_matvec starts from +0.0: adding it last turns a -0.0 sum,
+                # the only one that can differ, into +0.0
+                np.add(sums, 0.0, out=out[al, rows])
+        if wrap is not None:
+            rows, cols, vals = wrap
+            gathered = x.reshape(-1)[cols]
+            for al, out_rows in enumerate(out.reshape(m, -1)):
+                acc = np.zeros(rows.size)
+                for product in vals[al] * gathered:
+                    acc += product
+                out_rows[rows] = acc
+        return out.reshape(-1)
 
     @functools.cached_property
     def preconditioner(self):
@@ -93,7 +218,7 @@ class DiscreteOperator:
         """Apply to a GridFunction; the rows of Dirichlet boundary nodes are 0."""
         out = np.zeros_like(u.values)
         rows = out[(slice(None),) + self.grid.unknowns]
-        rows[...] = (self.matrix @ u.values.reshape(-1)).reshape(rows.shape)
+        rows[...] = self.matvec(u.values).reshape(rows.shape)
         return GridFunction(self.grid, out)
 
 
@@ -110,12 +235,12 @@ def assemble(field, grid, kappa, face_rows=None):
     evaluating the field again.  The nodes are sampled for the cross blocks
     only when the field is not ``cross_free``.
 
-    The matrix is built in one pass over stencil steps: ``coef[s]`` holds,
+    The stencil is built in one pass over its steps: ``coef[s]`` holds,
     for every component pair, the coefficient of u(x + s h) in the row of
     node x.  Each entry is formed and summed as in the sparse products
     sum_i D_i^T diag(a_ii) D_i + sum_{i != j} G_i^T diag(a_ij) G_j + kappa
-    (D_i the face difference, G_i the centered difference), so the matrix
-    is the same bit for bit in the unknowns' rows, the only rows it keeps.
+    (D_i the face difference, G_i the centered difference), so the
+    unknowns' rows are those products bit for bit.
     """
     field.ellipticity          # made on first read; raises if not elliptic
     if kappa < 0:
@@ -175,25 +300,7 @@ def assemble(field, grid, kappa, face_rows=None):
     if kappa:
         for al in range(m):
             coef[(0,) * d][al, al] += kappa
-    n = grid.node_total
-    order = sorted(coef)        # ascending column offsets; sort_indices orders wrap-around
-    itype = np.int32 if m * n < 2 ** 31 else np.int64
-    node = np.arange(n, dtype=itype).reshape(nodes)
-    vals = np.empty((m, n, m, len(order)))
-    cols = np.empty((n, len(order)), dtype=itype)
-    for k, s in enumerate(order):
-        vals[..., k] = coef.pop(s).reshape(m, m, n).transpose(0, 2, 1)
-        cols[:, k] = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
-    cols = cols[None, :, None, :] + (n * np.arange(m, dtype=itype))[:, None]
-    rows = grid.interior_mask().ravel()
-    keep = vals != 0.0
-    keep &= rows[:, None, None]
-    counts = keep.reshape(m, n, -1).sum(axis=2)[:, rows].ravel()
-    L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep],
-                       np.concatenate(([0], np.cumsum(counts)))),
-                      shape=(counts.size, m * n))
-    L.sort_indices()
-    return DiscreteOperator(grid, m, kappa, L, symmetric=field.symmetric,
+    return DiscreteOperator(grid, m, kappa, coef, symmetric=field.symmetric,
                             face_means=face_means)
 
 
@@ -245,23 +352,109 @@ def _fast_poisson(op):
         symbol = symbol + op.face_means[i].reshape((m,) + (1,) * d) * lam.reshape(along_i)
     inv = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
-    axes = tuple(range(1, d + 1))
-    full = (m,) + shape
+    forward, inverse = _transforms((m,) + shape, periodic)
 
-    # the spectrum is a fresh array: scale and invert it in place, never r
-    if periodic:
-        def matvec(r):
-            spec = sfft.rfftn(r.reshape(full), axes=axes)
-            spec *= inv
-            return sfft.irfftn(spec, s=shape, axes=axes, overwrite_x=True).reshape(-1)
-    else:
-        def matvec(r):
-            spec = sfft.dstn(r.reshape(full), type=1, axes=axes, norm="ortho")
-            spec *= inv
-            return sfft.idstn(spec, type=1, axes=axes, norm="ortho",
-                              overwrite_x=True).reshape(-1)
+    def matvec(r):
+        spec = forward(r.reshape((m,) + shape))
+        spec *= inv
+        return inverse(spec).reshape(-1)
 
     return matvec
+
+
+# From this many points per component the preconditioner transforms on
+# scipy.fft, whose lines run in SIMD batches, and pays its import (about
+# 0.25 s) at the first solve: at 767^2 points a corrector's transforms
+# then take about 0.5 s less than numpy.fft's.  Below it numpy.fft, and the
+# package never imports scipy.fft.  Both give the same bits: numpy.fft runs
+# the same pocketfft kernels, and the normalization below is scipy's, one
+# factor over all axes in long double.
+_SCIPY_FFT_POINTS = 2 ** 19
+
+
+def _transforms(full, periodic):
+    """(forward, inverse) spectral transforms of arrays of shape ``full``
+    over every axis but the first, bit for bit those of ``scipy.fft``.
+
+    The Dirichlet box's pair is the orthonormal DST-I (``dstn(type=1,
+    norm="ortho")``) twice; the periodic cell's is ``rfftn`` and ``irfftn``.
+    ``forward`` may return a buffer that its next call overwrites, which the
+    caller may scale in place; ``inverse`` may overwrite its argument and
+    returns a fresh array.
+    """
+    shape, axes = full[1:], tuple(range(1, len(full)))
+    if np.prod(shape) >= _SCIPY_FFT_POINTS:
+        import scipy.fft
+        if periodic:
+            return (functools.partial(scipy.fft.rfftn, axes=axes),
+                    functools.partial(scipy.fft.irfftn, s=shape, axes=axes, overwrite_x=True))
+        return (functools.partial(scipy.fft.dstn, type=1, axes=axes, norm="ortho"),
+                functools.partial(scipy.fft.idstn, type=1, axes=axes, norm="ortho",
+                                  overwrite_x=True))
+    if periodic:
+        spec = np.empty(full[:-1] + (full[-1] // 2 + 1,), dtype=complex)
+        scale = float(1 / np.longdouble(np.prod(shape)))
+
+        def forward(a):
+            # the last axis, then the others in order, as scipy's rfftn
+            np.fft.rfft(a, out=spec)
+            for ax in axes[:-1]:
+                np.fft.fft(spec, axis=ax, out=spec)
+            return spec
+
+        def inverse(s):
+            # unnormalized passes, then the factor 1/N once, as scipy's irfftn
+            for ax in axes[:-1]:
+                np.fft.ifft(s, axis=ax, norm="forward", out=s)
+            out = np.fft.irfft(s, n=shape[-1], norm="forward")
+            out *= scale
+            return out
+
+        return forward, inverse
+    dst = _dst_plan(full)
+    spec = np.empty(full)
+    return (lambda a: dst(a, spec)), (lambda s: dst(s, np.empty(full)))
+
+
+def _dst_plan(full):
+    """The orthonormal DST-I over every axis of ``full`` but the first, as a
+    function ``dst(a, out)`` that writes it to ``out`` and returns ``out``.
+
+    Along each axis, in order, a DST-I is minus the imaginary part of the
+    real FFT of the odd extension (0, a, 0, -reversed a), as pocketfft
+    computes it; the factor of all axes multiplies the first axis's result.
+    The passes share one extension and one spectrum buffer, and each writes
+    its result into the next one's extension, so a call allocates nothing
+    and keeps a small working set.
+    """
+    axes = range(1, len(full))
+    scale = float(1 / np.sqrt(np.longdouble(np.prod([2 * (full[ax] + 1) for ax in axes]))))
+    shapes = [full[:ax] + full[ax + 1:] + (2 * (full[ax] + 1),) for ax in axes]
+    ext_buf = np.empty(max(int(np.prod(sh)) for sh in shapes))
+    spec_buf = np.empty(max(int(np.prod(sh[:-1])) * (sh[-1] // 2 + 1) for sh in shapes),
+                        dtype=complex)
+    exts = [ext_buf[:int(np.prod(sh))].reshape(sh) for sh in shapes]
+    specs = [spec_buf[:ext[..., :full[ax] + 2].size].reshape(ext.shape[:-1] + (full[ax] + 2,))
+             for ax, ext in zip(axes, exts)]
+    # a pass reads its input from the odd half of its extension and its result
+    # from the imaginary part of its spectrum, both with the axes as in full
+    slots = [np.moveaxis(ext[..., 1:full[ax] + 1], -1, ax) for ax, ext in zip(axes, exts)]
+    results = [np.moveaxis(spec.imag[..., 1:full[ax] + 1], -1, ax)
+               for ax, spec in zip(axes, specs)]
+    passes = list(zip([full[ax] for ax in axes], exts, specs, results, slots[1:] + [None]))
+
+    def dst(a, out):
+        slots[0][...] = a
+        factor = -scale
+        for n, ext, spec, result, dest in passes:
+            ext[..., 0] = ext[..., n + 1] = 0.0
+            np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
+            np.fft.rfft(ext, out=spec)
+            np.multiply(result, factor, out=out if dest is None else dest)
+            factor = -1.0
+        return out
+
+    return dst
 
 
 def _norm(v):
@@ -366,14 +559,14 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     if b_norm == 0.0:
         return GridFunction(op.grid, np.zeros(shape), SolveInfo(0, 0.0, 0, "trivial"))
 
-    # x enters the matrix through a full-grid buffer whose boundary entries
+    # x enters the stencil through a full-grid buffer whose boundary entries
     # stay 0.0; a row then sums +-0.0 for them, which changes no value
     full = np.zeros(shape)
     inner = full[unknowns]
 
     def matvec(x):
         inner[...] = x.reshape(inner.shape)
-        return op.matrix @ full.reshape(-1)
+        return op.matvec(full)
 
     if max_iters is None:
         max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)

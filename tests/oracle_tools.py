@@ -3,10 +3,12 @@
 Everything here avoids the package's discrete operators on purpose; the
 tests compare the production paths against these.  The sparse
 face-difference matrices and the triple-product stencil assembly built from
-them are the reference for the package's one-pass assembly, an out-of-place
-fast Poisson solve for its preconditioner, the solver as it ran on
-scipy's ``cg`` and ``bicgstab`` for its own Krylov loops, and the corrector
-statistics as explicit loops over every tensor index for the vectorised ones.
+them are the reference for the package's one-pass assembly and its stencil
+matvec, an out-of-place fast Poisson solve on ``scipy.fft`` for its
+preconditioner on ``numpy.fft``, the solver as it ran on scipy's ``cg`` and
+``bicgstab`` for its own Krylov loops, and the corrector statistics as
+explicit loops over every tensor index, or with whole-grid gradients, for
+the vectorised ones on the window.
 Two small shared test helpers sit at the end: a d = 2, m = 2 test field and
 an evaluate counter.
 """
@@ -372,6 +374,50 @@ def homogenized_tensor_loops(cset, window=None):
                 integrand = rows[:, j, :, b].T.reshape(shape) + fluxes[j][b][i]
                 ahat[i, j, :, b] = integrand[(slice(None), *fsl)].reshape(m, -1).mean(axis=1)
     return ahat
+
+
+def homogenized_tensor_whole_grid(cset, window=None):
+    """``homogenized_matrix``'s tensor with each chi's centered gradient taken on
+    the whole grid, once per (j, b) (the form before the package took the
+    gradients once per set on the window's nodes)."""
+    grid = cset.grid
+    d, m = cset.d, cset.m
+    periodic = grid.bc == PERIODIC
+    if window is None:
+        window = cset.window
+    windowed = []
+    for i, rows in enumerate(cset.face_rows):
+        fsl = (slice(None), *grid.face_window_slices(window, i))
+        rows = rows.reshape(grid.face_shape(i) + rows.shape[1:])[fsl[1:]]
+        windowed.append((fsl, rows.reshape((-1,) + rows.shape[d:])))
+    ahat = np.zeros((d, d, m, m))
+    for j, b in itertools.product(range(d), range(m)):
+        u = cset.chi[j][b]
+        grads = centered_gradient(u)
+        for i, (fsl, rows) in enumerate(windowed):
+            behind, ahead = _face_pairs(u.values, 1 + i, periodic)
+            normal = (ahead[fsl] - behind[fsl]) / grid.h[i]
+            shape = normal.shape
+            flux = np.einsum("fag,gf->af", rows[:, i], normal.reshape(m, -1)).reshape(shape)
+            for k in range(d):
+                if k != i:
+                    behind, ahead = _face_pairs(grads[k], 1 + i, periodic)
+                    trans = (0.5 * (behind[fsl] + ahead[fsl])).reshape(m, -1)
+                    flux += np.einsum("fag,gf->af", rows[:, k], trans).reshape(shape)
+            faces = np.moveaxis(np.empty(grid.face_shape(i) + (m,)), -1, 0)[fsl]
+            np.add(rows[:, j, :, b].T.reshape(shape), flux, out=faces)
+            ahat[i, j, :, b] = faces.reshape(m, -1).mean(axis=1)
+    return ahat
+
+
+def node_samples_whole_grid(cset, sls):
+    """``correctors._node_samples`` with every centered gradient taken on the
+    whole grid and then sliced."""
+    grads = np.array([[centered_gradient(u)[(slice(None), slice(None), *sls)] for u in row]
+                      for row in cset.chi])
+    coeffs = cset.field.evaluate(cset.grid.slice_points(sls))
+    coeffs = np.moveaxis(coeffs, 0, -1).reshape(coeffs.shape[1:] + grads.shape[4:])
+    return coeffs, grads
 
 
 def flux_tensor_loops(cset, a_t, region=None):

@@ -9,7 +9,8 @@ from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradi
                            norms, window_mean)
 from oracle_tools import (count_evaluate, cross_term_system, energy_identity_residual_loops,
                           exact_corrector_1d, flux_tensor_loops, harmonic_mean_1d,
-                          homogenized_tensor_loops)
+                          homogenized_tensor_loops, homogenized_tensor_whole_grid,
+                          node_samples_whole_grid)
 
 PHI = F.GOLDEN_RATIO
 
@@ -379,6 +380,49 @@ class TestStatisticsMatchLoops:
         want_res, want_rel = energy_identity_residual_loops(cross_term_cset)
         assert res.tobytes() == want_res.tobytes()
         assert rel.tobytes() == want_rel.tobytes()
+
+
+class TestWindowGradients:
+    """The statistics take each chi's gradient once, on the window's nodes, with
+    the bits of the whole grid's gradient there."""
+
+    def test_homogenized_matrix_equals_the_whole_grid_form(self, cross_term_cset):
+        got = C.homogenized_matrix(cross_term_cset).tensor
+        assert got.tobytes() == homogenized_tensor_whole_grid(cross_term_cset).tobytes()
+
+    @pytest.mark.parametrize("side", [0.25, 0.6])
+    def test_in_a_smaller_window(self, cross_term_cset, side):
+        grid = cross_term_cset.grid
+        window = Box.cube(side * grid.box.sides[0], center=0.5 * (grid.box.lo + grid.box.hi),
+                          d=2)
+        got = C.homogenized_matrix(cross_term_cset, window=window).tensor
+        want = homogenized_tensor_whole_grid(cross_term_cset, window)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("region", ["window", "grid"])
+    def test_node_samples_equal_the_whole_grid_form(self, cross_term_cset, region):
+        # the window's slices read the set's gradients; others take their own
+        grid = cross_term_cset.grid
+        sls = grid.window_slices(cross_term_cset.window if region == "window" else None)
+        coeffs, grads = C._node_samples(cross_term_cset, sls)
+        want_coeffs, want_grads = node_samples_whole_grid(cross_term_cset, sls)
+        assert grads.tobytes() == want_grads.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+
+    def test_the_window_statistics_take_the_gradients_once(self, monkeypatch):
+        calls = []
+        inner = C._take_gradients
+
+        def counting(cset, sls):
+            calls.append(sls)
+            return inner(cset, sls)
+
+        monkeypatch.setattr(C, "_take_gradients", counting)
+        cset = C.solve_corrector(cross_term_system(), 1.0, h=1 / 64, buffer=0.5)
+        C.homogenized_matrix(cset)
+        C.energy_identity_residual(cset)
+        C.flux_tensor(cset)
+        assert calls == [cset.grid.window_slices(cset.window)]
 
 
 class TestFluxTensor:

@@ -7,8 +7,8 @@ from aphomog import fields as F
 from aphomog import operators
 from aphomog.errors import NonConverged
 from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _dot,
-                           face_differences, holder_seminorm, load_grid_function,
-                           norms, save_grid_function, window_mean)
+                           _gradient_at, centered_gradient, face_differences, holder_seminorm,
+                           load_grid_function, norms, save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
 from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
                           kronecker_divergence, scipy_krylov_solve, triple_product_matrix)
@@ -358,6 +358,87 @@ SOLVER_CASES = ["lu_1d", "mean_projection_1d", "laminate_2d", "cross_term_2d",
                 "mean_projection_2d", "nonsymmetric_2d", "system_2d"]
 
 
+def _signed_zeros(x, seed):
+    """``x`` with about half its entries replaced by +0.0 and -0.0, so that some
+    rows sum only zero products."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, 4, x.shape)
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x))
+
+
+class TestStencilMatvec:
+    """The stencil matvec and ``apply`` are ``matrix @ x`` bit for bit: each row in
+    the CSR's column order, summed without fused multiply-adds."""
+
+    @staticmethod
+    def _assert_matrix_product(op, x):
+        want = op.matrix @ x.reshape(-1)
+        assert op.matvec(x).tobytes() == want.tobytes()
+        got = op.apply(GridFunction(op.grid, x)).values
+        unknowns = (slice(None),) + op.grid.unknowns
+        assert got[unknowns].tobytes() == want.tobytes()
+        boundary = np.ones(got.shape, dtype=bool)
+        boundary[unknowns] = False
+        assert not np.any(got[boundary])
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("case", SOLVER_CASES + ["cross_term_periodic_m2"])
+    def test_solver_cases(self, case, block, monkeypatch):
+        # block 1: one slab per block, so the row blocks and their edges show
+        if block is not None:
+            monkeypatch.setattr(operators, "_MATVEC_BLOCK", block)
+        op, rhs = _solver_case(case)
+        self._assert_matrix_product(op, rhs.values)
+        self._assert_matrix_product(op, _signed_zeros(rhs.values, 1))
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+    def test_oracle_fields(self, name, bc):
+        # d = 1, 2, 3, m = 1, 2, cross blocks, unequal spacings
+        field = ORACLE_FIELDS[name]()
+        grid = _oracle_grid(field.d, bc)
+        op = assemble(field, grid, 0.75)
+        x = np.random.default_rng(4).standard_normal((field.m,) + grid.node_counts)
+        self._assert_matrix_product(op, x)
+        self._assert_matrix_product(op, _signed_zeros(x, 2))
+
+    @pytest.mark.parametrize("case", ["mean_projection_2d", "cross_term_periodic_m2"])
+    def test_wrap_rows_need_the_csr_order(self, case):
+        # summing the steps in sorted order with wrapped neighbours misses the
+        # CSR's bits on some rows of the periodic cell's outer layer
+        op, rhs = _solver_case(case)
+        x, m = rhs.values, op.m
+        plain = np.zeros_like(x)
+        for al in range(m):
+            for be in range(m):
+                for step in sorted(op.coef):
+                    plain[al] += op.coef[step][al, be] * np.roll(
+                        x[be], tuple(-t for t in step), axis=(0, 1))
+        want = (op.matrix @ x.reshape(-1)).reshape(x.shape)
+        differ = np.any(plain != want, axis=0)
+        assert differ.any()
+        assert not differ[1:-1, 1:-1].any()
+
+
+class TestGradientAt:
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slices_have_the_whole_grid_bits(self, d, bc):
+        grid = BoxGrid(Box(np.zeros(d), np.array([1.3, 0.7, 0.9])[:d]), [7, 9, 5][:d], bc)
+        rng = np.random.default_rng(d)
+        u = GridFunction(grid, rng.standard_normal((2,) + grid.node_counts))
+        whole = centered_gradient(u)
+        for _ in range(40):
+            sls = []
+            for n in grid.node_counts:
+                lo = int(rng.integers(0, n))
+                sls.append(slice(lo, int(rng.integers(lo + 1, n + 1))))
+            got = _gradient_at(u, tuple(sls))
+            want = whole[(slice(None), slice(None), *sls)]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSolve:
     def test_recovers_known_solution(self, sine_field, pgrid):
         op = assemble(sine_field, pgrid, kappa=1.0)
@@ -444,30 +525,42 @@ class TestSolve:
         assert len(cset.iterations) == 4
         assert len(built) == 1
 
+    @pytest.mark.parametrize("scipy_from", [operators._SCIPY_FFT_POINTS, 0])
     @pytest.mark.parametrize("case", ["laminate_2d", "system_2d", "mean_projection_2d",
-                                      "mean_projection_1d"])
-    def test_fast_poisson_in_place_keeps_residual_and_bits(self, case):
-        # DST-I route at m = 1 and 2; rfftn route in 2D and on the singular 1D cell
+                                      "mean_projection_1d", "dirichlet_31x48",
+                                      "periodic_31x48", "system_dirichlet_31x48",
+                                      "dirichlet_3d", "periodic_3d"])
+    def test_fast_poisson_in_place_keeps_residual_and_bits(self, case, scipy_from,
+                                                          monkeypatch):
+        # DST-I route at m = 1 and 2, rfftn route in 2D and on the singular 1D
+        # cell, odd and unequal sides, d = 3 (axis order); on numpy.fft and,
+        # with every size sent there, on scipy.fft
+        monkeypatch.setattr(operators, "_SCIPY_FFT_POINTS", scipy_from)
         op, rhs = _solver_case(case)
         r = rhs.values[(slice(None),) + op.grid.unknowns].ravel()
         before = r.copy()
-        got = operators._fast_poisson(op)(r)
+        precondition = operators._fast_poisson(op)
+        want = fast_poisson_out_of_place(op)(before)
+        # the second call reuses the transform buffers; the first result stays
+        results = [precondition(r), precondition(r)]
         assert r.tobytes() == before.tobytes()
-        assert got.tobytes() == fast_poisson_out_of_place(op)(before).tobytes()
+        assert [got.tobytes() for got in results] == [want.tobytes()] * 2
 
     def test_preconditioner_makes_no_probe_transform(self, monkeypatch):
         # building the preconditioner transforms nothing; only a Krylov step does
         calls = []
-        dstn = operators.sfft.dstn
+        rfft = np.fft.rfft
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return dstn(*args, **kwargs)
+            return rfft(*args, **kwargs)
 
-        op, _ = _solver_case("laminate_2d")
-        monkeypatch.setattr(operators.sfft, "dstn", counting)
+        op, rhs = _solver_case("laminate_2d")
+        monkeypatch.setattr(np.fft, "rfft", counting)
         assert callable(op.preconditioner)
         assert calls == []
+        op.preconditioner(rhs.values[(slice(None),) + op.grid.unknowns].ravel())
+        assert len(calls) == 4      # two DST-I passes forward, two back
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -535,10 +628,37 @@ class TestFixedOrderDot:
         assert _dot(a, b).tobytes() == want.tobytes()
 
 
+def _system_2d_field():
+    base = np.zeros((2, 2, 2, 2))
+    wob = np.zeros((2, 2, 2, 2))
+    for i in range(2):
+        base[i, i] = [[2.0, 0.3], [0.3, 1.0]]
+        wob[i, i] = [[0.5, 0.1], [0.1, 0.3]]
+    return F.TrigPolynomialField(2, 2, [(np.zeros(2), base, np.zeros_like(base)),
+                                        (np.array([1.0, 2.0]), np.zeros_like(base), wob)])
+
+
 def _solver_case(name):
-    """(operator, right-hand side) for one branch of the solver's preconditioner."""
+    """(operator, right-hand side) for one branch of the solver's preconditioner,
+    or for a transform shape of it (``*_31x48``, ``*_3d``) or a periodic m = 2
+    cross-term stencil (``cross_term_periodic_m2``)."""
     zero = np.zeros((2, 2))
-    if name.endswith("_1d"):
+    if name.endswith("_3d"):
+        f = ORACLE_FIELDS["trig_d3_m1"]()
+        bc = DIRICHLET if name.startswith("dirichlet") else PERIODIC
+        grid = BoxGrid(Box(np.zeros(3), np.ones(3)), [6, 7, 8] if bc == DIRICHLET else [5, 6, 7],
+                       bc)
+        kappa = 0.5
+    elif name.endswith("_31x48"):
+        f = _system_2d_field() if name.startswith("system") else F.laminate_field()
+        bc = PERIODIC if name.startswith("periodic") else DIRICHLET
+        grid = BoxGrid(Box([0.0, 0.0], [2.0, 3.0]), [31, 48], bc)
+        kappa = 1.0 / 16.0
+    elif name == "cross_term_periodic_m2":
+        f = cross_term_system()
+        grid = BoxGrid(Box([0.0, 0.0], [2.0, 2.0]), [16, 16], PERIODIC)
+        kappa = 1.0 / 16.0
+    elif name.endswith("_1d"):
         f = F.sine_scalar_field()
         bc, kappa = (PERIODIC, 0.0) if name == "mean_projection_1d" else (DIRICHLET, 0.5)
         grid = BoxGrid(Box([0.0], [1.0]), [64], bc)
@@ -552,13 +672,7 @@ def _solver_case(name):
                 (np.zeros(2), np.array([[2.0, 0.5], [-0.5, 1.5]]), zero),
                 (np.array([1.0, 0.0]), np.array([[0.5, 0.3], [0.0, 0.2]]), zero)])
         elif name == "system_2d":
-            base = np.zeros((2, 2, 2, 2))
-            wob = np.zeros((2, 2, 2, 2))
-            for i in range(2):
-                base[i, i] = [[2.0, 0.3], [0.3, 1.0]]
-                wob[i, i] = [[0.5, 0.1], [0.1, 0.3]]
-            f = F.TrigPolynomialField(2, 2, [(np.zeros(2), base, np.zeros_like(base)),
-                                             (np.array([1.0, 2.0]), np.zeros_like(base), wob)])
+            f = _system_2d_field()
         else:
             f = F.laminate_field()
         bc, kappa = ((PERIODIC, 0.0) if name == "mean_projection_2d"
