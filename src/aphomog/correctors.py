@@ -237,7 +237,8 @@ def homogenized_matrix(cset, window=None):
     # the gradients are taken on the window's nodes, which hold both nodes of
     # every face in the window; gsl[i] are the window's i-faces in that block
     sls = grid.window_slices(window)
-    grads = _gradients(cset, sls)
+    grads = (cset.window_gradients if sls == grid.window_slices(cset.window)
+             else _take_gradients(cset, sls))
     # per axis i: the window's face slices and row i of A on those faces
     windowed = []
     for i, rows in enumerate(cset.face_rows):
@@ -287,21 +288,14 @@ def _take_gradients(cset, sls):
     return np.array([[_gradient_at(u, sls) for u in row] for row in cset.chi])
 
 
-def _gradients(cset, sls):
-    """:func:`_take_gradients`, read from the set's ``window_gradients`` when
-    ``sls`` are its window's slices."""
-    if sls == cset.grid.window_slices(cset.window):
-        return cset.window_gradients
-    return _take_gradients(cset, sls)
-
-
 def _node_samples(cset, sls):
     """A and every chi's centered gradient at the nodes of the index slices ``sls``.
 
     Returns (coeffs, grads) with the node axes last: coeffs[i, k, a, g] is
     a_ik^{ag} and grads[j, b, k, g] is d_k chi_j^{gb}, each of the slices' shape.
     """
-    grads = _gradients(cset, sls)
+    grads = (cset.window_gradients if sls == cset.grid.window_slices(cset.window)
+             else _take_gradients(cset, sls))
     coeffs = cset.field.evaluate(cset.grid.slice_points(sls))       # (N, d, d, m, m)
     coeffs = np.moveaxis(coeffs, 0, -1).reshape(coeffs.shape[1:] + grads.shape[4:])
     return coeffs, grads

@@ -50,8 +50,11 @@ class SolveInfo:
 
 
 # rows per block of the stencil matvec: its partial sums and products, two
-# arrays of this length, stay in a core's L2 cache (at 769^2 nodes 16384 to
-# 65536 rows per block were fastest, 8192 and 131072 up to 30 % slower)
+# arrays of this length, stay in a core's L2 cache.  It serves grids of more
+# rows than a block: one pass over all rows took 6.1 against 3.6 ms at 769^2
+# nodes and 38 against 19 ms at 1537^2 (2-core x86 VM, median of 9); up to
+# 257^2 nodes the rows are 1-3 blocks and neither form was consistently faster.
+# At 769^2, 16384 to 65536 rows per block were fastest.
 _MATVEC_BLOCK = 32768
 
 
@@ -362,35 +365,19 @@ def _fast_poisson(op):
     return matvec
 
 
-# From this many points per component the preconditioner transforms on
-# scipy.fft, whose lines run in SIMD batches, and pays its import (about
-# 0.25 s) at the first solve: at 767^2 points a corrector's transforms
-# then take about 0.5 s less than numpy.fft's.  Below it numpy.fft, and the
-# package never imports scipy.fft.  Both give the same bits: numpy.fft runs
-# the same pocketfft kernels, and the normalization below is scipy's, one
-# factor over all axes in long double.
-_SCIPY_FFT_POINTS = 2 ** 19
-
-
 def _transforms(full, periodic):
     """(forward, inverse) spectral transforms of arrays of shape ``full``
     over every axis but the first, bit for bit those of ``scipy.fft``.
 
     The Dirichlet box's pair is the orthonormal DST-I (``dstn(type=1,
     norm="ortho")``) twice; the periodic cell's is ``rfftn`` and ``irfftn``.
+    Both run on ``numpy.fft``, whose pocketfft kernels are scipy's, with
+    scipy's normalization: one factor over all axes, in long double.
     ``forward`` may return a buffer that its next call overwrites, which the
     caller may scale in place; ``inverse`` may overwrite its argument and
     returns a fresh array.
     """
     shape, axes = full[1:], tuple(range(1, len(full)))
-    if np.prod(shape) >= _SCIPY_FFT_POINTS:
-        import scipy.fft
-        if periodic:
-            return (functools.partial(scipy.fft.rfftn, axes=axes),
-                    functools.partial(scipy.fft.irfftn, s=shape, axes=axes, overwrite_x=True))
-        return (functools.partial(scipy.fft.dstn, type=1, axes=axes, norm="ortho"),
-                functools.partial(scipy.fft.idstn, type=1, axes=axes, norm="ortho",
-                                  overwrite_x=True))
     if periodic:
         spec = np.empty(full[:-1] + (full[-1] // 2 + 1,), dtype=complex)
         scale = float(1 / np.longdouble(np.prod(shape)))

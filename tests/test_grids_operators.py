@@ -525,17 +525,13 @@ class TestSolve:
         assert len(cset.iterations) == 4
         assert len(built) == 1
 
-    @pytest.mark.parametrize("scipy_from", [operators._SCIPY_FFT_POINTS, 0])
     @pytest.mark.parametrize("case", ["laminate_2d", "system_2d", "mean_projection_2d",
                                       "mean_projection_1d", "dirichlet_31x48",
                                       "periodic_31x48", "system_dirichlet_31x48",
                                       "dirichlet_3d", "periodic_3d"])
-    def test_fast_poisson_in_place_keeps_residual_and_bits(self, case, scipy_from,
-                                                          monkeypatch):
+    def test_fast_poisson_in_place_keeps_residual_and_bits(self, case):
         # DST-I route at m = 1 and 2, rfftn route in 2D and on the singular 1D
-        # cell, odd and unequal sides, d = 3 (axis order); on numpy.fft and,
-        # with every size sent there, on scipy.fft
-        monkeypatch.setattr(operators, "_SCIPY_FFT_POINTS", scipy_from)
+        # cell, odd and unequal sides, d = 3 (axis order)
         op, rhs = _solver_case(case)
         r = rhs.values[(slice(None),) + op.grid.unknowns].ravel()
         before = r.copy()
