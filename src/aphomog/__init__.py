@@ -27,7 +27,7 @@ from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discre
 from .operators import DiscreteOperator, assemble, divergence_rhs, solve
 from .correctors import (CorrectorSet, FluxTensor, HomogenizedMatrix, corrector_scalings,
                          energy_identity_residual, flux_tensor, gradient_cauchy_decay,
-                         homogenized_matrix, reference_matrix, solve_corrector,
+                         homogenized_matrix, solve_corrector,
                          solve_flux_corrector, translation_response, windowed_gradient_sup)
 from .experiments import (RateExperiment, boundary_corrector, eps_operator,
                           expansion_term, holder_uniformity, rate_experiment,

@@ -7,9 +7,9 @@ digits and stable key ordering so ``reproduce`` can re-run the embedded
 manifest and compare payloads exactly.
 
 Exit codes: 0 success; 2 unreadable input, manifest schema violation, a
-NaN or infinity in params or field, params that do not fit together, or a
-field config that is unusable or not elliptic; 3 compute failure; 4
-reproduction drift.  A run writes nothing until its compute returns, so
+NaN or infinity in params, params that do not fit together, or a field
+config that ``fields.field_from_config`` refuses or that is not elliptic;
+3 compute failure; 4 reproduction drift.  A run writes nothing until its compute returns, so
 exits 2 and 3 leave the output directory as it was.
 """
 
@@ -22,12 +22,11 @@ import gzip  # noqa: F401  np.savetxt loads it on first call
 import hashlib
 import json
 import logging
-import math
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
-import threading
 import time
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
@@ -36,13 +35,13 @@ import numpy.fft  # noqa: F401  numpy loads these three on first use
 import numpy.ma  # noqa: F401  (np.isin)
 import numpy.random  # noqa: F401
 import jsonschema
-from jsonschema.exceptions import best_match
 
 from . import correctors as C
 from . import experiments as E
 from . import fields as F
 from . import metrics as M
 from .errors import EllipticityViolation, NonConverged
+from .fields import _COUNT, _POSITIVE, _check_finite, _check_schema, _closed, _list_of
 from .grids import save_grid_function, window_mean
 
 log = logging.getLogger("aphomog")
@@ -57,67 +56,18 @@ except PackageNotFoundError:
 _ENVIRONMENT = {"python": sys.version.split()[0], "numpy": np.__version__,
                 "scipy": pkg_version("scipy")}
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _POSITIVE_OR_NULL = {"type": ["number", "null"], "exclusiveMinimum": 0}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
-_COUNT = {"type": "integer", "minimum": 1}
 _COUNT_OR_NULL = {"type": ["integer", "null"], "minimum": 1}
 _T = {"type": "number", "minimum": 1}
 
-
-def _list_of(item):
-    return {"type": "array", "minItems": 1, "items": item}
-
-
-def _params(required, properties):
-    return {"type": "object", "required": required, "properties": properties,
-            "additionalProperties": False}
-
-
-_CORRECTOR_PARAMS = _params(["T"], {
+_CORRECTOR_PARAMS = _closed(["T"], {
     "T": _T, "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
     "bc": {"enum": ["auto", "periodic", "truncated"]}, "tol": _POSITIVE})
-
-# one closed schema per field variant; numpy reads the numbers nested in a tensor
-_TENSOR = {"type": ["number", "array"]}
-_TERMS = {"type": "array", "items": _params(["frequency", "cos", "sin"], {
-    "frequency": _list_of({"type": "number"}), "cos": _TENSOR, "sin": _TENSOR})}
-
-
-def _field(required, **properties):
-    return _params(["variant", *required], {"variant": {}, "d": _COUNT, "m": _COUNT,
-                                            **properties})
-
-
-FIELD_SCHEMAS = {
-    "constant": _field(["value"], value=_TENSOR),
-    "trig_polynomial": _field(["d", "m", "terms"], terms=_TERMS),
-    "periodic_sampled": _field(["period", "samples"], period=_list_of(_POSITIVE),
-                               order={"const": 1}, samples={"type": "array"}),
-    "quasi_periodic": _field(["d", "m", "layout", "torus_terms"], torus_terms=_TERMS,
-                             layout=_list_of(_list_of({"type": "number"}))),
-}
-_FIELD_VALIDATOR = jsonschema.Draft202012Validator({
-    "type": "object", "required": ["variant"],
-    "properties": {"variant": {"enum": list(FIELD_SCHEMAS)}},
-    "allOf": [{"if": {"required": ["variant"], "properties": {"variant": {"const": v}}},
-               "then": schema} for v, schema in FIELD_SCHEMAS.items()]})
 
 
 class ManifestError(ValueError):
     pass
-
-
-def _check_finite(obj, path):
-    """Raise ManifestError at the first NaN or infinity inside ``obj``."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ManifestError(f"{path}: non-finite number {obj!r}")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_finite(v, f"{path}.{k}")
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            _check_finite(v, f"{path}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +98,8 @@ def manifest_hash(manifest):
     return hashlib.sha256(dumps_canonical(manifest).encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path, write):
-    """Create ``path`` by calling ``write(tmp_path)`` on a sibling temp file, then renaming.
-
-    The temp name is unique per process and thread.  The writer creates the
-    file, so it gets the umask's permissions (``mkstemp`` would give 0600).
-    """
-    path = os.path.abspath(path)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _text(text):
-    """Writer of ``text`` as UTF-8 for :func:`_atomic_write`."""
+    """Writer of ``text`` as UTF-8 to a path."""
     return lambda path: pathlib.Path(path).write_text(text, encoding="utf-8")
 
 
@@ -332,27 +264,27 @@ class _Command:
 COMMANDS = {
     "corrector": _Command(_CORRECTOR_PARAMS, _run_corrector),
     "homogenize": _Command(_CORRECTOR_PARAMS, _run_homogenize),
-    "rho": _Command(_params(["R_list"], {
+    "rho": _Command(_closed(["R_list"], {
         "R_list": _list_of(_POSITIVE), "y_samples": _COUNT_OR_NULL,
         "test_points": _COUNT_OR_NULL, "z_spacing": _POSITIVE_OR_NULL,
         "norm": {"enum": ["inf", "euclid"]}}), _run_rho,
         rule=lambda p, field: M.checked_radii(p["R_list"])),
-    "theta": _Command(_params(["lambda", "R_list", "ell"], {
+    "theta": _Command(_closed(["lambda", "R_list", "ell"], {
         "lambda": _list_of({"type": "number"}), "R_list": _list_of(_POSITIVE),
         "ell": {"anyOf": [_COUNT, _list_of(_COUNT)]}}), _run_theta, needs_field=False,
         rule=lambda p, field: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"])))),
-    "discrepancy": _Command(_params(["lambda", "R", "ell"], {
+    "discrepancy": _Command(_closed(["lambda", "R", "ell"], {
         "lambda": _list_of({"type": "number"}), "R": _COUNT, "ell": _COUNT,
         "H_list": _list_of(_COUNT)}), _run_discrepancy, needs_field=False),
-    "rate": _Command(_params(["eps_list"], {
+    "rate": _Command(_closed(["eps_list"], {
         "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
         "tol": _POSITIVE, "boundary_corrector": {"type": "boolean"}}), _run_rate,
         rule=lambda p, field: E.checked_eps(p["eps_list"])),
-    "holder": _Command(_params(["eps_list"], {
+    "holder": _Command(_closed(["eps_list"], {
         "eps_list": _list_of(_POSITIVE), "corrector_h": _POSITIVE_OR_NULL,
         "sigma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}),
         _run_holder, rule=lambda p, field: E.checked_holder_eps(p["eps_list"])),
-    "flux": _Command(_params(["T_list"], {
+    "flux": _Command(_closed(["T_list"], {
         "T_list": _list_of(_T), "h": _POSITIVE_OR_NULL, "buffer": _NONNEGATIVE,
         "region_factor": _POSITIVE, "tol": _POSITIVE}), _run_flux, rule=_flux_regions),
 }
@@ -364,43 +296,32 @@ MANIFEST_SCHEMA = {
         "command": {"enum": list(COMMANDS)},
         "seed": {"type": "integer", "minimum": 0},
         "params": {"type": "object"},
-        "field": {"type": "object"},
+        "field": {},                 # fields.field_from_config checks it
     },
     "additionalProperties": False,
 }
 
-# best_match picks the error that jsonschema.validate would raise
 _MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
 
 
 def validate_manifest(manifest):
-    """Check the whole manifest before any compute; return its field, built but not sampled."""
-    exc = best_match(_MANIFEST_VALIDATOR.iter_errors(manifest))
-    if exc is not None:
-        raise ManifestError(str(exc.message)) from exc
-    # JSON Schema "number" admits NaN and infinity, which json.load reads
-    for key in ("params", "field"):
-        _check_finite(manifest.get(key), key)
-    command = COMMANDS[manifest["command"]]
-    exc = best_match(command.validator.iter_errors(manifest["params"]))
-    if exc is not None:
-        raise ManifestError(f"params{exc.json_path[1:]}: {exc.message}") from exc
-    field = None
-    if command.needs_field:
-        if "field" not in manifest:
-            raise ManifestError(f"command {manifest['command']!r} needs a field config")
-        exc = best_match(_FIELD_VALIDATOR.iter_errors(manifest["field"]))
-        if exc is not None:
-            raise ManifestError(f"field{exc.json_path[1:]}: {exc.message}") from exc
-        try:
-            field = F.field_from_config(manifest["field"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(
-                f"invalid field config: {type(exc).__name__}: {exc}") from exc
+    """Check the whole manifest before any compute; return its field, built but not sampled.
+
+    The field config is ``fields.field_from_config``'s to check; a command
+    that takes no field refuses one.
+    """
     try:
-        command.rule(manifest["params"], field)
+        _check_schema(_MANIFEST_VALIDATOR, manifest, "manifest")
+        command, params = COMMANDS[manifest["command"]], manifest["params"]
+        if command.needs_field != ("field" in manifest):
+            raise ValueError(f"command {manifest['command']!r} "
+                             f"{'needs a' if command.needs_field else 'takes no'} field config")
+        _check_finite(params, "params")
+        _check_schema(command.validator, params, "params")
+        field = F.field_from_config(manifest["field"]) if command.needs_field else None
+        command.rule(params, field)
     except ValueError as exc:
-        raise ManifestError(f"params: {exc}") from exc
+        raise ManifestError(str(exc)) from exc
     return field
 
 
@@ -423,23 +344,33 @@ def run_manifest(manifest, out_dir, threads=None):
     np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
     payload, summary, files = COMMANDS[manifest["command"]].run(manifest, field)
     dumps_canonical(payload)       # a non-finite value fails here, before any write
-    artifacts = {}
-    for name, writer in files.items():
-        path = os.path.join(out_dir, name)
-        _atomic_write(path, writer)
-        with open(path, "rb") as f:
-            artifacts[name] = hashlib.sha256(f.read()).hexdigest()
-    result = {
-        "tool": {"name": "aphomog", "version": _TOOL_VERSION},
-        "manifest": manifest,
-        "manifest_hash": manifest_hash(manifest),
-        "seed": manifest["seed"],
-        "environment": _ENVIRONMENT,
-        "payload": payload,
-        "artifacts": artifacts,      # sha256 of companion files (CSV, binaries)
-    }
-    path = os.path.join(out_dir, f"{manifest['command']}_result.json")
-    _atomic_write(path, _text(dumps_canonical(result) + "\n"))
+    name = f"{manifest['command']}_result.json"
+    # every file is written into a staging directory inside out_dir, then renamed
+    # into place, companions first, so a failed write leaves no file and a result
+    # implies its companions; the writers create the files with the umask's modes
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".stage-", dir=out_dir)
+    try:
+        artifacts = {}       # sha256 of companion files (CSV, binaries)
+        for companion, writer in files.items():
+            writer(os.path.join(stage, companion))
+            with open(os.path.join(stage, companion), "rb") as f:
+                artifacts[companion] = hashlib.sha256(f.read()).hexdigest()
+        result = {
+            "tool": {"name": "aphomog", "version": _TOOL_VERSION},
+            "manifest": manifest,
+            "manifest_hash": manifest_hash(manifest),
+            "seed": manifest["seed"],
+            "environment": _ENVIRONMENT,
+            "payload": payload,
+            "artifacts": artifacts,
+        }
+        _text(dumps_canonical(result) + "\n")(os.path.join(stage, name))
+        for written in [*files, name]:
+            os.replace(os.path.join(stage, written), os.path.join(out_dir, written))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    path = os.path.join(out_dir, name)
     log.info("run_manifest command=%s wall_s=%.3f result=%s",
              manifest["command"], time.perf_counter() - t0, path)
     print(summary + f" -> {path}")

@@ -217,7 +217,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
 # effective tensor from window-averaged fluxes
 
 
-def homogenized_matrix(cset, window=None):
+def homogenized_matrix(cset):
     """Window-averaged approximate effective tensor with ellipticity check.
 
     Entry (i, j, a, b) is the mean over i-faces in the window of
@@ -226,23 +226,18 @@ def homogenized_matrix(cset, window=None):
 
         flux_i^a(f) = a_ii^{ag}(f) D_i chi^g(f)
                     + sum_{k != i} a_ik^{ag}(f) avg_i(centered_k chi^g)(f)
-
-    ``window`` defaults to the set's own window.
     """
     grid = cset.grid
     d, m = cset.d, cset.m
     periodic = grid.bc == PERIODIC
-    if window is None:
-        window = cset.window
     # the gradients are taken on the window's nodes, which hold both nodes of
     # every face in the window; gsl[i] are the window's i-faces in that block
-    sls = grid.window_slices(window)
-    grads = (cset.window_gradients if sls == grid.window_slices(cset.window)
-             else _take_gradients(cset, sls))
+    sls = grid.window_slices(cset.window)
+    grads = cset.window_gradients
     # per axis i: the window's face slices and row i of A on those faces
     windowed = []
     for i, rows in enumerate(cset.face_rows):
-        fsl = (slice(None), *grid.face_window_slices(window, i))
+        fsl = (slice(None), *grid.face_window_slices(cset.window, i))
         gsl = (slice(None),) + tuple(f if f.start is None else
                                      slice(f.start - s.start, f.stop - s.start)
                                      for f, s in zip(fsl[1:], sls))
@@ -271,12 +266,6 @@ def homogenized_matrix(cset, window=None):
     mu = cset.field.ellipticity.mu
     return HomogenizedMatrix(tensor=ahat, source=("approximate", cset.T),
                              ellipticity_ok=bool(lam > 0 and lam >= 0.90 * mu))
-
-
-def reference_matrix(tensor):
-    t = np.asarray(tensor, dtype=float)
-    return HomogenizedMatrix(tensor=t, source=("reference",),
-                             ellipticity_ok=bool(_sym_eigs(t)[0] > 0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 
 from .errors import EllipticityViolation, ResonantFrequencies
 from .grids import _multilinear
@@ -93,10 +96,6 @@ class Ellipticity:
     def __post_init__(self):
         if not (0.0 < self.mu <= self.mu_inv_check):
             raise ValueError(f"invalid certificate: mu={self.mu}, max={self.mu_inv_check}")
-
-    @property
-    def two_sided_mu(self):
-        return min(self.mu, 1.0 / self.mu_inv_check)
 
 
 @dataclass(frozen=True)
@@ -245,12 +244,12 @@ class TrigPolynomialField(CoefficientField):
 
     def __init__(self, d, m, terms):
         super().__init__(d, m)
-        self.terms = _parse_terms(terms, d, d, m)
+        self.terms = _parse_terms(terms, self.d, self.d, self.m)
         self.symmetric = _terms_symmetric(self.terms)
         self._cross_free = _terms_cross_free(self.terms)
         freqs = np.array([k for k, _, _ in self.terms])
         if freqs.size and np.allclose(freqs, np.round(freqs), atol=1e-12):
-            self.period = np.ones(d)
+            self.period = np.ones(self.d)
 
     def _evaluate(self, pts):
         return _trig_sum(pts, self.terms, self.d, self.m)
@@ -290,7 +289,7 @@ class TorusFunction:
         self.dimension = int(dimension)
         self.d = int(d)
         self.m = int(m)
-        parsed = _parse_terms(terms, self.dimension, d, m)
+        parsed = _parse_terms(terms, self.dimension, self.d, self.m)
         if not all(np.allclose(n, np.round(n), atol=1e-9) for n, _, _ in parsed):
             raise ValueError("torus frequencies must be integer vectors")
         self.terms = [(np.round(n), c, s) for n, c, s in parsed]
@@ -519,6 +518,65 @@ def golden_ratio_field():
 # ---------------------------------------------------------------------------
 # configuration I/O (JSON-compatible dictionaries)
 
+# schema pieces, shared with the params schemas of the command line
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+
+
+def _list_of(item):
+    return {"type": "array", "minItems": 1, "items": item}
+
+
+def _closed(required, properties):
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
+def _check_schema(validator, obj, path):
+    """Raise ValueError, naming its JSON path from ``path``, at the error that
+    jsonschema.validate would raise."""
+    exc = best_match(validator.iter_errors(obj))
+    if exc is not None:
+        raise ValueError(f"{path}{exc.json_path[1:]}: {exc.message}") from exc
+
+
+def _check_finite(obj, path):
+    """Raise ValueError at the first NaN or infinity inside ``obj``; JSON Schema
+    "number" admits both, and json.load reads them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{path}: non-finite number {obj!r}")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _check_finite(v, f"{path}[{i}]")
+
+
+# one closed schema per field variant; a tensor's entries are _tensor_from_cfg's
+_TERMS = {"type": "array", "items": _closed(["frequency", "cos", "sin"], {
+    "frequency": _list_of({"type": "number"}), "cos": {}, "sin": {}})}
+
+
+def _variant(required, **properties):
+    return _closed(["variant", *required], {"variant": {}, "d": _COUNT, "m": _COUNT,
+                                            **properties})
+
+
+FIELD_SCHEMAS = {
+    "constant": _variant(["value"], value={}),
+    "trig_polynomial": _variant(["d", "m", "terms"], terms=_TERMS),
+    "periodic_sampled": _variant(["period", "samples"], period=_list_of(_POSITIVE),
+                                 order={"const": 1}, samples={}),
+    "quasi_periodic": _variant(["d", "m", "layout", "torus_terms"], torus_terms=_TERMS,
+                               layout=_list_of(_list_of({"type": "number"}))),
+}
+_FIELD_VALIDATOR = jsonschema.Draft202012Validator({
+    "type": "object", "required": ["variant"],
+    "properties": {"variant": {"enum": list(FIELD_SCHEMAS)}},
+    "allOf": [{"if": {"required": ["variant"], "properties": {"variant": {"const": v}}},
+               "then": schema} for v, schema in FIELD_SCHEMAS.items()]})
+
 
 def _tensor_cfg(t):
     return np.asarray(t, dtype=float).tolist()
@@ -529,17 +587,27 @@ def _terms_cfg(terms):
             for k, c, s in terms]
 
 
-def _tensor_from_cfg(x):
-    """A config's tensor as floats; booleans and strings are refused, not cast."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"tensor entries must be numbers, not {arr.dtype.name}")
-    return arr.astype(float)
+def _check_entries(x, path):
+    if isinstance(x, list):
+        for i, v in enumerate(x):
+            _check_entries(v, f"{path}[{i}]")
+    elif isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{path}: tensor entries must be numbers, not {type(x).__name__}")
 
 
-def _terms_from_cfg(items):
-    return [(np.asarray(t["frequency"], dtype=float), _tensor_from_cfg(t["cos"]),
-             _tensor_from_cfg(t["sin"])) for t in items]
+def _tensor_from_cfg(x, path):
+    """A config's tensor as floats: nested lists of numbers of one shape.  A
+    boolean or a string, which numpy would read as 1.0 or parse, is refused."""
+    _check_entries(x, path)
+    try:
+        return np.asarray(x, dtype=float)
+    except ValueError as exc:                   # rows of different lengths
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _terms_from_cfg(items, path):
+    return [(t["frequency"], _tensor_from_cfg(t["cos"], f"{path}[{n}].cos"),
+             _tensor_from_cfg(t["sin"], f"{path}[{n}].sin")) for n, t in enumerate(items)]
 
 
 def field_to_config(field):
@@ -563,32 +631,34 @@ def field_to_config(field):
 def field_from_config(cfg):
     """Build a field from its JSON-compatible configuration dictionary.
 
-    Raises ValueError when the ``d`` or ``m`` the config states is not the
-    built field's.
+    Raises ValueError, naming the key's JSON path from ``field``, for a config
+    that ``FIELD_SCHEMAS`` refuses (an unknown, missing or mistyped key, an
+    unknown variant, an ``order`` other than 1), that holds a NaN or infinity
+    or a tensor entry that is not a number, or that states a ``d`` or ``m``
+    that is not the built field's.
     """
+    _check_schema(_FIELD_VALIDATOR, cfg, "field")
+    _check_finite(cfg, "field")
     field = _field_from_config(cfg)
     for key in ("d", "m"):
         if key in cfg and cfg[key] != getattr(field, key):
-            raise ValueError(f"the config states {key} = {cfg[key]} but its field has "
-                             f"{key} = {getattr(field, key)}")
+            raise ValueError(f"field.{key}: the config states {key} = {cfg[key]} but its "
+                             f"field has {key} = {getattr(field, key)}")
     return field
 
 
 def _field_from_config(cfg):
     variant = cfg["variant"]
     if variant == "constant":
-        return ConstantField(_tensor_from_cfg(cfg["value"]), d=cfg.get("d"), m=cfg.get("m"))
+        return ConstantField(_tensor_from_cfg(cfg["value"], "field.value"),
+                             d=cfg.get("d"), m=cfg.get("m"))
     if variant == "trig_polynomial":
-        return TrigPolynomialField(int(cfg["d"]), int(cfg["m"]), _terms_from_cfg(cfg["terms"]))
+        return TrigPolynomialField(cfg["d"], cfg["m"],
+                                   _terms_from_cfg(cfg["terms"], "field.terms"))
     if variant == "periodic_sampled":
-        if int(cfg.get("order", 1)) != 1:
-            raise ValueError("only multilinear interpolation (order=1) is supported")
-        return PeriodicSampledField(np.asarray(cfg["period"], dtype=float),
-                                    _tensor_from_cfg(cfg["samples"]))
-    if variant == "quasi_periodic":
-        d, m = int(cfg["d"]), int(cfg["m"])
-        layout = FrequencyLayout(tuple(np.asarray(f, dtype=float) for f in cfg["layout"]))
-        torus = TorusFunction(layout.total_dimension, d, m,
-                              _terms_from_cfg(cfg["torus_terms"]))
-        return QuasiPeriodicField(torus, layout)
-    raise ValueError(f"unknown field variant {variant!r}")
+        return PeriodicSampledField(cfg["period"],
+                                    _tensor_from_cfg(cfg["samples"], "field.samples"))
+    layout = FrequencyLayout(cfg["layout"])
+    torus = TorusFunction(layout.total_dimension, cfg["d"], cfg["m"],
+                          _terms_from_cfg(cfg["torus_terms"], "field.torus_terms"))
+    return QuasiPeriodicField(torus, layout)

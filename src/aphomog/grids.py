@@ -95,10 +95,6 @@ class BoxGrid:
         n = self.node_counts[ax]
         return self.box.lo[ax] + self.h[ax] * np.arange(n)
 
-    def node_mesh(self):
-        axes = [self.axis_nodes(ax) for ax in range(self.d)]
-        return np.meshgrid(*axes, indexing="ij")
-
     def slice_points(self, sls):
         """The nodes of the index slices ``sls`` (one per axis) as points (N, d), C order."""
         return _mesh_points([self.axis_nodes(ax)[s] for ax, s in enumerate(sls)])

@@ -15,6 +15,7 @@ periodic boundary conditions.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +95,18 @@ class DiscreteOperator:
         import scipy.sparse as sp
         grid, m, d = self.grid, self.m, self.grid.d
         n = grid.node_total
-        order = sorted(self.coef)
-        itype = np.int32 if m * n < 2 ** 31 else np.int64
-        node = np.arange(n, dtype=itype).reshape(grid.node_counts)
-        vals = np.empty((m, n, m, len(order)))
-        cols = np.empty((n, len(order)), dtype=itype)
-        for k, s in enumerate(order):
-            vals[..., k] = self.coef[s].reshape(m, m, n).transpose(0, 2, 1)
-            cols[:, k] = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
-        cols = cols[None, :, None, :] + (n * np.arange(m, dtype=itype))[:, None]
-        rows = grid.interior_mask().ravel()
-        keep = vals != 0.0
-        keep &= rows[:, None, None]
-        counts = keep.reshape(m, n, -1).sum(axis=2)[:, rows].ravel()
-        L = sp.csr_matrix((vals[keep], np.broadcast_to(cols, vals.shape)[keep],
-                           np.concatenate(([0], np.cumsum(counts)))),
-                          shape=(counts.size, m * n))
+        node = np.arange(n).reshape(grid.node_counts)
+        rows, cols, vals = [], [], []
+        for s, c in self.coef.items():
+            col = np.roll(node, tuple(-t for t in s), axis=tuple(range(d))).ravel()
+            for al, be in itertools.product(range(m), range(m)):
+                rows.append(al * n + node.ravel())
+                cols.append(be * n + col)
+                vals.append(c[al, be].ravel())
+        L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(m * n, m * n))
+        L = L[np.flatnonzero(np.tile(grid.interior_mask().ravel(), m))]
+        L.eliminate_zeros()
         L.sort_indices()
         return L
 

@@ -9,8 +9,8 @@ preconditioner on ``numpy.fft``, the solver as it ran on scipy's ``cg`` and
 ``bicgstab`` for its own Krylov loops, and the corrector statistics as
 explicit loops over every tensor index, or with whole-grid gradients, for
 the vectorised ones on the window.
-Two small shared test helpers sit at the end: a d = 2, m = 2 test field and
-an evaluate counter.
+Three small shared test helpers sit at the end: a d = 2, m = 2 test field,
+an evaluate counter and the HomogenizedMatrix of a known tensor.
 """
 
 import functools
@@ -21,6 +21,7 @@ import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from aphomog import correctors as C
 from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.grids import (Box, PERIODIC, _face_pairs, _trapezoid_means, centered_gradient,
@@ -526,3 +527,12 @@ def count_evaluate(field):
 
     field.evaluate = counting
     return calls
+
+
+def reference_matrix(tensor):
+    """A known effective tensor as a HomogenizedMatrix, elliptic when the
+    symmetric part of its (dm, dm) matrix is positive definite."""
+    t = np.asarray(tensor, dtype=float)
+    mat = F.tensor_matrix(t)
+    return C.HomogenizedMatrix(tensor=t, source=("reference",),
+                               ellipticity_ok=bool(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] > 0))

@@ -285,7 +285,7 @@ def test_criterion_11_discretization_gates(sine_field, tmp_path):
         for n in (32, 64, 128):
             grid = BoxGrid(Box([0, 0], [1, 1]), [n, n], DIRICHLET)
             op = assemble(field2, grid, kappa=0.7)
-            X, Y = grid.node_mesh()
+            X, Y = np.meshgrid(grid.axis_nodes(0), grid.axis_nodes(1), indexing="ij")
             u = solve(op, GridFunction(grid, f2(X, Y)[None]), tol=1e-11)
             errs2.append(norms(GridFunction(grid, u.values - u2n(X, Y)[None]), "L2"))
         r2 = [errs2[0] / errs2[1], errs2[1] / errs2[2]]

@@ -207,15 +207,29 @@ def test_empty_params_exit_2(tmp_path, command):
     assert not (tmp_path / "out" / f"{command}_result.json").exists()
 
 
-def test_atomic_write_failure_leaves_nothing(tmp_path):
-    def failing_writer(path):
-        with open(path, "w") as f:
-            f.write("partial")
-        raise OSError("disk full")
+@pytest.mark.parametrize("failing", [1, 2, 3], ids=["chi-0", "chi-1", "result"])
+def test_a_failing_write_leaves_no_file_in_out(tmp_path, monkeypatch, failing):
+    # d = 2: two chi companions, then the result; write number `failing` raises
+    # after it has written its file
+    man = {"command": "corrector", "seed": 0, "field": F.field_to_config(F.laminate_field()),
+           "params": {"T": 1.0, "h": 1 / 64, "bc": "periodic"}}
+    written = []
 
+    def counted(write):
+        def wrapper(*args):
+            write(*args)
+            written.append(args[-1])
+            if len(written) == failing:
+                raise OSError("disk full")
+        return wrapper
+
+    monkeypatch.setattr(cli, "save_grid_function", counted(cli.save_grid_function))
+    monkeypatch.setattr(cli, "_text", lambda text, real=cli._text: counted(real(text)))
+    out = tmp_path / "out"
     with pytest.raises(OSError, match="disk full"):
-        cli._atomic_write(str(tmp_path / "rho.csv"), failing_writer)
-    assert list(tmp_path.iterdir()) == []
+        cli.run_manifest(man, str(out))
+    assert len(written) == failing
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("level", ["bogus", "verbose", ""])
@@ -306,6 +320,15 @@ def test_reproduce_of_missing_file_exits_2(tmp_path):
 
 def test_unknown_params_key_exits_2_and_writes_nothing(tmp_path):
     man = _sine_manifest(T=16.0, h=1 / 64, bufer=1.0)
+    assert _exit_code(tmp_path, man) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["theta", "discrepancy"])
+def test_a_field_for_a_command_that_takes_none_exits_2(tmp_path, command):
+    man = {"command": command, "seed": 0, "field": F.field_to_config(F.sine_scalar_field()),
+           "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [8, 16], "R": 8, "ell": 8}}
+    del man["params"]["R" if command == "theta" else "R_list"]
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
 
@@ -524,7 +547,7 @@ def test_one_key_mutation_exits_0_or_2_and_a_failure_leaves_no_out(tmp_path, pat
 
 # one-key mutations of every field key of every demo field config, set or not
 _FIELD_DEMOS = [path for path in DEMO_MANIFESTS if "field" in _read_json(path)]
-_FIELD_KEYS = sorted({k for schema in cli.FIELD_SCHEMAS.values() for k in schema["properties"]}
+_FIELD_KEYS = sorted({k for schema in F.FIELD_SCHEMAS.values() for k in schema["properties"]}
                      | {"bogus"})
 
 
@@ -536,7 +559,7 @@ def _is_count(value):
                          ids=[f"{p.stem}-{k}" for p in _FIELD_DEMOS for k in _FIELD_KEYS])
 def test_one_key_field_mutation_is_refused_by_the_closed_schema(path, key):
     assert len(_FIELD_DEMOS) == 6
-    closed = cli.FIELD_SCHEMAS[_read_json(path)["field"]["variant"]]["properties"]
+    closed = F.FIELD_SCHEMAS[_read_json(path)["field"]["variant"]]["properties"]
     for value in _MUTATIONS:
         man = _read_json(path)
         man["field"][key] = value
@@ -545,9 +568,17 @@ def test_one_key_field_mutation_is_refused_by_the_closed_schema(path, key):
                        or (key in ("d", "m", "order") and not _is_count(value))
                        or (key == "order" and value != 1))
         try:
+            F.field_from_config(man["field"])
+        except ValueError:
+            refused_by_fields = True
+        else:
+            refused_by_fields = False
+        try:
             field = cli.validate_manifest(man)        # no compute runs
         except cli.ManifestError:
+            assert refused_by_fields, (key, value)
             continue
+        assert not refused_by_fields, (key, value)
         assert not must_refuse, (key, value)
         assert isinstance(field, F.CoefficientField)
 
@@ -566,7 +597,7 @@ def test_every_stock_field_config_validates():
     for f in (F.identity_field(2, 2), F.sine_scalar_field(), F.laminate_field(),
               F.golden_ratio_field(), sampled):
         cfg = json.loads(json.dumps(F.field_to_config(f)))
-        jsonschema.validate(cfg, cli.FIELD_SCHEMAS[cfg["variant"]])
+        jsonschema.validate(cfg, F.FIELD_SCHEMAS[cfg["variant"]])
         man = {"command": "homogenize", "seed": 0, "params": {"T": 1.0}, "field": cfg}
         assert F.field_to_config(cli.validate_manifest(man)) == cfg
 

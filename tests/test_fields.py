@@ -70,7 +70,6 @@ class TestEllipticity:
         cert = F.check_ellipticity(f, 64, 0)
         assert cert.mu == pytest.approx(2.0)
         assert cert.mu_inv_check == pytest.approx(2.0)
-        assert cert.two_sided_mu == pytest.approx(0.5)
 
     def test_sine_extrema(self, sine_field):
         cert = sine_field.ellipticity
@@ -335,7 +334,7 @@ class TestPeriodicSampled:
 
     def test_rejects_higher_order(self):
         cfg = F.field_to_config(self._sampled_sine())
-        with pytest.raises(ValueError, match="order=1"):
+        with pytest.raises(ValueError, match=r"^field\.order: 1 was expected"):
             F.field_from_config(dict(cfg, order=2))
 
 
@@ -349,6 +348,67 @@ def test_config_round_trip(sine_field, golden_field, laminate):
         pts = rng.uniform(-2, 2, size=(30, f.d))
         assert np.allclose(f.evaluate(pts), g.evaluate(pts))
         assert g.d == f.d and g.m == f.m
+
+
+def _golden_cfg(**edit):
+    return dict(F.field_to_config(F.golden_ratio_field()), **edit)
+
+
+def _sine_cfg(**edit):
+    return dict(F.field_to_config(F.sine_scalar_field()), **edit)
+
+
+def _golden_cfg_with_cos(leaf):
+    cfg = _golden_cfg()
+    cfg["torus_terms"][0]["cos"] = leaf
+    return cfg
+
+
+def _sine_cfg_with_sin(leaf):
+    cfg = _sine_cfg()
+    cfg["terms"][1]["sin"][0][0][0][0] = leaf
+    return cfg
+
+
+def _without(cfg, key):
+    del cfg[key]
+    return cfg
+
+
+# every config is malformed in one key, and the message names that key's JSON path;
+# an order other than 1 is test_rejects_higher_order's
+@pytest.mark.parametrize("cfg, message", [
+    (_golden_cfg(bogus=1), r"^field: .*'bogus' was unexpected"),
+    (_without(_sine_cfg(), "terms"), r"^field: 'terms' is a required property"),
+    (_without(_sine_cfg(), "variant"), r"^field: 'variant' is a required property"),
+    (_sine_cfg(terms=3), r"^field\.terms: 3 is not of type 'array'"),
+    (_sine_cfg(d=True), r"^field\.d: True is not of type 'integer'"),
+    (_golden_cfg(layout="x"), r"^field\.layout: 'x' is not of type 'array'"),
+    (_sine_cfg(variant="mystery"), r"^field\.variant: 'mystery' is not one of"),
+    (_sine_cfg_with_sin(float("nan")), r"^field\.terms\[1\]\.sin\[0\]\[0\]\[0\]\[0\]: "
+                                       r"non-finite number nan"),
+    (_golden_cfg(layout=[[1.0, float("inf")]]), r"^field\.layout\[0\]\[1\]: non-finite"),
+    (_sine_cfg_with_sin("2"), r"^field\.terms\[1\]\.sin\[0\]\[0\]\[0\]\[0\]: "
+                              r"tensor entries must be numbers, not str"),
+    (_golden_cfg_with_cos([[[[True]]]]), r"^field\.torus_terms\[0\]\.cos\[0\]\[0\]\[0\]\[0\]: "
+                                         r"tensor entries must be numbers, not bool"),
+    (_golden_cfg_with_cos(None), r"^field\.torus_terms\[0\]\.cos: tensor entries"),
+    ({"variant": "constant", "d": 2, "m": 1, "value": [[2.0, True], [0.0, 2.0]]},
+     r"^field\.value\[0\]\[1\]: tensor entries must be numbers, not bool"),
+    ({"variant": "constant", "d": 2, "m": 1, "value": [[1.0], [1.0, 2.0]]},
+     r"^field\.value: .*inhomogeneous"),
+    ({"variant": "quasi_periodic", "d": 2, "m": 1, "layout": [[1.0, F.GOLDEN_RATIO]],
+      "torus_terms": [{"frequency": [0, 0], "cos": 2.0, "sin": 0.0}]},
+     r"^field\.d: the config states d = 2 but its field has d = 1"),
+    ({"variant": "constant", "d": 1, "m": 2, "value": [[[[2.0]]]]},
+     r"^field\.m: the config states m = 2 but its field has m = 1"),
+], ids=["unknown-key", "missing-key", "missing-variant", "wrong-type", "boolean-count",
+        "wrong-type-layout", "unknown-variant", "nan", "inf", "string-entry",
+        "boolean-entry", "null-tensor", "boolean-among-numbers", "ragged-tensor",
+        "stated-d", "stated-m"])
+def test_a_malformed_config_raises_value_error_naming_its_key(cfg, message):
+    with pytest.raises(ValueError, match=message):
+        F.field_from_config(cfg)
 
 
 def test_scaled_and_shifted_wrappers(sine_field):
