@@ -31,10 +31,8 @@ import time
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
-import numpy.fft  # noqa: F401  numpy loads these three on first use
-import numpy.ma  # noqa: F401  (np.isin)
+import numpy.fft  # noqa: F401  numpy loads these two on first use
 import numpy.random  # noqa: F401
-import jsonschema
 
 from . import correctors as C
 from . import experiments as E
@@ -255,11 +253,6 @@ class _Command:
     needs_field: bool = True
     rule: object = lambda params, field: None
 
-    @functools.cached_property
-    def validator(self):
-        # built once (jsonschema.validate checks the schema itself on every call)
-        return jsonschema.Draft202012Validator(self.params)
-
 
 COMMANDS = {
     "corrector": _Command(_CORRECTOR_PARAMS, _run_corrector),
@@ -301,8 +294,6 @@ MANIFEST_SCHEMA = {
     "additionalProperties": False,
 }
 
-_MANIFEST_VALIDATOR = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
-
 
 def validate_manifest(manifest):
     """Check the whole manifest before any compute; return its field, built but not sampled.
@@ -311,13 +302,13 @@ def validate_manifest(manifest):
     that takes no field refuses one.
     """
     try:
-        _check_schema(_MANIFEST_VALIDATOR, manifest, "manifest")
+        _check_schema(MANIFEST_SCHEMA, manifest, "manifest")
         command, params = COMMANDS[manifest["command"]], manifest["params"]
         if command.needs_field != ("field" in manifest):
             raise ValueError(f"command {manifest['command']!r} "
                              f"{'needs a' if command.needs_field else 'takes no'} field config")
         _check_finite(params, "params")
-        _check_schema(command.validator, params, "params")
+        _check_schema(command.params, params, "params")
         field = F.field_from_config(manifest["field"]) if command.needs_field else None
         command.rule(params, field)
     except ValueError as exc:

@@ -21,14 +21,16 @@ apart from an ellipticity certificate cached on first read, and safe to evaluate
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
 
 from .errors import EllipticityViolation, ResonantFrequencies
 from .grids import _multilinear
@@ -255,17 +257,22 @@ class TrigPolynomialField(CoefficientField):
         return _trig_sum(pts, self.terms, self.d, self.m)
 
 
+def _lattice(samples):
+    """(d, m) of node samples of shape (*cells, d, d, m, m)."""
+    d = samples.ndim - 4
+    if d < 1 or samples.shape[-4] != samples.shape[-3] or samples.shape[-2] != samples.shape[-1]:
+        raise ValueError("samples must have shape (*cells, d, d, m, m)")
+    if samples.shape[-4] != d:
+        raise ValueError("sample tensor dimension does not match lattice dimension")
+    return d, samples.shape[-1]
+
+
 class PeriodicSampledField(CoefficientField):
     """Node samples on a periodic lattice, order-1 (multilinear) interpolation."""
 
     def __init__(self, period, samples):
         samples = np.asarray(samples, dtype=float)
-        d = samples.ndim - 4
-        if d < 1 or samples.shape[-4] != samples.shape[-3] or samples.shape[-2] != samples.shape[-1]:
-            raise ValueError("samples must have shape (*cells, d, d, m, m)")
-        if samples.shape[-4] != d:
-            raise ValueError("sample tensor dimension does not match lattice dimension")
-        m = samples.shape[-1]
+        d, m = _lattice(samples)
         super().__init__(d, m)
         self.period = np.asarray(period, dtype=float).reshape(d)
         self.samples = samples
@@ -532,12 +539,108 @@ def _closed(required, properties):
             "additionalProperties": False}
 
 
-def _check_schema(validator, obj, path):
-    """Raise ValueError, naming its JSON path from ``path``, at the error that
-    jsonschema.validate would raise."""
-    exc = best_match(validator.iter_errors(obj))
-    if exc is not None:
-        raise ValueError(f"{path}{exc.json_path[1:]}: {exc.message}") from exc
+# a JSON Schema (Draft 2020-12) checker of exactly the keywords the package's
+# schemas use (FIELD_SCHEMAS below, cli's manifest and params schemas), with
+# jsonschema's messages and the fault its best_match would pick
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum")}
+_Fault = collections.namedtuple("_Fault", "path keyword message typed context")
+
+
+def _json_equal(x, value):
+    """JSON equality of ``x`` and a scalar enum or const value: 1 equals 1.0,
+    but True is not 1."""
+    return isinstance(x, bool) == isinstance(value, bool) and x == value
+
+
+def _faults(schema, x, path):
+    """Every fault of ``x`` under ``schema`` in jsonschema's order (keyword by
+    keyword as the schema lists them), each at its JSON path tuple from ``path``.
+    A keyword skips a value of a type it does not apply to."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    typed = any(_TYPES[t](x) for t in types)           # False for a schema without type
+
+    def fault(message, context=()):
+        return _Fault(path, key, message, typed, context)
+
+    for key, v in schema.items():
+        if key == "type":
+            if not typed:
+                yield fault(f"{x!r} is not of type {', '.join(map(repr, types))}")
+        elif key == "enum":
+            if not any(_json_equal(x, e) for e in v):
+                yield fault(f"{x!r} is not one of {v!r}")
+        elif key == "const":
+            if not _json_equal(x, v):
+                yield fault(f"{v!r} was expected")
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if _TYPES["number"](x) and breaks(x, v):
+                yield fault(f"{x!r} is {words} of {v!r}")
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < v:
+                yield fault(f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}")
+        elif key == "items":
+            for i, item in enumerate(x if isinstance(x, list) else ()):
+                yield from _faults(v, item, (*path, i))
+        elif key == "required":
+            for name in (v if isinstance(x, dict) else ()):
+                if name not in x:
+                    yield fault(f"{name!r} is a required property")
+        elif key == "properties":
+            for name, sub in (v.items() if isinstance(x, dict) else ()):
+                if name in x:
+                    yield from _faults(sub, x[name], (*path, name))
+        elif key == "additionalProperties" and v is False:
+            known = schema.get("properties", {})
+            extra = sorted((k for k in x if k not in known), key=str) if isinstance(x, dict) else []
+            if extra:
+                yield fault(f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                            f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key == "anyOf":
+            context = []
+            for sub in v:
+                branch = list(_faults(sub, x, path))
+                if not branch:
+                    break
+                context += branch
+            else:
+                yield fault(f"{x!r} is not valid under any of the given schemas", context)
+        else:
+            raise NotImplementedError(f"schema keyword {key!r}: {v!r}")
+
+
+def _relevance(f):
+    # jsonschema's relevance: shallow before deep, then the later path, a keyword
+    # other than anyOf, and a schema whose type admits the value
+    return -len(f.path), f.path, f.keyword != "anyOf", not f.typed
+
+
+def _check_schema(schema, obj, path):
+    """Raise ValueError, naming its JSON path from ``path``, at the fault of
+    ``obj`` that jsonschema's best_match would pick: the most relevant one, and
+    inside an anyOf the least relevant fault of its branches (the deepest, or
+    the one whose branch admits the value's type) unless two tie."""
+    best = max(_faults(schema, obj, ()), key=_relevance, default=None)
+    while best is not None and best.context:
+        first, *tied = sorted(best.context, key=_relevance)[:2]
+        if tied and _relevance(first) == _relevance(tied[0]):
+            break
+        best = first
+    if best is not None:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in best.path)
+        raise ValueError(f"{path}{where}: {best.message}")
 
 
 def _check_finite(obj, path):
@@ -571,11 +674,9 @@ FIELD_SCHEMAS = {
     "quasi_periodic": _variant(["d", "m", "layout", "torus_terms"], torus_terms=_TERMS,
                                layout=_list_of(_list_of({"type": "number"}))),
 }
-_FIELD_VALIDATOR = jsonschema.Draft202012Validator({
-    "type": "object", "required": ["variant"],
-    "properties": {"variant": {"enum": list(FIELD_SCHEMAS)}},
-    "allOf": [{"if": {"required": ["variant"], "properties": {"variant": {"const": v}}},
-               "then": schema} for v, schema in FIELD_SCHEMAS.items()]})
+# a config's variant picks the schema its other keys are checked against
+_VARIANT = {"type": "object", "required": ["variant"],
+            "properties": {"variant": {"enum": list(FIELD_SCHEMAS)}}}
 
 
 def _tensor_cfg(t):
@@ -595,19 +696,34 @@ def _check_entries(x, path):
         raise ValueError(f"{path}: tensor entries must be numbers, not {type(x).__name__}")
 
 
-def _tensor_from_cfg(x, path):
-    """A config's tensor as floats: nested lists of numbers of one shape.  A
-    boolean or a string, which numpy would read as 1.0 or parse, is refused."""
-    _check_entries(x, path)
+@contextlib.contextmanager
+def _at(path):
+    """Prefix a ValueError raised inside the block with the key's JSON path."""
     try:
-        return np.asarray(x, dtype=float)
-    except ValueError as exc:                   # rows of different lengths
+        yield
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _terms_from_cfg(items, path):
-    return [(t["frequency"], _tensor_from_cfg(t["cos"], f"{path}[{n}].cos"),
-             _tensor_from_cfg(t["sin"], f"{path}[{n}].sin")) for n, t in enumerate(items)]
+def _tensor_from_cfg(x, path, d=None, m=None):
+    """A config's tensor as floats: nested lists of numbers of one shape, and
+    with ``d`` and ``m`` given, as_tensor's (d, d, m, m) tensor.  A boolean or
+    a string, which numpy would read as 1.0 or parse, is refused."""
+    _check_entries(x, path)
+    with _at(path):
+        a = np.asarray(x, dtype=float)          # rows of different lengths raise here
+        return a if d is None else as_tensor(a, d, m)
+
+
+def _terms_from_cfg(items, path, dimension, d, m):
+    """A config's (frequency, cos, sin) terms in the shapes the field takes."""
+    terms = []
+    for n, t in enumerate(items):
+        with _at(f"{path}[{n}].frequency"):
+            k = np.asarray(t["frequency"], dtype=float).reshape(dimension)
+        terms.append((k, *(_tensor_from_cfg(t[key], f"{path}[{n}].{key}", d, m)
+                           for key in ("cos", "sin"))))
+    return terms
 
 
 def field_to_config(field):
@@ -633,11 +749,13 @@ def field_from_config(cfg):
 
     Raises ValueError, naming the key's JSON path from ``field``, for a config
     that ``FIELD_SCHEMAS`` refuses (an unknown, missing or mistyped key, an
-    unknown variant, an ``order`` other than 1), that holds a NaN or infinity
-    or a tensor entry that is not a number, or that states a ``d`` or ``m``
-    that is not the built field's.
+    unknown variant, an ``order`` other than 1), that holds a NaN or infinity,
+    a tensor entry that is not a number, or a tensor, frequency, samples or
+    period of the wrong shape, or that states a ``d`` or ``m`` that is not the
+    built field's.
     """
-    _check_schema(_FIELD_VALIDATOR, cfg, "field")
+    _check_schema(_VARIANT, cfg, "field")
+    _check_schema(FIELD_SCHEMAS[cfg["variant"]], cfg, "field")
     _check_finite(cfg, "field")
     field = _field_from_config(cfg)
     for key in ("d", "m"):
@@ -650,15 +768,22 @@ def field_from_config(cfg):
 def _field_from_config(cfg):
     variant = cfg["variant"]
     if variant == "constant":
-        return ConstantField(_tensor_from_cfg(cfg["value"], "field.value"),
-                             d=cfg.get("d"), m=cfg.get("m"))
-    if variant == "trig_polynomial":
-        return TrigPolynomialField(cfg["d"], cfg["m"],
-                                   _terms_from_cfg(cfg["terms"], "field.terms"))
+        value = _tensor_from_cfg(cfg["value"], "field.value")
+        with _at("field.value"):
+            return ConstantField(value, d=cfg.get("d"), m=cfg.get("m"))
     if variant == "periodic_sampled":
-        return PeriodicSampledField(cfg["period"],
-                                    _tensor_from_cfg(cfg["samples"], "field.samples"))
-    layout = FrequencyLayout(cfg["layout"])
-    torus = TorusFunction(layout.total_dimension, cfg["d"], cfg["m"],
-                          _terms_from_cfg(cfg["torus_terms"], "field.torus_terms"))
+        samples = _tensor_from_cfg(cfg["samples"], "field.samples")
+        with _at("field.samples"):
+            d, _ = _lattice(samples)
+        with _at("field.period"):
+            period = np.asarray(cfg["period"], dtype=float).reshape(d)
+        return PeriodicSampledField(period, samples)
+    d, m = int(cfg["d"]), int(cfg["m"])
+    if variant == "trig_polynomial":
+        return TrigPolynomialField(d, m, _terms_from_cfg(cfg["terms"], "field.terms", d, d, m))
+    with _at("field.layout"):
+        layout = FrequencyLayout(cfg["layout"])
+    terms = _terms_from_cfg(cfg["torus_terms"], "field.torus_terms", layout.total_dimension, d, m)
+    with _at("field.torus_terms"):
+        torus = TorusFunction(layout.total_dimension, d, m, terms)
     return QuasiPeriodicField(torus, layout)

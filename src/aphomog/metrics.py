@@ -394,9 +394,9 @@ def _field_samples(field, base_points, shifts):
 
 
 def _row_keys(zs):
-    """One opaque bytes key per row of ``zs``: equal keys mean equal shifts."""
+    """One bytes key per row of ``zs``: equal keys mean equal shifts."""
     zs = np.ascontiguousarray(zs)
-    return zs.view(np.dtype((np.void, zs.itemsize * zs.shape[1]))).ravel()
+    return zs.view(np.dtype((np.void, zs.itemsize * zs.shape[1]))).ravel().tolist()
 
 
 def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
@@ -449,7 +449,7 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         y_samples * min(_RHO_PROBE_BATCH_POINTS, test_points) * entries))
     buf = np.empty_like(ay)
     best = np.full(y_samples, np.inf)
-    scanned = _row_keys(np.empty((0, d)))
+    scanned = set()
     values = []
     spacings = []
     for R in R_list:
@@ -458,9 +458,9 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         spacings.append(spacing)
         zs = _z_grid(R, spacing, d, norm)
         keys = _row_keys(zs)
-        fresh = ~np.isin(keys, scanned)
+        fresh = np.array([k not in scanned for k in keys], dtype=bool)
         zs = zs[fresh]
-        scanned = np.concatenate([scanned, keys[fresh]])
+        scanned.update(keys)
         n_full = n_rows = 0
         for start in range(0, zs.shape[0], probe_rows):
             zb = zs[start:start + probe_rows]

@@ -8,7 +8,8 @@ matvec, an out-of-place fast Poisson solve on ``scipy.fft`` for its
 preconditioner on ``numpy.fft``, the solver as it ran on scipy's ``cg`` and
 ``bicgstab`` for its own Krylov loops, and the corrector statistics as
 explicit loops over every tensor index, or with whole-grid gradients, for
-the vectorised ones on the window.
+the vectorised ones on the window.  jsonschema's Draft 2020-12 validator and
+its ``best_match`` are the reference for the package's own schema checker.
 Three small shared test helpers sit at the end: a d = 2, m = 2 test field,
 an evaluate counter and the HomogenizedMatrix of a known tensor.
 """
@@ -16,6 +17,7 @@ an evaluate counter and the HomogenizedMatrix of a known tensor.
 import functools
 import itertools
 
+import jsonschema
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
@@ -26,6 +28,7 @@ from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.grids import (Box, PERIODIC, _face_pairs, _trapezoid_means, centered_gradient,
                            face_differences)
+from jsonschema.exceptions import best_match
 
 
 def scalar_profile(field, xs):
@@ -169,6 +172,40 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
                 best[i] = min(best[i], np.max(np.abs(ay[i] - az)))
         values.append(np.max(best))
     return np.array(values)
+
+
+# the field validator as it ran on jsonschema: the variant's schema applies through if/then
+FIELD_SCHEMA = {
+    "type": "object", "required": ["variant"],
+    "properties": {"variant": {"enum": list(F.FIELD_SCHEMAS)}},
+    "allOf": [{"if": {"required": ["variant"], "properties": {"variant": {"const": v}}},
+               "then": schema} for v, schema in F.FIELD_SCHEMAS.items()]}
+
+
+def jsonschema_fault(schema, obj, path):
+    """jsonschema's verdict on ``obj`` in the package's words: None when
+    Draft202012Validator(schema).is_valid, else best_match's JSON path from
+    ``path`` and its message."""
+    validator = jsonschema.Draft202012Validator(schema)
+    if validator.is_valid(obj):
+        return None
+    best = best_match(validator.iter_errors(obj))
+    return f"{path}{best.json_path[1:]}: {best.message}"
+
+
+def schema_fault(schema, obj, path):
+    """fields._check_schema's verdict on ``obj`` in the same form."""
+    try:
+        F._check_schema(schema, obj, path)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def field_schema_fault(cfg):
+    """The verdict of field_from_config's two schema checks: the variant, then its schema."""
+    return (schema_fault(F._VARIANT, cfg, "field")
+            or schema_fault(F.FIELD_SCHEMAS[cfg["variant"]], cfg, "field"))
 
 
 def _axis_face_diff(cells, h, bc):

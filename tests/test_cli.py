@@ -12,6 +12,7 @@ import pytest
 
 from aphomog import cli
 from aphomog import fields as F
+from oracle_tools import FIELD_SCHEMA, field_schema_fault, jsonschema_fault, schema_fault
 
 DEMO_MANIFESTS = sorted((pathlib.Path(__file__).parents[1] / "demos" / "manifests").glob("*.json"))
 
@@ -418,7 +419,8 @@ def test_reproduce_accepts_results_with_the_compare_entry(tmp_path):
 _IMPORT_PROBE = """
 import json, sys
 import aphomog.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")
+                or m.split(".")[:2] == ["numpy", "ma"])
 from aphomog.cli import run_manifest, validate_manifest
 manifest = json.loads(sys.argv[1])
 validate_manifest(manifest)
@@ -430,7 +432,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def _modules(tmp_path, man):
-    """(scipy modules loaded by ``import aphomog.cli``, every module first loaded by the run)."""
+    """(scipy, jsonschema and numpy.ma modules loaded by ``import aphomog.cli``,
+    every module first loaded by the run)."""
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -475,6 +478,13 @@ def test_the_package_loads_no_scipy_module(theta_modules):
     # the preconditioner's transforms are numpy.fft's below 2^19 points and the
     # stencil matvec needs no sparse matrix; the environment record reads
     # scipy's version from its metadata
+    loaded, _ = theta_modules
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_the_cli_loads_neither_jsonschema_nor_numpy_ma(theta_modules):
+    # the package checks its schemas itself, and the rho ladder's seen-shift
+    # mask is a set lookup (np.isin would import numpy.ma through np.unique)
     loaded, _ = theta_modules
     assert loaded == []
 
@@ -539,6 +549,14 @@ def test_one_key_mutation_exits_0_or_2_and_a_failure_leaves_no_out(tmp_path, pat
                                                                     value):
     man = _read_json(path)
     man["params"][key] = value
+    # the package's checker refuses exactly what jsonschema refuses, with its message
+    schema = cli.COMMANDS[man["command"]].params
+    fault = jsonschema_fault(schema, man["params"], "params")
+    assert schema_fault(schema, man["params"], "params") == fault
+    if fault is not None:
+        with pytest.raises(cli.ManifestError) as refused:
+            cli.validate_manifest(man)
+        assert str(refused.value) == fault
     code = _exit_code(tmp_path, man)
     # a step coarser than T/64 is the one compute failure a params key can cause
     assert code in (0, 2) or (code == 3 and key in ("h", "corrector_h")), code
@@ -567,10 +585,15 @@ def test_one_key_field_mutation_is_refused_by_the_closed_schema(path, key):
         must_refuse = (key not in closed or key == "variant"
                        or (key in ("d", "m", "order") and not _is_count(value))
                        or (key == "order" and value != 1))
+        # the package's checker refuses exactly what the jsonschema validator
+        # it replaced refused, with best_match's message
+        fault = jsonschema_fault(FIELD_SCHEMA, man["field"], "field")
+        assert field_schema_fault(man["field"]) == fault, (key, value)
         try:
             F.field_from_config(man["field"])
-        except ValueError:
+        except ValueError as exc:
             refused_by_fields = True
+            assert fault is None or str(exc) == fault, (key, value)
         else:
             refused_by_fields = False
         try:
@@ -590,6 +613,57 @@ def test_a_field_key_outside_the_closed_schema_exits_2_and_leaves_no_out(tmp_pat
     man["field"].update(edit)
     assert _exit_code(tmp_path, man) == 2
     assert not (tmp_path / "out").exists()
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it through properties, items or anyOf."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("anyOf", []),
+                *([schema["items"]] if "items" in schema else [])]:
+        yield from _subschemas(sub)
+
+
+_PROBES = [None, True, False, 0, 1, -1, 2.0, 0.5, 1.5, "x", "auto", "constant",
+           [], [0], [1, 2.5], {}, {"variant": "constant"}, {"bogus": 1}]
+
+
+_SCHEMAS = {"manifest": cli.MANIFEST_SCHEMA, "field": F._VARIANT,
+            **{f"params-{c}": cmd.params for c, cmd in cli.COMMANDS.items()},
+            **{f"field-{v}": schema for v, schema in F.FIELD_SCHEMAS.items()}}
+
+
+@pytest.mark.parametrize("name", list(_SCHEMAS))
+def test_the_checker_implements_every_keyword_of_the_package_schemas(name):
+    # the checker raises on a keyword, a type or an additionalProperties it does
+    # not implement, and compares enum and const values as scalars; every nested
+    # schema is checked against jsonschema on probes
+    for sub in _subschemas(_SCHEMAS[name]):
+        assert not [v for v in [*sub.get("enum", []), *([sub["const"]] if "const" in sub else [])]
+                    if isinstance(v, (list, dict))], sub
+        for probe in _PROBES:
+            assert schema_fault(sub, probe, "x") == jsonschema_fault(sub, probe, "x"), (sub, probe)
+
+
+@pytest.mark.parametrize("name, obj", [
+    ("manifest", {"command": "x", "seed": -1, "params": 3, "bogus": 1}),
+    ("manifest", {"command": "rho", "seed": -1, "params": 3}),
+    ("params-corrector", {"T": -1, "h": -1, "bc": "x"}),
+    ("params-corrector", {"T": -1, "bogus": 1}),
+    ("params-corrector", {"zz": 1, "T": 1, "aa": 2}),
+    ("params-rho", {"R_list": [0, -1], "norm": 2}),
+    ("params-theta", {"lambda": [1], "R_list": [1], "ell": [0, 2.5]}),
+    ("params-theta", {"lambda": [1], "R_list": [1], "ell": [2.5, 0]}),
+    ("params-theta", {"lambda": [1], "R_list": [1], "ell": 0.5}),
+    ("field-trig_polynomial", {"variant": "trig_polynomial", "d": 0, "m": True, "terms": 3}),
+    ("field-quasi_periodic", {"variant": "quasi_periodic", "d": 1, "m": 1, "layout": [[1, "x"], []],
+                              "torus_terms": [{"frequency": [], "cos": 1}]}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_several_faults_give_best_matchs_choice(name, obj):
+    # the shallowest fault, the later of two paths at one depth, and inside an
+    # anyOf the deepest fault of the branches, or the anyOf itself on a tie
+    fault = jsonschema_fault(_SCHEMAS[name], obj, "x")
+    assert fault is not None
+    assert schema_fault(_SCHEMAS[name], obj, "x") == fault
 
 
 def test_every_stock_field_config_validates():

@@ -364,6 +364,12 @@ def _golden_cfg_with_cos(leaf):
     return cfg
 
 
+def _golden_cfg_with(n, key, value):
+    cfg = _golden_cfg()
+    cfg["torus_terms"][n][key] = value
+    return cfg
+
+
 def _sine_cfg_with_sin(leaf):
     cfg = _sine_cfg()
     cfg["terms"][1]["sin"][0][0][0][0] = leaf
@@ -402,13 +408,45 @@ def _without(cfg, key):
      r"^field\.d: the config states d = 2 but its field has d = 1"),
     ({"variant": "constant", "d": 1, "m": 2, "value": [[[[2.0]]]]},
      r"^field\.m: the config states m = 2 but its field has m = 1"),
+    ({"variant": "quasi_periodic", "d": 2, "m": 1, "layout": [[1.0, F.GOLDEN_RATIO]],
+      "torus_terms": [{"frequency": [0, 0], "cos": [[[[2.0]]]], "sin": [[[[0.0]]]]}]},
+     r"^field\.torus_terms\[0\]\.cos: cannot interpret shape \(1, 1, 1, 1\) as a "
+     r"\(d=2, m=1\) tensor"),
+    (_golden_cfg_with(1, "frequency", [1, 1, 0]),
+     r"^field\.torus_terms\[1\]\.frequency: cannot reshape array of size 3 into shape \(2,\)"),
+    (_golden_cfg_with(1, "frequency", [0.5, 1]),
+     r"^field\.torus_terms: torus frequencies must be integer vectors"),
+    (_golden_cfg(layout=[[1.0, 0.0]]), r"^field\.layout: zero frequencies are not allowed"),
+    ({"variant": "trig_polynomial", "d": 2, "m": 1,
+      "terms": [{"frequency": [0, 0], "cos": [2.0, 2.0], "sin": 0.0}]},
+     r"^field\.terms\[0\]\.cos: cannot interpret shape \(2,\) as a \(d=2, m=1\) tensor"),
+    ({"variant": "constant", "d": 2, "m": 1, "value": [1.0, 2.0, 3.0]},
+     r"^field\.value: cannot interpret shape \(3,\)"),
+    ({"variant": "constant", "value": 2.0}, r"^field\.value: d and m required"),
+    ({"variant": "periodic_sampled", "period": [1.0], "samples": [[2.0], [3.0]]},
+     r"^field\.samples: samples must have shape \(\*cells, d, d, m, m\)"),
+    ({"variant": "periodic_sampled", "period": [1.0], "samples": [[[[[[2.0]]]]]] * 2},
+     r"^field\.samples: sample tensor dimension does not match lattice dimension"),
+    ({"variant": "periodic_sampled", "period": [1.0, 2.0], "samples": [[[[[2.0]]]]] * 2},
+     r"^field\.period: cannot reshape array of size 2 into shape \(1,\)"),
 ], ids=["unknown-key", "missing-key", "missing-variant", "wrong-type", "boolean-count",
         "wrong-type-layout", "unknown-variant", "nan", "inf", "string-entry",
         "boolean-entry", "null-tensor", "boolean-among-numbers", "ragged-tensor",
-        "stated-d", "stated-m"])
+        "stated-d", "stated-m", "term-tensor-shape", "frequency-length",
+        "non-integer-torus-frequency", "zero-layout-frequency", "trig-tensor-shape",
+        "value-shape", "constant-without-d", "samples-shape", "samples-dimension",
+        "period-length"])
 def test_a_malformed_config_raises_value_error_naming_its_key(cfg, message):
     with pytest.raises(ValueError, match=message):
         F.field_from_config(cfg)
+
+
+def test_a_count_written_as_a_float_builds_the_field():
+    # JSON Schema's integer admits 2.0
+    cfg = dict(F.field_to_config(F.laminate_field()), d=2.0, m=1.0)
+    field = F.field_from_config(cfg)
+    assert (field.d, field.m) == (2, 1)
+    assert F.field_to_config(field) == F.field_to_config(F.laminate_field())
 
 
 def test_scaled_and_shifted_wrappers(sine_field):
