@@ -6,10 +6,11 @@ tool/environment metadata; floats are serialized with 17 significant
 digits and stable key ordering so ``reproduce`` can re-run the embedded
 manifest and compare payloads exactly.
 
-Exit codes: 0 success; 2 unreadable input, manifest schema violation, a
-NaN or infinity in params, params that do not fit together, or a field
-config that ``fields.field_from_config`` refuses or that is not elliptic;
-3 compute failure; 4 reproduction drift.  A run writes nothing until its compute returns, so
+Exit codes: 0 success; 2 unreadable input or output directory, manifest
+schema violation, a NaN or infinity in params, params that do not fit
+together, or a field config that ``fields.field_from_config`` refuses or
+that is not elliptic; 3 compute failure (running out of memory included);
+4 reproduction drift.  A run writes nothing until its compute returns, so
 exits 2 and 3 leave the output directory as it was.
 """
 
@@ -332,7 +333,6 @@ def run_manifest(manifest, out_dir, threads=None):
             F.certify_ellipticity(field, rng_seed=int(manifest["seed"]))
         except EllipticityViolation as exc:
             raise ManifestError(f"field not elliptic: {exc}") from exc
-    np.random.seed(int(manifest["seed"]) % (2 ** 31))   # guards stray global draws
     payload, summary, files = COMMANDS[manifest["command"]].run(manifest, field)
     dumps_canonical(payload)       # a non-finite value fails here, before any write
     name = f"{manifest['command']}_result.json"
@@ -455,7 +455,11 @@ def main(argv=None):
     except ManifestError as exc:
         print(json.dumps({"error": "manifest invalid", "detail": str(exc)}))
         return 2
-    except (NonConverged, ValueError, ArithmeticError) as exc:
+    except OSError as exc:      # reads raise ManifestError: this is --out
+        print(json.dumps({"error": "output unwritable",
+                          "detail": f"{type(exc).__name__}: {exc}"}))
+        return 2
+    except (NonConverged, ValueError, ArithmeticError, MemoryError) as exc:
         print(json.dumps({"error": "compute failure",
                           "detail": f"{type(exc).__name__}: {exc}"}))
         return 3

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class CorrectorSet:
     window: Box                    # None on the periodic cell
     chi: list                      # chi[j][beta] -> GridFunction (m components)
     tol: float
-    iterations: list = dc_field(default_factory=list)
-    face_rows: list = None
+    iterations: list               # Krylov iterations per (j, beta) solve
+    face_rows: list
 
     @property
     def d(self):
@@ -198,7 +198,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
         window = Box.cube(T, d=d)
 
     field.ellipticity          # certified before anything is sampled
-    face_rows = [field.evaluate(grid.face_points(i)[0])[:, i].copy() for i in range(d)]
+    face_rows = [field.evaluate(grid.face_points(i))[:, i].copy() for i in range(d)]
     op = assemble(field, grid, T ** -2.0, face_rows=face_rows)
 
     chi = [[None] * m for _ in range(d)]
@@ -555,13 +555,14 @@ def solve_flux_corrector(flux, tol=1e-10):
     return entries, report
 
 
-def translation_response(field, T, shift_pairs, h=None, tol=1e-8):
+def translation_response(field, T, shift_pairs):
     """Sup-norm response of the corrector to coefficient translations.
 
     For each shift pair (y, z) the corrector is recomputed for the shifted
-    fields and the ratio ||chi^y - chi^z||_inf / (T ||A(.+y) - A(.+z)||_inf)
-    is reported.  The denominator is sampled at 4096 seeded points of the
-    cube of side 64; pairs with T times it below 1e-8 are skipped and marked.
+    fields (truncated route, default ``h``, tol 1e-8) and the ratio
+    ||chi^y - chi^z||_inf / (T ||A(.+y) - A(.+z)||_inf) is reported.  The
+    denominator is sampled at 4096 seeded points of the cube of side 64;
+    pairs with T times it below 1e-8 are skipped and marked.
     """
     d = field.d
     denom_box = Box.cube(64.0, d=d)
@@ -572,8 +573,7 @@ def translation_response(field, T, shift_pairs, h=None, tol=1e-8):
     def _solve_shift(s):
         key = tuple(np.round(np.asarray(s, dtype=float), 12))
         if key not in cache:
-            cache[key] = solve_corrector(ShiftedField(field, s), T, h=h, bc="truncated",
-                                         tol=tol)
+            cache[key] = solve_corrector(ShiftedField(field, s), T, bc="truncated", tol=1e-8)
         return cache[key]
 
     for y, z in shift_pairs:

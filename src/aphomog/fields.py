@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityViolation, ResonantFrequencies
-from .grids import _multilinear
+from .grids import _mesh_points, _multilinear
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -411,8 +411,7 @@ def certify_ellipticity(field, sample_count=4096, rng_seed=0):
 
 def _half_lattice(n_max, m):
     """Integer vectors 0 < ||n||_inf <= n_max in Z^m whose first nonzero entry is positive."""
-    ranges = [np.arange(-n_max, n_max + 1)] * m
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
+    grid = _mesh_points([np.arange(-n_max, n_max + 1)] * m)
     grid = grid[np.any(grid != 0, axis=1)]
     first_nz = np.argmax(grid != 0, axis=1)
     return grid[grid[np.arange(len(grid)), first_nz] > 0]
@@ -459,19 +458,18 @@ def diophantine_scan(lams, n_max):
     return c0_hat, tau_hat
 
 
-def modulus_of_continuity(torus, delta, sample_count=4096, rng_seed=0):
+def modulus_of_continuity(torus, delta, sample_count=4096):
     """Sampled sup of |B(x) - B(y)| over pairs with ||x - y||_inf <= delta.
 
     Combines a regular torus grid with the extreme corner offsets
-    (+-delta)^M and random offsets; entrywise max-abs difference.
+    (+-delta)^M and random offsets (seed 0); entrywise max-abs difference.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     M = torus.dimension
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     g = max(2, int(np.ceil(sample_count ** (1.0 / M))))
-    axes = [np.linspace(0.0, 1.0, g, endpoint=False)] * M
-    base = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, M)
+    base = _mesh_points([np.linspace(0.0, 1.0, g, endpoint=False)] * M)
     base = np.concatenate([base, rng.random((max(16, sample_count // 4), M))])
     offsets = [np.array(c, dtype=float) * delta for c in itertools.product((-1, 1), repeat=M)]
     offsets += list(rng.uniform(-delta, delta, size=(8, M)))

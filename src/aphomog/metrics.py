@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UnsupportedDimension
 from .fields import _half_lattice
-from .grids import Box
+from .grids import Box, _mesh_points
 
 RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
 # rho_ladder evaluates and compares in batches of at most _RHO_BATCH_ENTRIES
@@ -375,11 +375,8 @@ def covering_from_discrepancy(D, m):
 
 
 def _z_grid(R, spacing, d, norm):
-    per_axis = np.arange(-R, R + spacing * 0.5, spacing)
-    if d == 1:
-        return per_axis[:, None]
-    mesh = np.stack(np.meshgrid(*([per_axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    if norm == "euclid":
+    mesh = _mesh_points([np.arange(-R, R + spacing * 0.5, spacing)] * d)
+    if norm == "euclid" and d > 1:      # a 1D scan keeps the cube's grid whatever the norm
         mesh = mesh[np.sqrt(np.sum(mesh ** 2, axis=1)) <= R + 1e-12]
     return mesh
 

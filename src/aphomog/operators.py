@@ -262,7 +262,7 @@ def assemble(field, grid, kappa, face_rows=None):
 
     for i, e in enumerate(eye):
         if face_rows is None:
-            a = field.evaluate(grid.face_points(i)[0])[:, i, i]
+            a = field.evaluate(grid.face_points(i))[:, i, i]
         else:
             a = face_rows[i][:, i]
         for al in range(m):

@@ -261,7 +261,7 @@ def triple_product_matrix(field, grid, kappa):
     blocks = [[[] for _ in range(m)] for _ in range(m)]
     for i in range(d):
         D_i = face_diff_matrix(grid, i)
-        coeffs = field.evaluate(grid.face_points(i)[0])
+        coeffs = field.evaluate(grid.face_points(i))
         for al in range(m):
             for be in range(m):
                 vals = coeffs[:, i, i, al, be]

@@ -755,6 +755,46 @@ def test_a_non_finite_payload_exits_3_and_writes_no_companion(tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+def test_running_out_of_memory_exits_3_and_leaves_no_out(tmp_path, monkeypatch):
+    def run(manifest, field):
+        raise MemoryError("Unable to allocate 58.2 TiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "discrepancy",
+                        dataclasses.replace(cli.COMMANDS["discrepancy"], run=run))
+    man = _read_json(DEMO_MANIFESTS[0].with_name("discrepancy_golden.json"))
+    assert _exit_code(tmp_path, man) == 3
+    assert not (tmp_path / "out").exists()
+
+
+_SMALL_RHO = {"command": "rho", "seed": 11, "field": F.field_to_config(F.golden_ratio_field()),
+              "params": {"R_list": [2, 4, 8], "y_samples": 8, "test_points": 128}}
+
+
+def test_an_out_that_is_a_file_exits_2_and_leaves_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"not a directory\n")
+    assert _exit_code(tmp_path, _SMALL_RHO) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "output unwritable"
+    assert out.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("man", [
+    _SMALL_RHO,
+    _sine_manifest(T=16.0, h=1 / 64),
+    {"command": "rate", "seed": 3, "field": F.field_to_config(F.ConstantField(2.0, d=1, m=1)),
+     "params": {"eps_list": [1 / 8, 1 / 16, 1 / 32, 1 / 64]}},
+], ids=["rho", "homogenize", "rate"])
+def test_a_run_leaves_numpys_global_generator_as_it_was(tmp_path, man):
+    # a state no manifest seed gives, so a reseed would show
+    np.random.seed(2 ** 31 - 1)
+    np.random.random()
+    before = np.random.get_state()
+    cli.run_manifest(man, str(tmp_path))
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
 # ---------------------------------------------------------------------------
 # results do not depend on the BLAS thread count
 
@@ -775,8 +815,9 @@ def _run_with_blas_threads(tmp_path, man, threads):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     man_path, out = tmp_path / "man.json", tmp_path / f"out{threads}"
     man_path.write_text(json.dumps(man))
-    subprocess.run([sys.executable, "-m", "aphomog.cli", "run", "--manifest", str(man_path),
-                    "--out", str(out)], env=env, capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, "-m", "aphomog", "run", "--manifest", str(man_path),
+                           "--out", str(out)], env=env, capture_output=True, check=True)
+    assert proc.stderr == b""
     result = _read_json(next(out.glob("*_result.json")))
     return cli.dumps_canonical(result["payload"]), result["artifacts"]
 

@@ -235,7 +235,7 @@ class TestModulusOfContinuity:
     def test_monotone_in_delta(self, golden_field):
         torus = golden_field.torus
         deltas = [0.02, 0.05, 0.1, 0.2, 0.4]
-        vals = [F.modulus_of_continuity(torus, d, 4096, rng_seed=0) for d in deltas]
+        vals = [F.modulus_of_continuity(torus, d, 4096) for d in deltas]
         assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_delta_positive_required(self, golden_field):
