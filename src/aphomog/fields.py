@@ -132,8 +132,12 @@ class FrequencyLayout:
     def embed(self, points):
         """Map points (N, d) to the M-torus preimage (N, M)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = [points[:, i, None] * f[None, :] for i, f in enumerate(self.frequencies)]
-        return np.concatenate(cols, axis=1)
+        out = np.empty((points.shape[0], self.total_dimension))
+        col = 0
+        for i, f in enumerate(self.frequencies):
+            np.multiply(points[:, i, None], f, out=out[:, col:col + f.size])
+            col += f.size
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -375,10 +375,25 @@ def covering_from_discrepancy(D, m):
 
 
 def _z_grid(R, spacing, d, norm):
-    mesh = _mesh_points([np.arange(-R, R + spacing * 0.5, spacing)] * d)
-    if norm == "euclid" and d > 1:      # a 1D scan keeps the cube's grid whatever the norm
+    """Shifts -R + k spacing with |z| <= R: the cube's grid, clipped to the
+    ball for ``euclid``.  The axis stops at k <= 2R / spacing, so it drops
+    the shift past R that arange adds when the spacing does not divide 2R,
+    and keeps a shift on R that arange's rounding puts a little above it
+    (by more than 1e-12 once R is in the hundreds)."""
+    axis = np.arange(-R, R + spacing * 0.5, spacing)
+    mesh = _mesh_points([axis[:int(2.0 * R / spacing * (1.0 + 1e-12)) + 1]] * d)
+    if norm == "euclid" and d > 1:      # in 1D the ball is the clipped axis
         mesh = mesh[np.sqrt(np.sum(mesh ** 2, axis=1)) <= R + 1e-12]
     return mesh
+
+
+def _scan_order(n):
+    """0, ..., n - 1 in bit-reversed (van der Corput) order, coarse to fine."""
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range((n - 1).bit_length()):
+        rev = (rev << 1) | ((idx >> b) & 1)
+    return np.argsort(rev)
 
 
 def _field_samples(field, base_points, shifts):
@@ -408,11 +423,15 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     The values equal the plain scan over every (y, z, test point) triple
     bit for bit; the scan only skips work that cannot change a min or a
     max.  Each z shift is scanned once per ladder (a rung skips the z an
-    earlier rung scanned).  The sup over the first 16 test points bounds
-    the full sup from below: a z whose bound already reaches the running
-    inf for every y is dropped before its full table is evaluated, and a
-    surviving z computes its full sup only for the y whose bound is still
-    below the running inf when its turn comes.
+    earlier rung scanned), and a rung visits its new shifts coarse to fine,
+    in bit-reversed (van der Corput) order of their grid index, so the
+    running inf per y falls early.  The sup over the first 16 test points
+    bounds the full sup from below: a z whose bound already reaches the
+    running inf for every y is dropped before its full table is evaluated,
+    and a surviving z computes its full sup only for the y whose bound is
+    still below the running inf when its turn comes.  The full tables are
+    evaluated per batch of survivors, so a survivor left with no such y has
+    its table evaluated and only its comparison skipped.
     """
     R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
@@ -439,9 +458,11 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         ay[start:start + max_rows] = _field_samples(field, tpts, ys[start:start + max_rows])
 
     # the sup over the first n_probe test points bounds the full sup from
-    # below, so a (z, y) pair whose bound reaches best[y] cannot lower it
+    # below, so a (z, y) pair whose bound reaches best[y] cannot lower it;
+    # the probe tables are test-point major, (n_probe entries, y) and
+    # (n_probe entries, z), so the bound is a max over whole (z, y) planes
     n_probe = min(_RHO_PROBE_POINTS, test_points)
-    ay_probe = ay[:, :n_probe * entries]
+    ay_probe = ay[:, :n_probe * entries].T.copy()
     probe_rows = max(1, _RHO_BATCH_ENTRIES // (
         y_samples * min(_RHO_PROBE_BATCH_POINTS, test_points) * entries))
     buf = np.empty_like(ay)
@@ -457,13 +478,14 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         keys = _row_keys(zs)
         fresh = np.array([k not in scanned for k in keys], dtype=bool)
         zs = zs[fresh]
+        zs = zs[_scan_order(len(zs))]
         scanned.update(keys)
         n_full = n_rows = 0
         for start in range(0, zs.shape[0], probe_rows):
             zb = zs[start:start + probe_rows]
-            gap = ay_probe - _field_samples(field, tpts[:n_probe], zb)[:, None]
+            gap = ay_probe[:, None] - _field_samples(field, tpts[:n_probe], zb).T[:, :, None]
             np.abs(gap, out=gap)
-            bound = np.max(gap, axis=2)
+            bound = np.max(gap, axis=0)
             survivors = np.flatnonzero(np.any(bound < best, axis=1))
             n_full += survivors.size
             for s in range(0, survivors.size, max_rows):

@@ -147,9 +147,10 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
                      z_grid_spacing=None, norm="inf"):
     """rho_ladder's sampled definition as a plain loop.
 
-    Same y and test samples as ``rho_ladder``; every rung rescans its whole
-    z grid with one ``evaluate`` call per shift and compares every (y, z)
-    pair over every test point.
+    Same y and test samples as ``rho_ladder``; every rung rescans the
+    shifts -R + k spacing of its whole z grid that lie within R in the
+    rung's norm, with one ``evaluate`` call per shift, and compares every
+    (y, z) pair over every test point.
     """
     d = field.d
     rng = np.random.default_rng(rng_seed)
@@ -165,7 +166,8 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
         axis = np.arange(-R, R + spacing * 0.5, spacing)
         for z in itertools.product(axis, repeat=d):
             z = np.array(z)
-            if norm == "euclid" and np.sqrt(np.sum(z ** 2)) > R + 1e-12:
+            size = np.sqrt(np.sum(z ** 2)) if norm == "euclid" else np.max(np.abs(z))
+            if size > R + 1e-12:
                 continue
             az = field.evaluate(tpts + z)
             for i in range(y_samples):

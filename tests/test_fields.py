@@ -64,6 +64,19 @@ def test_quasi_periodic_integer_torus_shift():
     assert np.max(np.abs(a0 - a4)) < 1e-13
 
 
+@pytest.mark.parametrize("n_points", [1, 500])
+def test_embed_matches_concatenated_axis_blocks_bytewise(n_points):
+    # axes with 3 and 1 frequencies; the reference is the per-axis product
+    # joined with np.concatenate
+    layout = F.FrequencyLayout(([1.0, F.GOLDEN_RATIO, -np.sqrt(3.0)], [np.sqrt(2.0)]))
+    pts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(n_points, 2))
+    ref = np.concatenate([pts[:, i, None] * f[None, :]
+                          for i, f in enumerate(layout.frequencies)], axis=1)
+    got = layout.embed(pts)
+    assert got.shape == (n_points, 4)
+    assert got.tobytes() == ref.tobytes()
+
+
 class TestEllipticity:
     def test_constant_two(self):
         f = F.ConstantField(2.0, d=1, m=1)

@@ -322,6 +322,58 @@ class TestRho:
                      rng_seed=0)
         assert max(calls) <= 64 * 1024
 
+    def test_rho_ladder_coarse_to_fine_scan_bounds_bench_work(self, caplog):
+        # the bench rho manifest's ladder: the coarse-to-fine scan evaluates
+        # 482,320 points, 343 full tables (125 on rung 1); a scan in grid
+        # order evaluates 557,072 points, 416 full tables (194 on rung 1)
+        f = F.golden_ratio_field()
+        calls = count_evaluate(f)
+        with caplog.at_level(logging.INFO, logger="aphomog"):
+            M.rho_ladder(f, [2, 4, 8, 16, 32], z_grid_spacing=1 / 64, test_points=1024,
+                         rng_seed=0)
+        assert sum(calls) <= 490_000
+        first = next(r.getMessage() for r in caplog.records if r.name == "aphomog.metrics")
+        assert int(dict(kv.split("=") for kv in first.split()[1:])["full_shifts"]) < 150
+
+    @pytest.mark.parametrize("order", [np.arange, lambda n: np.arange(n)[::-1]],
+                             ids=["grid-order", "reversed-order"])
+    @pytest.mark.parametrize("name, R_list, kw", [
+        ("golden_field", [0.5, 1, 2], dict(z_grid_spacing=1 / 64, y_samples=8, test_points=256)),
+        ("cross_term", [0.5, 1], dict(z_grid_spacing=1 / 8, y_samples=16, test_points=256)),
+    ], ids=["golden", "cross-term"])
+    def test_rho_ladder_values_do_not_depend_on_scan_order(self, request, monkeypatch,
+                                                           order, name, R_list, kw):
+        field = cross_term_system() if name == "cross_term" else request.getfixturevalue(name)
+        coarse_to_fine = M.rho_ladder(field, R_list, rng_seed=4, **kw).values
+        monkeypatch.setattr(M, "_scan_order", order)
+        assert np.array_equal(M.rho_ladder(field, R_list, rng_seed=4, **kw).values,
+                              coarse_to_fine)
+
+    @pytest.mark.parametrize("name, norm", [("golden_field", "inf"), ("golden_field", "euclid"),
+                                            ("laminate", "inf"), ("laminate", "euclid")])
+    def test_z_grid_stays_in_the_ball_when_spacing_does_not_divide_R(
+            self, request, monkeypatch, name, norm):
+        # at R = 1, spacing 0.3 the axis -1, -0.7, ..., 0.8 would go on to 1.1
+        field = request.getfixturevalue(name)
+        grids = []
+        z_grid = M._z_grid
+        monkeypatch.setattr(M, "_z_grid", lambda *a: grids.append(z_grid(*a)) or grids[-1])
+        kw = dict(z_grid_spacing=0.3, y_samples=4, test_points=64, norm=norm)
+        rep = M.rho_ladder(field, [0.5, 1], rng_seed=4, **kw)
+        for R, zs in zip([0.5, 1], grids):
+            size = np.sqrt(np.sum(zs ** 2, axis=1)) if norm == "euclid" else np.max(np.abs(zs), axis=1)
+            assert np.all(size <= R + 1e-12)
+        assert np.max(grids[1]) == pytest.approx(0.8)
+        assert np.array_equal(rep.values, brute_rho_ladder(field, [0.5, 1], rng_seed=4, **kw))
+
+    @pytest.mark.parametrize("R", [1.0, 204.87720994573405, 3647.485509954382])
+    def test_z_grid_keeps_the_default_axis_whole(self, R):
+        # at spacing R / 64 arange's last shift is R up to rounding, which at
+        # these radii puts it 1.2e-12 and 2.2e-11 above R; it stays
+        axis = np.arange(-R, R + R / 128, R / 64)
+        assert axis.size == 129
+        assert M._z_grid(R, R / 64, 1, "inf").ravel().tobytes() == axis.tobytes()
+
     def test_rho_ladder_logs_each_rung(self, golden_field, caplog):
         with caplog.at_level(logging.INFO, logger="aphomog"):
             rep = M.rho_ladder(golden_field, [1, 2], z_grid_spacing=1 / 64,
