@@ -15,6 +15,9 @@ Supported constructions:
   on an M-torus and ``j_lambda`` embeds each axis ``x_i`` along its
   frequency list ``lambda_i``.
 
+Every variant but the sampled one also states its torus form
+``A(x) = B(lam x + phase)`` (:meth:`CoefficientField.torus_form`).
+
 All evaluators are vectorized over points and deterministic; fields are immutable
 apart from an ellipticity certificate cached on first read, and safe to evaluate concurrently.
 """
@@ -36,6 +39,10 @@ from .errors import EllipticityViolation, ResonantFrequencies
 from .grids import _mesh_points, _multilinear
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
+
+# A(x) = B(lam @ x + phase) with B(t) = sum over terms (n, C, S) of
+# cos(2 pi n.t) C + sin(2 pi n.t) S on the M-torus; lam is (M, d), phase (M,)
+TorusForm = collections.namedtuple("TorusForm", "terms lam phase")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +226,11 @@ class CoefficientField:
     def _evaluate(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def torus_form(self):
+        """The field's TorusForm, or None for a field that is not a
+        trigonometric polynomial.  ``evaluate`` does not read it."""
+        return None
+
     def adjoint(self):
         """The index-swapped field A*(y) = adjoint_tensor(A(y))."""
         return _Adjoint(self)
@@ -244,6 +256,10 @@ class ConstantField(CoefficientField):
     def _evaluate(self, pts):
         return np.broadcast_to(self.value, (pts.shape[0],) + self.value.shape).copy()
 
+    def torus_form(self):
+        return TorusForm([(np.zeros(0), self.value, np.zeros_like(self.value))],
+                         np.zeros((0, self.d)), np.zeros(0))
+
 
 class TrigPolynomialField(CoefficientField):
     """A(y) = sum over terms of cos(2 pi k.y) C + sin(2 pi k.y) S."""
@@ -259,6 +275,15 @@ class TrigPolynomialField(CoefficientField):
 
     def _evaluate(self, pts):
         return _trig_sum(pts, self.terms, self.d, self.m)
+
+    def torus_form(self):
+        ks = [k for k, _, _ in self.terms]
+        if all(np.array_equal(k, np.round(k)) for k in ks):
+            return TorusForm(self.terms, np.eye(self.d), np.zeros(self.d))
+        # one torus axis per distinct nonzero frequency
+        lam = np.unique([k for k in ks if np.any(k)], axis=0)
+        return TorusForm([(np.all(lam == k, axis=1).astype(float), c, s)
+                          for k, c, s in self.terms], lam, np.zeros(len(lam)))
 
 
 def _lattice(samples):
@@ -325,6 +350,10 @@ class QuasiPeriodicField(CoefficientField):
     def _evaluate(self, pts):
         return self.torus.evaluate(self.layout.embed(pts))
 
+    def torus_form(self):
+        lam = self.layout.embed(np.eye(self.d)).T     # column i: axis i's frequencies
+        return TorusForm(self.torus.terms, lam, np.zeros(len(lam)))
+
 
 class _Transformed(CoefficientField):
     """A pointwise transform of ``base``: it shares the base's symmetry, cross
@@ -339,12 +368,20 @@ class _Transformed(CoefficientField):
     def ellipticity(self):
         return self.base.ellipticity
 
+    def torus_form(self):
+        form = self.base.torus_form()
+        return None if form is None else self._transform_form(form)
+
 
 class _Adjoint(_Transformed):
     """adjoint_tensor(A(y)); transposition keeps the symmetric part, so the certificate."""
 
     def _evaluate(self, pts):
         return adjoint_tensor(self.base.evaluate(pts))
+
+    def _transform_form(self, form):
+        return form._replace(terms=[(n, adjoint_tensor(c), adjoint_tensor(s))
+                                    for n, c, s in form.terms])
 
     def adjoint(self):
         return self.base
@@ -360,6 +397,9 @@ class ShiftedField(_Transformed):
     def _evaluate(self, pts):
         return self.base.evaluate(pts + self.shift)
 
+    def _transform_form(self, form):
+        return form._replace(phase=form.phase + form.lam @ self.shift)
+
 
 class ScaledArgumentField(_Transformed):
     """A(scale * x), the eps-problem coefficient A(x / eps)."""
@@ -371,6 +411,9 @@ class ScaledArgumentField(_Transformed):
 
     def _evaluate(self, pts):
         return self.base.evaluate(pts * self.scale)
+
+    def _transform_form(self, form):
+        return form._replace(lam=form.lam * self.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,16 @@ from .fields import _half_lattice
 from .grids import Box, _mesh_points
 
 RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
-# rho_ladder evaluates and compares in batches of at most _RHO_BATCH_ENTRIES
-# float64 entries (2 MB): field evaluation allocates several temporaries per
-# point, and larger batches measured slower with a higher peak memory.  The
-# sup over the first _RHO_PROBE_POINTS test points prunes z shifts; a probe
-# batch holds as many shifts as a probe of _RHO_PROBE_BATCH_POINTS points
-# would fit in one batch, which caps the survivors' full table of a batch.
+# rho_ladder builds and compares tables in batches of at most
+# _RHO_BATCH_ENTRIES float64 entries (2 MB; a table needs one scratch array of
+# its size).  The sup over the first _RHO_PROBE_POINTS test points prunes z
+# shifts; a probe batch holds as many shifts as a probe of
+# _RHO_PROBE_BATCH_POINTS points would fit in one batch, which caps the
+# survivors' full table of a batch.  The bench rho ladder (golden field,
+# 1024 test points, 64 y) took 10.4 ms with these values on a 2-core x86 VM,
+# and 9.2 to 11.7 ms over 2^17 to 2^20 entries whenever a probe batch held 32
+# to 512 shifts; fewer shifts per probe batch pay more calls (up to 76 ms),
+# and larger batches more peak memory (2.9 MB here, 19.7 MB at 2^20 entries).
 _RHO_BATCH_ENTRIES = 1 << 18
 _RHO_PROBE_POINTS = 16
 _RHO_PROBE_BATCH_POINTS = 64
@@ -379,11 +383,12 @@ def _z_grid(R, spacing, d, norm):
     ball for ``euclid``.  The axis stops at k <= 2R / spacing, so it drops
     the shift past R that arange adds when the spacing does not divide 2R,
     and keeps a shift on R that arange's rounding puts a little above it
-    (by more than 1e-12 once R is in the hundreds)."""
+    (by more than 1e-12 once R is in the hundreds); the ball's clip has the
+    same slack relative to R."""
     axis = np.arange(-R, R + spacing * 0.5, spacing)
     mesh = _mesh_points([axis[:int(2.0 * R / spacing * (1.0 + 1e-12)) + 1]] * d)
     if norm == "euclid" and d > 1:      # in 1D the ball is the clipped axis
-        mesh = mesh[np.sqrt(np.sum(mesh ** 2, axis=1)) <= R + 1e-12]
+        mesh = mesh[np.sqrt(np.sum(mesh ** 2, axis=1)) <= R * (1.0 + 1e-12)]
     return mesh
 
 
@@ -396,13 +401,57 @@ def _scan_order(n):
     return np.argsort(rev)
 
 
-def _field_samples(field, base_points, shifts):
-    """Evaluation table A(base + shift): one row per shift, entries flattened.
+def _dot(points, k):
+    """points @ k as a sum of elementwise products along each row, so a row's
+    value does not depend on the other rows (a BLAS product may split them)."""
+    return np.sum(points * k, axis=1)
 
-    All shifts go through one ``evaluate`` call; callers bound its size.
+
+def _shift_tables(field, points):
+    """(route, table): table(shifts, n) is the (len(shifts), n * entries)
+    table of A(points[:n] + shift), one row per shift, entries flattened.
+
+    A field with a torus form A(x) = B(lam x + phase) takes the ``angle_sum``
+    route.  A term (n, C, S) of B has the frequency k = lam^T n in x and
+    the phase alpha(t) = 2 pi (k.t + n.phase) at test point t; by angle
+    addition its value at t + s is cos(2 pi k.s) P + sin(2 pi k.s) Q with
+    P = cos(alpha) C + sin(alpha) S and Q = cos(alpha) S - sin(alpha) C,
+    which are computed once per test point.  A table adds these broadcast
+    products term by term in a fixed order, with no BLAS call, so an entry
+    does not depend on its batch and the table of the first n points is the
+    first columns of the full one.  Any other field takes the ``evaluate``
+    route, one ``evaluate`` call per table.
     """
-    pts = (base_points[None] + shifts[:, None]).reshape(-1, field.d)
-    return field.evaluate(pts).reshape(shifts.shape[0], -1)
+    form = field.torus_form()
+    if form is None:
+        def table(shifts, n):
+            pts = (points[:n][None] + shifts[:, None]).reshape(-1, field.d)
+            return field.evaluate(pts).reshape(shifts.shape[0], -1)
+        return "evaluate", table
+    entries = field.d ** 2 * field.m ** 2
+    const = np.zeros(len(points) * entries)
+    moving = []
+    for n_j, c, s in form.terms:
+        k = _dot(form.lam.T, n_j)
+        alpha = 2.0 * np.pi * (_dot(points, k) + n_j @ form.phase)
+        cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+        p = (cos_a * c.ravel() + sin_a * s.ravel()).ravel()
+        if np.any(k):
+            moving.append((k, p, (cos_a * s.ravel() - sin_a * c.ravel()).ravel()))
+        else:                   # cos 0 = 1 and sin 0 = 0: the term is P at every shift
+            const += p
+
+    def table(shifts, n):
+        width = n * entries
+        out = np.empty((shifts.shape[0], width))
+        out[:] = const[:width]
+        tmp = np.empty_like(out)
+        for k, p_j, q_j in moving:
+            beta = 2.0 * np.pi * _dot(shifts, k)
+            out += np.multiply(np.cos(beta)[:, None], p_j[:width], out=tmp)
+            out += np.multiply(np.sin(beta)[:, None], q_j[:width], out=tmp)
+        return out
+    return "angle_sum", table
 
 
 def _row_keys(zs):
@@ -421,17 +470,20 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     32 max(R_max, 1), the test points the cube of side 32.
 
     The values equal the plain scan over every (y, z, test point) triple
-    bit for bit; the scan only skips work that cannot change a min or a
-    max.  Each z shift is scanned once per ladder (a rung skips the z an
+    of the same tables bit for bit; the scan only skips work that cannot
+    change a min or a max.  A field with a torus form gets its tables by
+    angle addition (``_shift_tables``), which differ from point evaluation
+    by the rounding of the phases; any other field is evaluated point by
+    point.  Each z shift is scanned once per ladder (a rung skips the z an
     earlier rung scanned), and a rung visits its new shifts coarse to fine,
     in bit-reversed (van der Corput) order of their grid index, so the
     running inf per y falls early.  The sup over the first 16 test points
     bounds the full sup from below: a z whose bound already reaches the
-    running inf for every y is dropped before its full table is evaluated,
+    running inf for every y is dropped before its full table is built,
     and a surviving z computes its full sup only for the y whose bound is
     still below the running inf when its turn comes.  The full tables are
-    evaluated per batch of survivors, so a survivor left with no such y has
-    its table evaluated and only its comparison skipped.
+    built per batch of survivors, so a survivor left with no such y has
+    its table built and only its comparison skipped.
     """
     R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
@@ -450,12 +502,13 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     rng = np.random.default_rng(rng_seed)
     ys = rng.uniform(y_box.lo, y_box.hi, size=(y_samples, d))
     tpts = rng.uniform(test_box.lo, test_box.hi, size=(test_points, d))
+    route, table = _shift_tables(field, tpts)
     entries = d * d * field.m * field.m
     row = test_points * entries
     max_rows = max(1, _RHO_BATCH_ENTRIES // row)
     ay = np.empty((y_samples, row))
     for start in range(0, y_samples, max_rows):
-        ay[start:start + max_rows] = _field_samples(field, tpts, ys[start:start + max_rows])
+        ay[start:start + max_rows] = table(ys[start:start + max_rows], test_points)
 
     # the sup over the first n_probe test points bounds the full sup from
     # below, so a (z, y) pair whose bound reaches best[y] cannot lower it;
@@ -483,7 +536,7 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         n_full = n_rows = 0
         for start in range(0, zs.shape[0], probe_rows):
             zb = zs[start:start + probe_rows]
-            gap = ay_probe[:, None] - _field_samples(field, tpts[:n_probe], zb).T[:, :, None]
+            gap = ay_probe[:, None] - table(zb, n_probe).T[:, :, None]
             np.abs(gap, out=gap)
             bound = np.max(gap, axis=0)
             survivors = np.flatnonzero(np.any(bound < best, axis=1))
@@ -492,7 +545,7 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
                 part = survivors[s:s + max_rows]
                 # sup over test points of |A(.+y) - A(.+z)| for the y whose
                 # bound is still below best[y], then inf over z
-                for k, az in zip(part, _field_samples(field, tpts, zb[part])):
+                for k, az in zip(part, table(zb[part], test_points)):
                     rows = np.flatnonzero(bound[k] < best)
                     if rows.size == 0:
                         continue
@@ -504,8 +557,8 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
                     best[rows] = np.minimum(best[rows], np.max(sub, axis=1))
         values.append(float(np.max(best)))
         log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d "
-                 "full_rows=%d rho=%.9g",
-                 R, spacing, zs.shape[0], n_full, n_rows, values[-1])
+                 "full_rows=%d rho=%.9g tables=%s",
+                 R, spacing, zs.shape[0], n_full, n_rows, values[-1], route)
     return DecayReport(R_list, values, "rho", metadata={
         "norm": norm, "y_samples": y_samples, "test_points": test_points,
         "z_spacings": spacings, "rng_seed": rng_seed,

@@ -10,8 +10,9 @@ preconditioner on ``numpy.fft``, the solver as it ran on scipy's ``cg`` and
 explicit loops over every tensor index, or with whole-grid gradients, for
 the vectorised ones on the window.  jsonschema's Draft 2020-12 validator and
 its ``best_match`` are the reference for the package's own schema checker.
-Three small shared test helpers sit at the end: a d = 2, m = 2 test field,
-an evaluate counter and the HomogenizedMatrix of a known tensor.
+Four small shared test helpers sit at the end: a d = 2, m = 2 test field,
+an evaluate counter, a counter of rho_ladder's table entries and the
+HomogenizedMatrix of a known tensor.
 """
 
 import functools
@@ -149,8 +150,10 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
 
     Same y and test samples as ``rho_ladder``; every rung rescans the
     shifts -R + k spacing of its whole z grid that lie within R in the
-    rung's norm, with one ``evaluate`` call per shift, and compares every
-    (y, z) pair over every test point.
+    rung's norm, one shift at a time, and compares every (y, z) pair over
+    every test point.  A field with a torus form samples A(x + shift) from
+    the package's angle-addition tables, one shift per table; any other
+    field makes one ``evaluate`` call per shift.
     """
     d = field.d
     rng = np.random.default_rng(rng_seed)
@@ -158,7 +161,15 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
     test_box = Box.cube(32.0, d=d)
     ys = rng.uniform(y_box.lo, y_box.hi, size=(y_samples, d))
     tpts = rng.uniform(test_box.lo, test_box.hi, size=(test_points, d))
-    ay = [field.evaluate(tpts + y) for y in ys]
+    if field.torus_form() is None:
+        def sample(shift):
+            return field.evaluate(tpts + shift)
+    else:
+        table = M._shift_tables(field, tpts)[1]
+
+        def sample(shift):
+            return table(shift[None], test_points)[0]
+    ay = [sample(y) for y in ys]
     best = np.full(y_samples, np.inf)
     values = []
     for R in np.asarray(R_list, dtype=float):
@@ -167,9 +178,9 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
         for z in itertools.product(axis, repeat=d):
             z = np.array(z)
             size = np.sqrt(np.sum(z ** 2)) if norm == "euclid" else np.max(np.abs(z))
-            if size > R + 1e-12:
+            if size > R * (1.0 + 1e-12):
                 continue
-            az = field.evaluate(tpts + z)
+            az = sample(z)
             for i in range(y_samples):
                 best[i] = min(best[i], np.max(np.abs(ay[i] - az)))
         values.append(np.max(best))
@@ -566,6 +577,24 @@ def count_evaluate(field):
 
     field.evaluate = counting
     return calls
+
+
+def count_table_entries(monkeypatch):
+    """Sizes of the tables that ``metrics._shift_tables`` builds, one per call."""
+    sizes = []
+    build = M._shift_tables
+
+    def counting_build(field, points):
+        route, table = build(field, points)
+
+        def counting(shifts, n):
+            out = table(shifts, n)
+            sizes.append(out.size)
+            return out
+        return route, counting
+
+    monkeypatch.setattr(M, "_shift_tables", counting_build)
+    return sizes
 
 
 def reference_matrix(tensor):

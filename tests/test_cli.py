@@ -809,6 +809,18 @@ def _bench_field_homogenize():
             "params": {"T": 4, "h": 0.0625, "buffer": 1, "bc": "truncated", "tol": 1e-9}}
 
 
+def _bench_rho_golden():
+    """The rho ladder of the benchmark on the golden field."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    terms = [{"frequency": k, "cos": c, "sin": 0.0}
+             for k, c in [([0, 0], 2.0), ([1, 1], 0.5), ([1, -1], 0.5)]]
+    return {"command": "rho", "seed": 0,
+            "field": {"variant": "quasi_periodic", "d": 1, "m": 1,
+                      "layout": [[1.0, phi]], "torus_terms": terms},
+            "params": {"R_list": [2, 4, 8, 16, 32], "z_spacing": 0.015625,
+                       "test_points": 1024}}
+
+
 def _run_with_blas_threads(tmp_path, man, threads):
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
@@ -822,12 +834,16 @@ def _run_with_blas_threads(tmp_path, man, threads):
     return cli.dumps_canonical(result["payload"]), result["artifacts"]
 
 
-@pytest.mark.parametrize("name", ["corrector_golden", "flux_golden", "homogenize_2d"])
+@pytest.mark.parametrize("name", ["corrector_golden", "flux_golden", "homogenize_2d",
+                                  "rho_golden_bench"])
 def test_payload_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, name):
-    # each run has inner products over more than 10 000 entries, which
-    # threaded BLAS splits across threads
+    # each run but the rho ladder has inner products over more than 10 000
+    # entries, which threaded BLAS splits across threads; the ladder's
+    # tables call no BLAS
     if name == "homogenize_2d":
         man = _bench_field_homogenize()
+    elif name == "rho_golden_bench":
+        man = _bench_rho_golden()
     else:
         man = _read_json(DEMO_MANIFESTS[0].with_name(f"{name}.json"))
     assert _run_with_blas_threads(tmp_path, man, 1) == _run_with_blas_threads(tmp_path, man, 2)

@@ -301,6 +301,38 @@ CROSS_FREE_CASES = {
 }
 
 
+TORUS_FORM_CASES = {name: make for name, (make, _) in CROSS_FREE_CASES.items()}
+# frequencies that are not integers: one torus axis per distinct nonzero frequency
+TORUS_FORM_CASES["trig_irrational"] = lambda: F.TrigPolynomialField(1, 1, [
+    (np.zeros(1), 2.0, 0.0), (np.array([F.GOLDEN_RATIO]), 0.3, 0.2),
+    (np.array([-F.GOLDEN_RATIO]), 0.1, 0.0), (np.array([1.0]), 0.0, 0.4)])
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_FORM_CASES))
+def test_torus_form_reproduces_evaluate(name):
+    f = TORUS_FORM_CASES[name]()
+    pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(256, f.d))
+    for g in (f, f.adjoint(), F.ShiftedField(f, np.full(f.d, 0.37)),
+              F.ScaledArgumentField(f, 1.7)):
+        form = g.torus_form()
+        if isinstance(f, F.PeriodicSampledField):
+            assert form is None
+            continue
+        assert form.lam.shape == (form.phase.size, g.d)
+        for n, _, _ in form.terms:
+            assert n.shape == form.phase.shape and np.array_equal(n, np.round(n))
+        b = trig_sum_by_phase(pts @ form.lam.T + form.phase, form.terms, g.d, g.m)
+        want = g.evaluate(pts)
+        assert np.max(np.abs(b - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_torus_form_layouts():
+    assert F.ConstantField(2.0, d=2, m=1).torus_form().lam.shape == (0, 2)
+    assert np.array_equal(F.laminate_field().torus_form().lam, np.eye(2))
+    assert np.array_equal(F.golden_ratio_field().torus_form().lam, [[1.0], [F.GOLDEN_RATIO]])
+    assert TORUS_FORM_CASES["trig_irrational"]().torus_form().lam.shape == (3, 1)
+
+
 class TestCrossFree:
     @pytest.mark.parametrize("name", sorted(CROSS_FREE_CASES))
     def test_read_from_the_coefficients(self, name):

@@ -8,9 +8,60 @@ from aphomog import fields as F
 from aphomog import metrics as M
 from aphomog.errors import UnsupportedDimension
 from oracle_tools import (brute_covering_radius, brute_discrepancy, brute_rho_ladder,
-                          count_evaluate, covering_radius_full_grid, cross_term_system)
+                          count_evaluate, count_table_entries, covering_radius_full_grid,
+                          cross_term_system)
 
 PHI = F.GOLDEN_RATIO
+
+
+def sampled_sine_field():
+    """The sine field's node samples at spacing 1/16, a field without a torus form."""
+    nodes = np.arange(16)[:, None] / 16
+    return F.PeriodicSampledField([1.0], F.sine_scalar_field().evaluate(nodes))
+
+
+def bench_2d_field():
+    """2 + cos 2pi(x1 + x2) / 2 + cos 2pi(phi x1 + sqrt2 x2) / 2, the benchmark's 2D field."""
+    torus = F.TorusFunction(4, 2, 1, [(np.zeros(4), 2.0, 0.0),
+                                      (np.array([1.0, 0.0, 1.0, 0.0]), 0.5, 0.0),
+                                      (np.array([0.0, 1.0, 0.0, 1.0]), 0.5, 0.0)])
+    return F.QuasiPeriodicField(torus, F.FrequencyLayout(([1.0, PHI], [1.0, np.sqrt(2.0)])))
+
+
+TABLE_CASES = {
+    "golden": F.golden_ratio_field,
+    "sine": F.sine_scalar_field,
+    "laminate": F.laminate_field,
+    "cross_term": cross_term_system,
+    "bench_2d": bench_2d_field,
+    "shifted": lambda: F.ShiftedField(F.golden_ratio_field(), [0.37]),
+    "rescaled": lambda: F.ScaledArgumentField(bench_2d_field(), 1.7),
+    "adjoint": lambda: cross_term_system().adjoint(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_angle_sum_tables_match_point_evaluation(name):
+    f = TABLE_CASES[name]()
+    rng = np.random.default_rng(3)
+    tpts = rng.uniform(-16.0, 16.0, size=(256, f.d))
+    shifts = np.concatenate([rng.uniform(-4096.0, 4096.0, size=(24, f.d)),
+                             np.full((1, f.d), 4096.0), np.zeros((1, f.d))])
+    route, table = M._shift_tables(f, tpts)
+    assert route == "angle_sum"
+    got = table(shifts, len(tpts))
+    x = (tpts[None] + shifts[:, None]).reshape(-1, f.d)
+    want = f.evaluate(x).reshape(len(shifts), -1)
+    # the angle sum moves each value by the rounding of its phase
+    form = f.torus_form()
+    phase = max(np.max(np.abs(2.0 * np.pi * (x @ (form.lam.T @ n) + n @ form.phase)))
+                for n, _, _ in form.terms)
+    size = sum(np.max(np.abs(c)) + np.max(np.abs(s)) for _, c, s in form.terms)
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * (1.0 + phase) * size
+    # an entry does not depend on its batch, and a probe's table is the
+    # first columns of the full one
+    assert np.array_equal(table(shifts[3:5], len(tpts)), got[3:5])
+    assert np.array_equal(table(shifts, 16), got[:, :16 * f.d ** 2 * f.m ** 2])
 
 
 class TestFitDecayExponent:
@@ -284,21 +335,28 @@ class TestRho:
         ("cross_term", [0.5, 1], dict(z_grid_spacing=0.25, y_samples=4, test_points=100)),
         ("golden_field", [1, 2], dict(z_grid_spacing=1 / 32, y_samples=1, test_points=20)),
         ("golden_field", [1, 2], dict(z_grid_spacing=1 / 32, y_samples=8, test_points=9)),
+        ("sampled", [0.5, 1], dict(z_grid_spacing=1 / 32, y_samples=8, test_points=256)),
     ], ids=["golden-nested", "sine-default-spacing", "laminate-inf", "laminate-euclid",
-            "cross-term-d2-m2", "few-points-one-y", "probe-is-every-point"])
+            "cross-term-d2-m2", "few-points-one-y", "probe-is-every-point",
+            "sampled-evaluate-route"])
     def test_rho_ladder_matches_brute_force(self, request, name, R_list, kw):
-        field = cross_term_system() if name == "cross_term" else request.getfixturevalue(name)
+        # a field with a torus form against the scan over the package's
+        # tables, a sampled field against point evaluation
+        field = {"cross_term": cross_term_system, "sampled": sampled_sine_field}.get(
+            name, lambda: request.getfixturevalue(name))()
         rep = M.rho_ladder(field, R_list, rng_seed=4, **kw)
         assert np.array_equal(rep.values, brute_rho_ladder(field, R_list, rng_seed=4, **kw))
 
-    def test_rho_ladder_batches_evaluate_calls(self):
-        # one call for the y table, then per rung one call for the probe
-        # points of its new shifts and one for the survivors' full table
+    def test_rho_ladder_batches_tables(self, monkeypatch):
+        # one table for the y samples, then per rung one for the probe
+        # points of its new shifts and one for the survivors' full tables
         f = F.golden_ratio_field()
         calls = count_evaluate(f)
+        sizes = count_table_entries(monkeypatch)
         M.rho_ladder(f, [1, 2], z_grid_spacing=1 / 64, y_samples=8, test_points=128)
-        assert calls[0] == 8 * 128
-        assert len(calls) <= 1 + 2 * 2
+        assert sizes[0] == 8 * 128
+        assert len(sizes) <= 1 + 2 * 2
+        assert calls == []
 
     def test_rho_ladder_per_y_pruning_matches_brute_force(self, caplog):
         # a surviving z computes its sup only for the y it can still lower
@@ -313,25 +371,25 @@ class TestRho:
         full_rows = sum(int(f["full_rows"]) for f in rungs)
         assert 0 < full_rows < full_shifts * 16
 
-    def test_rho_ladder_evaluate_calls_stay_small(self):
-        # the bench rho manifest's budgets: no evaluate call may exceed the
-        # largest one of the 64-point probe, 64 shifts of 1024 points
+    def test_rho_ladder_tables_stay_small(self, monkeypatch):
+        # the bench rho manifest's budgets: no table may exceed the largest
+        # one of the 64-point probe, 64 shifts of 1024 points
         f = F.golden_ratio_field()
-        calls = count_evaluate(f)
+        sizes = count_table_entries(monkeypatch)
         M.rho_ladder(f, [2, 4, 8, 16, 32], z_grid_spacing=1 / 64, test_points=1024,
                      rng_seed=0)
-        assert max(calls) <= 64 * 1024
+        assert max(sizes) <= 64 * 1024
 
-    def test_rho_ladder_coarse_to_fine_scan_bounds_bench_work(self, caplog):
-        # the bench rho manifest's ladder: the coarse-to-fine scan evaluates
-        # 482,320 points, 343 full tables (125 on rung 1); a scan in grid
-        # order evaluates 557,072 points, 416 full tables (194 on rung 1)
+    def test_rho_ladder_coarse_to_fine_scan_bounds_bench_work(self, monkeypatch, caplog):
+        # the bench rho manifest's ladder: the coarse-to-fine scan builds
+        # 482,320 table entries, 343 full tables (125 on rung 1); a scan in
+        # grid order builds 557,072 entries, 416 full tables (194 on rung 1)
         f = F.golden_ratio_field()
-        calls = count_evaluate(f)
+        sizes = count_table_entries(monkeypatch)
         with caplog.at_level(logging.INFO, logger="aphomog"):
             M.rho_ladder(f, [2, 4, 8, 16, 32], z_grid_spacing=1 / 64, test_points=1024,
                          rng_seed=0)
-        assert sum(calls) <= 490_000
+        assert sum(sizes) <= 490_000
         first = next(r.getMessage() for r in caplog.records if r.name == "aphomog.metrics")
         assert int(dict(kv.split("=") for kv in first.split()[1:])["full_shifts"]) < 150
 
@@ -348,6 +406,19 @@ class TestRho:
         monkeypatch.setattr(M, "_scan_order", order)
         assert np.array_equal(M.rho_ladder(field, R_list, rng_seed=4, **kw).values,
                               coarse_to_fine)
+
+    @pytest.mark.parametrize("name, R_list, kw", [
+        ("golden_field", [0.5, 1, 2], dict(z_grid_spacing=1 / 64, y_samples=8, test_points=256)),
+        ("cross_term", [0.5, 1], dict(z_grid_spacing=1 / 8, y_samples=16, test_points=256)),
+    ], ids=["golden", "cross-term"])
+    def test_rho_ladder_values_do_not_depend_on_the_batch_size(self, request, monkeypatch,
+                                                               name, R_list, kw):
+        # 300 entries make every batch one shift
+        field = cross_term_system() if name == "cross_term" else request.getfixturevalue(name)
+        want = M.rho_ladder(field, R_list, rng_seed=4, **kw).values
+        monkeypatch.setattr(M, "_RHO_BATCH_ENTRIES", 300)
+        got = M.rho_ladder(field, R_list, rng_seed=4, **kw).values
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name, norm", [("golden_field", "inf"), ("golden_field", "euclid"),
                                             ("laminate", "inf"), ("laminate", "euclid")])
@@ -367,6 +438,11 @@ class TestRho:
         assert np.array_equal(rep.values, brute_rho_ladder(field, [0.5, 1], rng_seed=4, **kw))
 
     @pytest.mark.parametrize("R", [1.0, 204.87720994573405, 3647.485509954382])
+    def test_z_grid_keeps_the_sphere_at_large_radii(self, R):
+        # (+-R, 0) and (0, +-R) come out up to 2.2e-11 beyond R at these radii
+        assert M._z_grid(R, R / 64, 2, "euclid").shape == (12_853, 2)
+
+    @pytest.mark.parametrize("R", [1.0, 204.87720994573405, 3647.485509954382])
     def test_z_grid_keeps_the_default_axis_whole(self, R):
         # at spacing R / 64 arange's last shift is R up to rounding, which at
         # these radii puts it 1.2e-12 and 2.2e-11 above R; it stays
@@ -374,9 +450,12 @@ class TestRho:
         assert axis.size == 129
         assert M._z_grid(R, R / 64, 1, "inf").ravel().tobytes() == axis.tobytes()
 
-    def test_rho_ladder_logs_each_rung(self, golden_field, caplog):
+    @pytest.mark.parametrize("make, route", [(F.golden_ratio_field, "angle_sum"),
+                                             (sampled_sine_field, "evaluate")],
+                             ids=["golden", "sampled"])
+    def test_rho_ladder_logs_each_rung(self, make, route, caplog):
         with caplog.at_level(logging.INFO, logger="aphomog"):
-            rep = M.rho_ladder(golden_field, [1, 2], z_grid_spacing=1 / 64,
+            rep = M.rho_ladder(make(), [1, 2], z_grid_spacing=1 / 64,
                                y_samples=8, test_points=128)
         lines = [r.getMessage() for r in caplog.records if r.name == "aphomog.metrics"]
         assert len(lines) == 2
@@ -386,6 +465,8 @@ class TestRho:
         assert fields["new_shifts"] == "128"
         assert int(fields["full_shifts"]) < 128
         assert float(fields["rho"]) == pytest.approx(rep.values[1], rel=1e-8)
+        assert fields["tables"] == route
+        assert "tables" not in rep.metadata
 
 
 class TestThetaAndRhoChain:
