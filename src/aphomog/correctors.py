@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ShiftedField, identity_field, tensor_matrix
+from .fields import ShiftedField, identity_field, sample_mesh, tensor_matrix
 from .grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _face_pairs,
                     _gradient_at, _trapezoid_means, centered_gradient, face_differences,
                     holder_seminorm)
@@ -198,7 +198,7 @@ def solve_corrector(field, T, h=None, buffer=6.0, bc="auto", tol=1e-10, threads=
         window = Box.cube(T, d=d)
 
     field.ellipticity          # certified before anything is sampled
-    face_rows = [field.evaluate(grid.face_points(i))[:, i].copy() for i in range(d)]
+    face_rows = [sample_mesh(field, grid.face_axes(i), (i,)) for i in range(d)]
     op = assemble(field, grid, T ** -2.0, face_rows=face_rows)
 
     chi = [[None] * m for _ in range(d)]

@@ -68,15 +68,19 @@ def _ladder_rung(field, eps, ahat, tol, cset):
 
 
 def expansion_term(u0, cset, eps):
-    """eps chi_T(x/eps) . grad u0 sampled on u0's grid (m components)."""
+    """eps chi_T(x/eps) . grad u0 sampled on u0's grid (m components).
+
+    The d*m correctors are interpolated in one call, as the components of
+    one grid function on their shared grid, and summed in (j, beta) order."""
     grid = u0.grid
     pts = grid.node_points() / eps
     du0 = centered_gradient(u0)                   # (d, m, *nodes)
+    chi = GridFunction(cset.grid, np.concatenate([u.values for row in cset.chi for u in row]))
+    chi_vals = chi.interpolate(pts).reshape((cset.d, cset.m) + u0.values.shape)
     out = np.zeros_like(u0.values)
     for j in range(cset.d):
         for b in range(cset.m):
-            chi_vals = cset.chi[j][b].interpolate(pts)      # (m, N)
-            out += eps * chi_vals.reshape(u0.values.shape) * du0[j, b][None]
+            out += eps * chi_vals[j, b] * du0[j, b][None]
     return GridFunction(grid, out)
 
 

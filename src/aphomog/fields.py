@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityViolation, ResonantFrequencies
-from .grids import _mesh_points, _multilinear
+from .grids import _POINT_BLOCK, _mesh_points, _multilinear
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -448,6 +448,24 @@ def check_ellipticity(field, sample_count=4096, rng_seed=0):
     if mu <= 0.0:
         raise EllipticityViolation(pts[lo_idx], eigvecs[lo_idx, :, 0], mu)
     return Ellipticity(mu=mu, mu_inv_check=mu_inv)
+
+
+def sample_mesh(field, axes, keep):
+    """``field.evaluate(_mesh_points(axes))[(slice(None), *keep)]`` without the
+    full tensors: the tensor product of the per-axis coordinates ``axes`` (C
+    order) is evaluated in blocks of at most _POINT_BLOCK points, each built
+    from ``axes``, and only the entries at the leading integer indices
+    ``keep`` of each (d, d, m, m) tensor (``(i,)`` for row i, ``(i, i)`` for
+    a_ii) go into one preallocated output."""
+    shape = tuple(len(a) for a in axes)
+    n = math.prod(shape)
+    out = np.empty((n,) + (field.d, field.d, field.m, field.m)[len(keep):])
+    keep = (slice(None), *keep)
+    for lo in range(0, n, _POINT_BLOCK):
+        idx = np.unravel_index(np.arange(lo, min(lo + _POINT_BLOCK, n)), shape)
+        pts = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+        out[lo:lo + pts.shape[0]] = field.evaluate(pts)[keep]
+    return out
 
 
 def certify_ellipticity(field, sample_count=4096, rng_seed=0):

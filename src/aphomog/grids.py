@@ -205,16 +205,19 @@ class GridFunction:
         return self.values.shape[0]
 
     def interpolate(self, points):
-        """Multilinear interpolation, shape (m, N); periodic grids wrap the coordinates."""
+        """Multilinear interpolation, shape (m, N); periodic grids wrap the coordinates.
+
+        A non-finite point raises ValueError."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("non-finite evaluation point")
         g = self.grid
         rel = (pts - g.box.lo) / g.h
         if g.bc == PERIODIC:
             rel = rel % g.cells
         else:
             rel = np.clip(rel, 0.0, np.asarray(g.cells, dtype=float))
-        table = np.moveaxis(self.values, 0, -1)             # (*nodes, m)
-        return np.ascontiguousarray(_multilinear(table, rel, g.cells, g.bc == PERIODIC).T)
+        return _multilinear(self.values, rel, g.cells, g.bc == PERIODIC, node_axis=1)
 
 
 def _mesh_points(axes):
@@ -222,20 +225,50 @@ def _mesh_points(axes):
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _multilinear(table, rel, cells, periodic):
-    """Multilinear interpolation of node data ``table`` (node axes first, any
-    trailing shape) at node-unit coordinates ``rel`` (N, d) in [0, cells];
-    shape (N, *trailing).  Periodic axes wrap the corner indices."""
+# points per block of the point loops (multilinear interpolation here, field
+# sampling in fields.sample_mesh): a block's indices, weights and gathered
+# corners stay small whatever the number of points
+_POINT_BLOCK = 8192
+
+
+def _multilinear(table, rel, cells, periodic, node_axis=0):
+    """Multilinear interpolation of node data ``table`` at node-unit
+    coordinates ``rel`` (N, d) in [0, cells]; periodic axes wrap the upper
+    corner index.  The node axes of ``table`` start at ``node_axis`` (0 or 1),
+    and the points take their place: (N, *trailing) for node axes first,
+    (lead, N) after one leading axis.
+
+    Blocks of at most _POINT_BLOCK points gather their corners with ``np.take``
+    on the flattened node axes; every output entry is the sum over corners,
+    in ``itertools.product`` order from zero, of the product of the corner's
+    per-axis weights times its node value."""
     n, d = rel.shape
-    base = np.minimum(np.floor(rel).astype(int), cells - 1)
-    w = rel - base
-    out = np.zeros((n,) + table.shape[d:])
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = (base + corner) % cells if periodic else base + corner
-        weight = np.ones(n)
+    nodes = table.shape[node_axis:node_axis + d]
+    flat = table.reshape(table.shape[:node_axis] + (-1,) + table.shape[node_axis + d:])
+    strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
+    out = np.zeros(flat.shape[:node_axis] + (n,) + flat.shape[node_axis + 1:])
+    spread = (1,) * (out.ndim - node_axis - 1)
+    for lo in range(0, n, _POINT_BLOCK):
+        r = rel[lo:lo + _POINT_BLOCK]
+        base = np.minimum(np.floor(r).astype(int), cells - 1)
+        w = r - base
+        # per axis, the flat offsets and the weights of the lower and the upper
+        # corner node
+        offsets, factors = [], []
         for ax in range(d):
-            weight = weight * (w[:, ax] if corner[ax] else 1.0 - w[:, ax])
-        out += weight.reshape((n,) + (1,) * (out.ndim - 1)) * table[tuple(idx.T)]
+            upper = base[:, ax] + 1
+            if periodic:
+                upper[upper == cells[ax]] = 0
+            offsets.append((base[:, ax] * strides[ax], upper * strides[ax]))
+            factors.append((1.0 - w[:, ax], w[:, ax]))
+        block = out[(slice(None),) * node_axis + (slice(lo, lo + _POINT_BLOCK),)]
+        for corner in itertools.product((0, 1), repeat=d):
+            # the weight's product starts from its first factor: 1.0 * x is x
+            idx, weight = offsets[0][corner[0]], factors[0][corner[0]]
+            for ax in range(1, d):
+                idx = idx + offsets[ax][corner[ax]]
+                weight = weight * factors[ax][corner[ax]]
+            block += weight.reshape(weight.shape + spread) * np.take(flat, idx, axis=node_axis)
     return out
 
 

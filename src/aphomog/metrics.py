@@ -483,7 +483,8 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     and a surviving z computes its full sup only for the y whose bound is
     still below the running inf when its turn comes.  The full tables are
     built per batch of survivors, so a survivor left with no such y has
-    its table built and only its comparison skipped.
+    its table built and only its comparison skipped.  A survivor compares
+    its y rows a batch at a time, so the scratch array holds one batch.
     """
     R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
@@ -518,7 +519,7 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     ay_probe = ay[:, :n_probe * entries].T.copy()
     probe_rows = max(1, _RHO_BATCH_ENTRIES // (
         y_samples * min(_RHO_PROBE_BATCH_POINTS, test_points) * entries))
-    buf = np.empty_like(ay)
+    buf = np.empty((min(max_rows, y_samples), row))
     best = np.full(y_samples, np.inf)
     scanned = set()
     values = []
@@ -550,11 +551,13 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
                     if rows.size == 0:
                         continue
                     n_rows += rows.size
-                    sub = buf[:rows.size]
-                    np.take(ay, rows, axis=0, out=sub, mode="clip")
-                    np.subtract(sub, az, out=sub)
-                    np.abs(sub, out=sub)
-                    best[rows] = np.minimum(best[rows], np.max(sub, axis=1))
+                    for c in range(0, rows.size, max_rows):
+                        chunk = rows[c:c + max_rows]
+                        sub = buf[:chunk.size]
+                        np.take(ay, chunk, axis=0, out=sub, mode="clip")
+                        np.subtract(sub, az, out=sub)
+                        np.abs(sub, out=sub)
+                        best[chunk] = np.minimum(best[chunk], np.max(sub, axis=1))
         values.append(float(np.max(best)))
         log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d "
                  "full_rows=%d rho=%.9g tables=%s",

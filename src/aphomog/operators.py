@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConverged
+from .fields import sample_mesh
 from .grids import PERIODIC, GridFunction, _dot
 
 
@@ -232,7 +233,8 @@ def assemble(field, grid, kappa, face_rows=None):
     projection.  ``face_rows[i]``, when given, is row i of A already sampled
     at the centers of the faces normal to axis i (shape (faces_i, d, m, m),
     as ``CorrectorSet.face_rows``); ``a_ii`` is read from it instead of
-    evaluating the field again.  The nodes are sampled for the cross blocks
+    evaluating the field again, and otherwise sampled alone, block by block
+    (``fields.sample_mesh``).  The nodes are sampled for the cross blocks
     only when the field is not ``cross_free``.
 
     The stencil is built in one pass over its steps: ``coef[s]`` holds,
@@ -262,7 +264,7 @@ def assemble(field, grid, kappa, face_rows=None):
 
     for i, e in enumerate(eye):
         if face_rows is None:
-            a = field.evaluate(grid.face_points(i))[:, i, i]
+            a = sample_mesh(field, grid.face_axes(i), (i, i))
         else:
             a = face_rows[i][:, i]
         for al in range(m):

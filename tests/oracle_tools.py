@@ -10,9 +10,11 @@ preconditioner on ``numpy.fft``, the solver as it ran on scipy's ``cg`` and
 explicit loops over every tensor index, or with whole-grid gradients, for
 the vectorised ones on the window.  jsonschema's Draft 2020-12 validator and
 its ``best_match`` are the reference for the package's own schema checker.
-Four small shared test helpers sit at the end: a d = 2, m = 2 test field,
-an evaluate counter, a counter of rho_ladder's table entries and the
-HomogenizedMatrix of a known tensor.
+The per-corner multilinear interpolation over all points at once is the
+reference for the blocked, flat-index one, and for the expansion term that
+interpolates every corrector in one call.  Four small shared test helpers
+sit at the end: a d = 2, m = 2 test field, an evaluate counter, a counter
+of rho_ladder's table entries and the HomogenizedMatrix of a known tensor.
 """
 
 import functools
@@ -383,6 +385,49 @@ def scipy_krylov_solve(op, rhs, tol, max_iters=None):
             break
     inner[...] = x.reshape(inner.shape)
     return full, total_iters, residual, restarts
+
+
+def multilinear_per_corner(table, rel, cells, periodic):
+    """Multilinear interpolation of node data ``table`` (node axes first, any
+    trailing shape) at node-unit coordinates ``rel`` (N, d) in [0, cells],
+    over all points at once: per corner, its (N, d) indices (wrapped on
+    periodic axes) index the node table directly."""
+    n, d = rel.shape
+    base = np.minimum(np.floor(rel).astype(int), cells - 1)
+    w = rel - base
+    out = np.zeros((n,) + table.shape[d:])
+    for corner in itertools.product((0, 1), repeat=d):
+        idx = (base + corner) % cells if periodic else base + corner
+        weight = np.ones(n)
+        for ax in range(d):
+            weight = weight * (w[:, ax] if corner[ax] else 1.0 - w[:, ax])
+        out += weight.reshape((n,) + (1,) * (out.ndim - 1)) * table[tuple(idx.T)]
+    return out
+
+
+def interpolate_per_corner(u, points):
+    """``GridFunction.interpolate`` through :func:`multilinear_per_corner`, (m, N)."""
+    g = u.grid
+    rel = (np.atleast_2d(np.asarray(points, dtype=float)) - g.box.lo) / g.h
+    if g.bc == PERIODIC:
+        rel = rel % g.cells
+    else:
+        rel = np.clip(rel, 0.0, np.asarray(g.cells, dtype=float))
+    table = np.moveaxis(u.values, 0, -1)                # (*nodes, m)
+    return np.ascontiguousarray(multilinear_per_corner(table, rel, g.cells,
+                                                       g.bc == PERIODIC).T)
+
+
+def expansion_term_per_corrector(u0, cset, eps):
+    """eps chi_T(x/eps) . grad u0 on u0's grid, one interpolation per corrector."""
+    pts = u0.grid.node_points() / eps
+    du0 = centered_gradient(u0)
+    out = np.zeros_like(u0.values)
+    for j in range(cset.d):
+        for b in range(cset.m):
+            chi_vals = interpolate_per_corner(cset.chi[j][b], pts)
+            out += eps * chi_vals.reshape(u0.values.shape) * du0[j, b][None]
+    return out
 
 
 def corrector_flux_loops(cset, j, beta):

@@ -6,8 +6,8 @@ import pytest
 
 from aphomog import correctors as C
 from aphomog import fields as F
-from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, centered_gradient,
-                           window_mean)
+from aphomog.grids import (_POINT_BLOCK, Box, BoxGrid, DIRICHLET, GridFunction,
+                           centered_gradient, window_mean)
 from oracle_tools import (count_evaluate, cross_term_system, energy_identity_residual_loops,
                           exact_corrector_1d, flux_tensor_loops, harmonic_mean_1d,
                           homogenized_tensor_loops, homogenized_tensor_whole_grid,
@@ -340,7 +340,12 @@ class TestFaceRows:
         calls = count_evaluate(f)
         # Dirichlet route: each face set has fewer points than the node set
         cs = C.solve_corrector(f, 1.0, h=1 / 64, buffer=0.5, bc="truncated")
-        assert calls == [len(cs.grid.face_points(i)) for i in range(2)]
+        faces = [len(cs.grid.face_points(i)) for i in range(2)]
+        assert min(faces) > _POINT_BLOCK
+        # the calls are each face set's point blocks in turn, so the points
+        # sampled add up to the face sets, set by set, and no node is sampled
+        assert calls == [min(_POINT_BLOCK, n - lo) for n in faces
+                         for lo in range(0, n, _POINT_BLOCK)]
         assert cs.grid.node_total not in calls
         calls.clear()
         C.homogenized_matrix(cs)

@@ -4,8 +4,8 @@ import pytest
 from aphomog import correctors as C
 from aphomog import experiments as E
 from aphomog import fields as F
-from aphomog.grids import GridFunction, norms
-from oracle_tools import dirichlet_1d_quadrature
+from aphomog.grids import _POINT_BLOCK, Box, BoxGrid, DIRICHLET, GridFunction, norms
+from oracle_tools import cross_term_system, dirichlet_1d_quadrature, expansion_term_per_corrector
 
 
 def test_problem_validation(sine_field):
@@ -48,6 +48,19 @@ class TestConstantDegeneracy:
         cset = C.solve_corrector(f, 16.0, h=1 / 64)
         l2, l2c, h1c = E.two_scale_error(u_eps, u0, cset, 1 / 16)
         assert l2 < 1e-10 and l2c < 1e-10 and h1c < 1e-8
+
+
+@pytest.mark.parametrize("bc", ["periodic", "truncated"])
+def test_expansion_term_is_the_per_corrector_loop(bc):
+    # d = 2, m = 2: four correctors of two components each, interpolated in one call
+    eps = 0.25
+    f = cross_term_system()
+    cset = C.solve_corrector(f, 1 / eps, h=1 / 16, buffer=0.5, bc=bc)
+    grid = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [130, 130], DIRICHLET)
+    assert grid.node_total > _POINT_BLOCK and grid.node_total % _POINT_BLOCK
+    u0 = GridFunction(grid, np.random.default_rng(7).standard_normal((2,) + grid.node_counts))
+    got = E.expansion_term(u0, cset, eps)
+    assert got.values.tobytes() == expansion_term_per_corrector(u0, cset, eps).tobytes()
 
 
 class TestTwoScale:

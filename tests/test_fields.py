@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 from aphomog import fields as F
 from aphomog.correctors import solve_corrector
 from aphomog.errors import EllipticityViolation, ResonantFrequencies
-from aphomog.grids import Box, BoxGrid, PERIODIC
+from aphomog.grids import _POINT_BLOCK, Box, BoxGrid, DIRICHLET, PERIODIC
 from aphomog.operators import assemble
-from oracle_tools import count_evaluate, cross_term_system, trig_sum_by_phase
+from oracle_tools import (count_evaluate, cross_term_system, multilinear_per_corner,
+                          trig_sum_by_phase)
 
 
 def test_constant_identity_everywhere():
@@ -381,6 +382,46 @@ class TestPeriodicSampled:
         cfg = F.field_to_config(self._sampled_sine())
         with pytest.raises(ValueError, match=r"^field\.order: 1 was expected"):
             F.field_from_config(dict(cfg, order=2))
+
+
+def _quasi_torus_8(m):
+    """d = 2, torus dimension 8: each phase is the BLAS product embed(x) @ n.
+    The frequencies reach 5 in size, so the products round (a factor 0, +-1 or
+    +-2 is exact), and the phase's bits show how BLAS splits the rows."""
+    rng = np.random.default_rng(11)
+    layout = F.FrequencyLayout(([1.0, F.GOLDEN_RATIO, np.sqrt(2.0), -np.sqrt(3.0)],
+                                [1.0, np.sqrt(5.0), np.pi / 3.0, -np.e / 2.0]))
+    terms = [(np.zeros(8), F.as_tensor(4.0, 2, m), 0.0)]
+    for _ in range(3):
+        n = rng.integers(-5, 6, size=8).astype(float)
+        terms.append((n, 0.1 * rng.standard_normal((2, 2, m, m)),
+                      0.1 * rng.standard_normal((2, 2, m, m))))
+    return F.QuasiPeriodicField(F.TorusFunction(8, 2, m, terms), layout)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+def test_sample_mesh_keeps_the_bytes_of_one_shot_face_slices(bc, m):
+    f = _quasi_torus_8(m)
+    grid = BoxGrid(Box([-9.0, -7.0], [9.0, 8.0]), [144, 120], bc)
+    for i in range(2):
+        full = f.evaluate(grid.face_points(i))
+        assert len(full) > 2 * _POINT_BLOCK and len(full) % _POINT_BLOCK
+        rows = F.sample_mesh(f, grid.face_axes(i), (i,))
+        assert rows.shape == full[:, i].shape
+        assert rows.tobytes() == full[:, i].tobytes()
+        assert F.sample_mesh(f, grid.face_axes(i), (i, i)).tobytes() == \
+            np.ascontiguousarray(full[:, i, i]).tobytes()
+
+
+def test_periodic_sampled_field_matches_the_per_corner_oracle():
+    samples = np.random.default_rng(6).standard_normal((6, 5, 2, 2, 2, 2))
+    f = F.PeriodicSampledField([1.0, 0.5], samples)
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(2 * _POINT_BLOCK + 5, 2))
+    pts[:3] = [[-1e-18, -1e-18], [1.0, 0.5], [0.5, 0.25]]
+    rel = (pts / f.period) % 1.0 * f.cells
+    want = multilinear_per_corner(samples, rel, f.cells, periodic=True)
+    assert f.evaluate(pts).tobytes() == want.tobytes()
 
 
 def test_config_round_trip(sine_field, golden_field, laminate):

@@ -6,12 +6,13 @@ from aphomog import correctors as C
 from aphomog import fields as F
 from aphomog import operators
 from aphomog.errors import NonConverged
-from aphomog.grids import (Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC, _dot,
-                           _gradient_at, centered_gradient, face_differences, holder_seminorm,
+from aphomog.grids import (_POINT_BLOCK, Box, BoxGrid, DIRICHLET, GridFunction, PERIODIC,
+                           _dot, _gradient_at, centered_gradient, face_differences, holder_seminorm,
                            load_grid_function, norms, save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
 from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
-                          kronecker_divergence, scipy_krylov_solve, triple_product_matrix)
+                          interpolate_per_corner, kronecker_divergence, scipy_krylov_solve,
+                          triple_product_matrix)
 
 
 @pytest.fixture
@@ -99,6 +100,44 @@ class TestGridBasics:
             nodes = axes[across][fsl[across]]
             assert nodes[0] <= window.lo[across] < nodes[1]
             assert nodes[-2] < window.hi[across] <= nodes[-1]
+
+
+def _interpolation_points(grid, seed):
+    """More points than two blocks, not a whole number of blocks: every node,
+    points on the upper faces, outside the box and at -1e-18, then random
+    points in and around the box."""
+    lo, hi, d = grid.box.lo, grid.box.hi, grid.d
+    rng = np.random.default_rng(seed)
+    upper = rng.uniform(lo, hi, size=(64, d))
+    upper[np.arange(64), np.arange(64) % d] = hi[np.arange(64) % d]
+    special = [grid.node_points(), upper, hi[None], lo[None],
+               np.full((1, d), -1e-18), np.where(np.arange(d) % 2, -1e-18, hi)[None],
+               rng.uniform(lo - 3.0, hi + 3.0, size=(64, d))]
+    n_special = sum(len(p) for p in special)
+    fill = rng.uniform(lo - 0.5, hi + 0.5, size=(2 * _POINT_BLOCK + 77 - n_special, d))
+    return np.concatenate(special + [fill])
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_the_per_corner_oracle(self, d, m, bc):
+        g = BoxGrid(Box(np.zeros(d), [1.0, 2.0, 1.5][:d]), [8, 5, 6][:d], bc)
+        u = GridFunction(g, np.random.default_rng(d).standard_normal((m,) + g.node_counts))
+        pts = _interpolation_points(g, seed=10 * d + m)
+        assert len(pts) > _POINT_BLOCK and len(pts) % _POINT_BLOCK
+        got = u.interpolate(pts)
+        assert got.shape == (m, len(pts)) and got.flags.c_contiguous
+        assert got.tobytes() == interpolate_per_corner(u, pts).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
+    def test_non_finite_points_raise(self, bc, bad):
+        g = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [8, 8], bc)
+        u = GridFunction(g, np.ones(g.node_counts))
+        with pytest.raises(ValueError, match="non-finite evaluation point"):
+            u.interpolate(np.array([[0.5, 0.5], [0.25, bad]]))
 
 
 class TestHolderSeminorm:

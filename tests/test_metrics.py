@@ -347,6 +347,17 @@ class TestRho:
         rep = M.rho_ladder(field, R_list, rng_seed=4, **kw)
         assert np.array_equal(rep.values, brute_rho_ladder(field, R_list, rng_seed=4, **kw))
 
+    def test_rho_ladder_compares_rows_in_capped_chunks(self, monkeypatch):
+        # batches of two y rows: every survivor with more than two y left
+        # compares them two at a time, and no value moves
+        field = cross_term_system()
+        kw = dict(z_grid_spacing=1 / 8, y_samples=16, test_points=64)
+        want = M.rho_ladder(field, [0.5, 1], rng_seed=4, **kw).values
+        monkeypatch.setattr(M, "_RHO_BATCH_ENTRIES", 2 * 64 * 16)
+        got = M.rho_ladder(field, [0.5, 1], rng_seed=4, **kw).values
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, brute_rho_ladder(field, [0.5, 1], rng_seed=4, **kw))
+
     def test_rho_ladder_batches_tables(self, monkeypatch):
         # one table for the y samples, then per rung one for the probe
         # points of its new shifts and one for the survivors' full tables
