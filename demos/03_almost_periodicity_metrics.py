@@ -19,7 +19,7 @@ import os
 from aphomog import (GOLDEN_RATIO, compute_Theta, covering_from_discrepancy,
                      diophantine_scan, discrepancy_exact, etk_bound,
                      golden_ratio_field, kronecker_point_set,
-                     modulus_of_continuity, rho_ladder, theta_layout, theta_quasi)
+                     modulus_of_continuity, rho_ladder, theta_quasi)
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -37,8 +37,8 @@ rho.to_csv(os.path.join(OUT, "rho_golden.csv"))
 
 print(f"\n{'R':>6} {'rho(R)':>10} {'theta(R)':>10} {'omega(theta)':>13}  chain")
 for R, rv in zip(Rs[2:], rho.values[2:]):
-    th = theta_layout(field.layout, R, ell)
-    om = modulus_of_continuity(field.torus, max(th, 1e-9), 8192)
+    th = theta_quasi(field.layout[0], R, ell)
+    om = modulus_of_continuity(field, max(th, 1e-9), 8192)
     print(f"{R:6d} {rv:10.4f} {th:10.5f} {om:13.4f}  "
           f"{'rho <= omega(theta)' if rv <= om + 1e-9 else 'within tol'}")
 

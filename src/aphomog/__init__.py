@@ -9,9 +9,8 @@ convergence-rate / Hoelder-uniformity experiments on box domains.
 from .errors import (EllipticityViolation, NonConverged, ResonantFrequencies,
                      UnsupportedDimension)
 from .fields import (ConstantField, CoefficientField, Ellipticity,
-                     FrequencyLayout, PeriodicSampledField, QuasiPeriodicField,
-                     ScaledArgumentField, ShiftedField, TorusFunction,
-                     TrigPolynomialField, GOLDEN_RATIO, as_tensor,
+                     PeriodicSampledField, QuasiPeriodicField, ScaledArgumentField,
+                     ShiftedField, TrigPolynomialField, GOLDEN_RATIO, as_tensor,
                      certify_ellipticity, check_ellipticity, diophantine_scan,
                      field_from_config, field_to_config,
                      golden_ratio_field, identity_field, laminate_field,
@@ -22,8 +21,7 @@ from .grids import (Box, BoxGrid, DIRICHLET, PERIODIC, GridFunction,
 from .metrics import (DecayReport, PointSet, compute_Theta, covering_from_discrepancy,
                       covering_radius, discrepancy_exact, etk_bound,
                       fit_decay_exponent, fractional_part, kronecker_point_set,
-                      rho_ladder, theta_integral, theta_ladder, theta_layout,
-                      theta_quasi)
+                      rho_ladder, theta_integral, theta_ladder, theta_quasi)
 from .operators import DiscreteOperator, assemble, divergence_rhs, solve
 from .correctors import (CorrectorSet, FluxTensor, HomogenizedMatrix, corrector_scalings,
                          energy_identity_residual, flux_tensor, gradient_cauchy_decay,

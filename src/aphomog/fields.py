@@ -11,9 +11,10 @@ Supported constructions:
   (the 1-periodic convention: a frequency vector of integers makes the
   field 1-periodic per axis),
 * periodically sampled node grids with multilinear interpolation,
-* quasi-periodic fields ``A(x) = B(j_lambda(x))`` where ``B`` is 1-periodic
-  on an M-torus and ``j_lambda`` embeds each axis ``x_i`` along its
-  frequency list ``lambda_i``.
+* quasi-periodic fields ``A(x) = B(j_lambda(x))``, stored as the integer
+  terms of ``B``, a trigonometric polynomial that is 1-periodic on an
+  M-torus, and the per-axis frequency lists ``lambda_i`` along which
+  ``j_lambda`` embeds each axis ``x_i``.
 
 Every variant but the sampled one also states its torus form
 ``A(x) = B(lam x + phase)`` (:meth:`CoefficientField.torus_form`).
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityViolation, ResonantFrequencies
-from .grids import _POINT_BLOCK, _mesh_points, _multilinear
+from .grids import _POINT_BLOCK, _check_points, _mesh_points, _multilinear
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -107,48 +108,8 @@ class Ellipticity:
             raise ValueError(f"invalid certificate: mu={self.mu}, max={self.mu_inv_check}")
 
 
-@dataclass(frozen=True)
-class FrequencyLayout:
-    """Per-axis frequency lists for a quasi-periodic embedding.
-
-    ``frequencies[i]`` holds the list (lambda_i^1, ..., lambda_i^{m_i}); the
-    embedding sends x to (lambda_i^k x_i) concatenated over axes.  Rational
-    independence of each list is checked separately with
-    :func:`diophantine_scan`.
-    """
-
-    frequencies: tuple
-
-    def __post_init__(self):
-        freqs = tuple(np.asarray(f, dtype=float).ravel() for f in self.frequencies)
-        object.__setattr__(self, "frequencies", freqs)
-        for f in freqs:
-            if f.size == 0:
-                raise ValueError("each direction needs at least one frequency")
-            if np.any(f == 0.0):
-                raise ValueError("zero frequencies are not allowed")
-
-    @property
-    def direction_count(self):
-        return len(self.frequencies)
-
-    @property
-    def total_dimension(self):
-        return int(sum(f.size for f in self.frequencies))
-
-    def embed(self, points):
-        """Map points (N, d) to the M-torus preimage (N, M)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((points.shape[0], self.total_dimension))
-        col = 0
-        for i, f in enumerate(self.frequencies):
-            np.multiply(points[:, i, None], f, out=out[:, col:col + f.size])
-            col += f.size
-        return out
-
-
 # ---------------------------------------------------------------------------
-# trigonometric terms (k, C, S) shared by TrigPolynomialField and TorusFunction
+# trigonometric terms (k, C, S) shared by TrigPolynomialField and QuasiPeriodicField
 
 
 def _parse_terms(terms, dimension, d, m):
@@ -184,17 +145,6 @@ def _terms_cross_free(terms):
 
 # ---------------------------------------------------------------------------
 # field variants
-
-
-def _check_points(points, d):
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, field has d={d}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite evaluation point")
-    return pts, single
 
 
 class CoefficientField:
@@ -314,45 +264,42 @@ class PeriodicSampledField(CoefficientField):
                             self.cells, periodic=True)
 
 
-class TorusFunction:
-    """1-periodic tensor-valued trigonometric polynomial on an M-torus.
-
-    Integer frequency vectors keep the function exactly 1-periodic, which is
-    what the quasi-periodic construction needs.
-    """
-
-    def __init__(self, dimension, d, m, terms):
-        self.dimension = int(dimension)
-        self.d = int(d)
-        self.m = int(m)
-        parsed = _parse_terms(terms, self.dimension, self.d, self.m)
-        if not all(np.allclose(n, np.round(n), atol=1e-9) for n, _, _ in parsed):
-            raise ValueError("torus frequencies must be integer vectors")
-        self.terms = [(np.round(n), c, s) for n, c, s in parsed]
-
-    def evaluate(self, t):
-        return _trig_sum(np.atleast_2d(np.asarray(t, dtype=float)), self.terms,
-                         self.d, self.m)
+def _layout(frequencies):
+    """Per-axis frequency lists as a tuple of float arrays, each nonempty and zero-free."""
+    layout = tuple(np.asarray(f, dtype=float).ravel() for f in frequencies)
+    for f in layout:
+        if f.size == 0:
+            raise ValueError("each direction needs at least one frequency")
+        if np.any(f == 0.0):
+            raise ValueError("zero frequencies are not allowed")
+    return layout
 
 
 class QuasiPeriodicField(CoefficientField):
-    """A(x) = B(j_lambda(x)) with B periodic on the M-torus."""
+    """A(x) = B(j(x)): B(t) = sum over terms of cos(2 pi n.t) C + sin(2 pi n.t) S
+    on the M-torus with integer n, and j(x) = (layout[i] x_i) concatenated over
+    the axes i, so d = len(layout) and M is the total number of frequencies."""
 
-    def __init__(self, torus, layout):
-        if torus.dimension != layout.total_dimension:
-            raise ValueError("torus dimension does not match the frequency layout")
-        super().__init__(layout.direction_count, torus.m)
-        self.torus = torus
-        self.layout = layout
-        self.symmetric = _terms_symmetric(torus.terms)
-        self._cross_free = _terms_cross_free(torus.terms)
+    def __init__(self, layout, m, terms):
+        self.layout = _layout(layout)
+        super().__init__(len(self.layout), m)
+        parsed = _parse_terms(terms, sum(f.size for f in self.layout), self.d, self.m)
+        if not all(np.allclose(n, np.round(n), atol=1e-9) for n, _, _ in parsed):
+            raise ValueError("torus frequencies must be integer vectors")
+        self.terms = [(np.round(n), c, s) for n, c, s in parsed]
+        self.symmetric = _terms_symmetric(self.terms)
+        self._cross_free = _terms_cross_free(self.terms)
+
+    def _embed(self, pts):
+        """j(pts): points (N, d) to their torus preimages (N, M), axis by axis."""
+        return np.concatenate([pts[:, i, None] * f for i, f in enumerate(self.layout)], axis=1)
 
     def _evaluate(self, pts):
-        return self.torus.evaluate(self.layout.embed(pts))
+        return _trig_sum(self._embed(pts), self.terms, self.d, self.m)
 
     def torus_form(self):
-        lam = self.layout.embed(np.eye(self.d)).T     # column i: axis i's frequencies
-        return TorusForm(self.torus.terms, lam, np.zeros(len(lam)))
+        lam = self._embed(np.eye(self.d)).T     # column i: axis i's frequencies
+        return TorusForm(self.terms, lam, np.zeros(len(lam)))
 
 
 class _Transformed(CoefficientField):
@@ -523,25 +470,31 @@ def diophantine_scan(lams, n_max):
     return c0_hat, tau_hat
 
 
-def modulus_of_continuity(torus, delta, sample_count=4096):
-    """Sampled sup of |B(x) - B(y)| over pairs with ||x - y||_inf <= delta.
+def modulus_of_continuity(field, delta, sample_count=4096):
+    """Sampled sup of |B(s) - B(t)| over torus pairs with ||s - t||_inf <= delta,
+    B from ``field.torus_form()`` (a field without one raises ValueError).
 
     Combines a regular torus grid with the extreme corner offsets
     (+-delta)^M and random offsets (seed 0); entrywise max-abs difference.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    M = torus.dimension
+    form = field.torus_form()
+    if form is None:
+        raise ValueError(f"{type(field).__name__} has no torus form")
+    M = len(form.lam)
+    if M == 0:
+        return 0.0                  # B is constant
     rng = np.random.default_rng(0)
     g = max(2, int(np.ceil(sample_count ** (1.0 / M))))
     base = _mesh_points([np.linspace(0.0, 1.0, g, endpoint=False)] * M)
     base = np.concatenate([base, rng.random((max(16, sample_count // 4), M))])
     offsets = [np.array(c, dtype=float) * delta for c in itertools.product((-1, 1), repeat=M)]
     offsets += list(rng.uniform(-delta, delta, size=(8, M)))
-    b0 = torus.evaluate(base)
+    b0 = _trig_sum(base, form.terms, field.d, field.m)
     worst = 0.0
     for off in offsets:
-        b1 = torus.evaluate(base + off)
+        b1 = _trig_sum(base + off, form.terms, field.d, field.m)
         worst = max(worst, float(np.max(np.abs(b1 - b0))))
     return worst
 
@@ -576,13 +529,11 @@ def golden_ratio_field():
     B(t1, t2) = 2 + cos(2 pi t1) cos(2 pi t2) with the badly approximable
     frequency pair (1, phi).
     """
-    torus = TorusFunction(2, 1, 1, [
+    return QuasiPeriodicField([[1.0, GOLDEN_RATIO]], 1, [
         (np.zeros(2), 2.0, 0.0),
         (np.array([1.0, 1.0]), 0.5, 0.0),
         (np.array([1.0, -1.0]), 0.5, 0.0),
     ])
-    layout = FrequencyLayout((np.array([1.0, GOLDEN_RATIO]),))
-    return QuasiPeriodicField(torus, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +753,8 @@ def field_to_config(field):
                 "samples": field.samples.tolist()}
     if isinstance(field, QuasiPeriodicField):
         return {"variant": "quasi_periodic", "d": field.d, "m": field.m,
-                "layout": [f.tolist() for f in field.layout.frequencies],
-                "torus_terms": _terms_cfg(field.torus.terms)}
+                "layout": [f.tolist() for f in field.layout],
+                "torus_terms": _terms_cfg(field.terms)}
     raise ValueError(f"cannot serialize field of type {type(field).__name__}")
 
 
@@ -822,10 +773,14 @@ def field_from_config(cfg):
     _check_finite(cfg, "field")
     field = _field_from_config(cfg)
     for key in ("d", "m"):
-        if key in cfg and cfg[key] != getattr(field, key):
-            raise ValueError(f"field.{key}: the config states {key} = {cfg[key]} but its "
-                             f"field has {key} = {getattr(field, key)}")
+        _check_stated(cfg, key, getattr(field, key))
     return field
+
+
+def _check_stated(cfg, key, value):
+    if key in cfg and cfg[key] != value:
+        raise ValueError(f"field.{key}: the config states {key} = {cfg[key]} but its "
+                         f"field has {key} = {value}")
 
 
 def _field_from_config(cfg):
@@ -845,8 +800,9 @@ def _field_from_config(cfg):
     if variant == "trig_polynomial":
         return TrigPolynomialField(d, m, _terms_from_cfg(cfg["terms"], "field.terms", d, d, m))
     with _at("field.layout"):
-        layout = FrequencyLayout(cfg["layout"])
-    terms = _terms_from_cfg(cfg["torus_terms"], "field.torus_terms", layout.total_dimension, d, m)
+        layout = _layout(cfg["layout"])
+    terms = _terms_from_cfg(cfg["torus_terms"], "field.torus_terms",
+                            sum(f.size for f in layout), d, m)
+    _check_stated(cfg, "d", len(layout))      # the terms' tensors are (d, d, m, m)
     with _at("field.torus_terms"):
-        torus = TorusFunction(layout.total_dimension, d, m, terms)
-    return QuasiPeriodicField(torus, layout)
+        return QuasiPeriodicField(layout, m, terms)

@@ -207,17 +207,28 @@ class GridFunction:
     def interpolate(self, points):
         """Multilinear interpolation, shape (m, N); periodic grids wrap the coordinates.
 
-        A non-finite point raises ValueError."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite evaluation point")
+        ``points`` pass :func:`_check_points`; one point (d,) gives (m, 1)."""
         g = self.grid
+        pts, _ = _check_points(points, g.d)
         rel = (pts - g.box.lo) / g.h
         if g.bc == PERIODIC:
             rel = rel % g.cells
         else:
             rel = np.clip(rel, 0.0, np.asarray(g.cells, dtype=float))
         return _multilinear(self.values, rel, g.cells, g.bc == PERIODIC, node_axis=1)
+
+
+def _check_points(points, d):
+    """(points as (N, d) floats, whether one point (d,) was given); a point of
+    another dimension or with a non-finite coordinate raises ValueError."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != d:
+        raise ValueError(f"points have dimension {pts.shape[1]}, expected d={d}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite evaluation point")
+    return pts, single
 
 
 def _mesh_points(axes):

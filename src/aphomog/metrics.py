@@ -233,11 +233,6 @@ def theta_quasi(lams, R, ell):
     return covering_radius(kronecker_point_set(lams, R, ell).points)
 
 
-def theta_layout(layout, R, ell):
-    """Per-direction maximum of theta_quasi over a FrequencyLayout."""
-    return max(theta_quasi(f, R, ell) for f in layout.frequencies)
-
-
 def checked_radii(R_list):
     """``R_list`` as floats; raises ValueError unless positive and strictly increasing."""
     R_list = np.asarray(R_list, dtype=float).ravel()

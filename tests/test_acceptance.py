@@ -150,13 +150,12 @@ def test_criterion_07_quasi_periodic_pipeline(golden_field, golden_rho):
         assert np.all(np.diff(golden_rho.values) <= 1e-12)
         assert rho_slope <= 0.0
         # modulus chain rho_1(R) <= omega(theta(R)) + tol with matched grids
-        torus = golden_field.torus
         chain_ok = []
         for R, rv in zip(golden_rho.parameters, golden_rho.values):
             if R < 8:
                 continue
             th = M.theta_quasi([1.0, PHI], int(R), 64)
-            om = F.modulus_of_continuity(torus, max(th, 1e-9), 8192)
+            om = F.modulus_of_continuity(golden_field, max(th, 1e-9), 8192)
             chain_ok.append(rv <= om + 0.05)
         # exact discrepancy dominated by the exponential-sum bound, N <= 2000
         sets = [M.kronecker_point_set([1.0, PHI], 500, 2),

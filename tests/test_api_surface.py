@@ -10,6 +10,11 @@ when it forwards the enclosing function's ``**kwargs``, the extra keywords
 that function's callers pass; any other ``*args`` or ``**kw`` sets every
 option.  Dataclass fields with a default count as options of the
 constructor, and ``super().__init__`` calls the base classes.
+
+Likewise every name that ``aphomog/__init__.py`` exports is read by some
+program in ``src/``, ``demos/`` or ``bench/`` outside the test directories
+(as a name, an attribute or a ``from ... import``), unless
+``EXPORTED_FOR_READERS`` names it with the reason it stays public.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aphomog"
 CALLER_DIRS = ("src", "tests", "demos", "bench")
 TEST_DIRS = ("tests", "bench/tests")
+INIT = PACKAGE / "__init__.py"
 
 # options that only tests set, each public for the reason given
 SET_BY_TESTS_ONLY = {
@@ -29,6 +35,12 @@ SET_BY_TESTS_ONLY = {
     "experiments.rate_experiment(rho_report)": "the paper's Theta-bound comparison",
     "correctors.solve_corrector(threads)": "bench/tests passes it until ROADMAP item 2",
     "fields.certify_ellipticity(sample_count)": "bench/tests passes it until ROADMAP item 2",
+}
+
+# exported names that no program reads, each public for the reason given
+EXPORTED_FOR_READERS = {
+    "translation_response": "a paper object: the corrector response to a translation",
+    "load_grid_function": "it reads the .bin companions of a corrector run",
 }
 
 
@@ -275,3 +287,38 @@ def test_option_count_does_not_grow():
     # modulus_of_continuity's rng_seed, holder_seminorm's pair_budget)
     total = sum(len(options) for options in public_options().values())
     assert total == 50
+
+
+def exported_names():
+    """Every name that ``aphomog/__init__.py`` imports."""
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+
+
+def program_references():
+    """Every name, attribute and ``from ... import`` name that the programs
+    read, outside ``TEST_DIRS`` and the package's ``__init__.py``."""
+    seen = set()
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if _is_test(path) or path == INIT:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    seen.update(a.name for a in node.names)
+    return seen
+
+
+def test_every_exported_name_a_program_leaves_unread_is_listed_with_its_reason():
+    unread = exported_names() - program_references()
+    unlisted = sorted(unread - set(EXPORTED_FOR_READERS))
+    assert not unlisted, (f"{len(unlisted)} exported names no program reads: drop each "
+                          "from aphomog/__init__.py or list it in EXPORTED_FOR_READERS "
+                          "with its reason:\n" + "\n".join(unlisted))
+    stale = sorted(set(EXPORTED_FOR_READERS) - unread)
+    assert not stale, "listed names that are gone or that a program reads:\n" + "\n".join(stale)

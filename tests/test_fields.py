@@ -44,38 +44,49 @@ def test_zero_frequency_terms_match_phase_formula_bytewise():
                           [[0.0, 0.0], [-0.0, -0.0], [-3.5, 0.0], [-1e-300, -7.0]]])
     got = f.evaluate(pts)
     assert got.tobytes() == trig_sum_by_phase(pts, f.terms, 2, 2).tobytes()
-    torus = F.golden_ratio_field().torus
-    t = np.stack([pts[:, 0], -pts[:, 1]], axis=1)
-    assert torus.evaluate(t).tobytes() == \
-        trig_sum_by_phase(t, torus.terms, 1, 1).tobytes()
+    golden = F.golden_ratio_field()
+    x = pts.reshape(-1, 1)
+    t = np.concatenate([x, x * F.GOLDEN_RATIO], axis=1)
+    assert golden.evaluate(x).tobytes() == \
+        trig_sum_by_phase(t, golden.terms, 1, 1).tobytes()
 
 
 def test_quasi_periodic_integer_torus_shift():
     # rational frequencies so the torus shift is an exact integer vector
-    torus = F.TorusFunction(2, 1, 1, [
+    f = F.QuasiPeriodicField([[0.5, 0.25]], 1, [
         (np.zeros(2), 2.0, 0.0),
         (np.array([1.0, 0.0]), 0.3, 0.1),
         (np.array([0.0, 2.0]), 0.0, 0.2),
     ])
-    layout = F.FrequencyLayout((np.array([0.5, 0.25]),))
-    f = F.QuasiPeriodicField(torus, layout)
     xs = np.linspace(-3, 3, 41)[:, None]
     a0 = f.evaluate(xs)
     a4 = f.evaluate(xs + 4.0)      # j(4) = (2, 1), an integer shift
     assert np.max(np.abs(a0 - a4)) < 1e-13
 
 
+# axes with 3 and 1 frequencies, so d = 2 and M = 4
+UNEVEN_LAYOUT = ([1.0, F.GOLDEN_RATIO, -np.sqrt(3.0)], [np.sqrt(2.0)])
+
+
+def _uneven_quasi_field():
+    rng = np.random.default_rng(4)
+    terms = [(np.zeros(4), 3.0, 0.0)]
+    terms += [(rng.integers(-3, 4, size=4), *rng.uniform(-0.2, 0.2, (2, 2, 2)))
+              for _ in range(3)]
+    return F.QuasiPeriodicField(UNEVEN_LAYOUT, 1, terms)
+
+
 @pytest.mark.parametrize("n_points", [1, 500])
 def test_embed_matches_concatenated_axis_blocks_bytewise(n_points):
-    # axes with 3 and 1 frequencies; the reference is the per-axis product
-    # joined with np.concatenate
-    layout = F.FrequencyLayout(([1.0, F.GOLDEN_RATIO, -np.sqrt(3.0)], [np.sqrt(2.0)]))
+    # the field is evaluated on the torus at the per-axis products joined
+    # with np.concatenate
+    f = _uneven_quasi_field()
+    assert [a.tolist() for a in f.layout] == [list(a) for a in UNEVEN_LAYOUT]
     pts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(n_points, 2))
-    ref = np.concatenate([pts[:, i, None] * f[None, :]
-                          for i, f in enumerate(layout.frequencies)], axis=1)
-    got = layout.embed(pts)
-    assert got.shape == (n_points, 4)
-    assert got.tobytes() == ref.tobytes()
+    ref = np.concatenate([pts[:, i, None] * np.array(a)[None, :]
+                          for i, a in enumerate(UNEVEN_LAYOUT)], axis=1)
+    assert ref.shape == (n_points, 4)
+    assert f.evaluate(pts).tobytes() == trig_sum_by_phase(ref, f.terms, 2, 1).tobytes()
 
 
 class TestEllipticity:
@@ -239,22 +250,39 @@ class TestDiophantine:
 
 class TestModulusOfContinuity:
     def test_constant_is_zero(self):
-        torus = F.TorusFunction(1, 1, 1, [(np.zeros(1), 2.0, 0.0)])
-        assert F.modulus_of_continuity(torus, 0.3) == pytest.approx(0.0, abs=1e-14)
+        # M = 0 for a constant field, M = 1 for a trig field of one zero-frequency term
+        assert F.modulus_of_continuity(F.ConstantField(2.0, d=1, m=1), 0.3) == 0.0
+        zero_freq = F.TrigPolynomialField(1, 1, [(np.zeros(1), 2.0, 0.0)])
+        assert F.modulus_of_continuity(zero_freq, 0.3) == 0.0
 
-    def test_sine_half_period(self):
-        torus = F.TorusFunction(1, 1, 1, [(np.ones(1), 0.0, 1.0)])
-        assert F.modulus_of_continuity(torus, 0.5, 8192) == pytest.approx(2.0, abs=1e-3)
+    def test_sine_half_period(self, sine_field):
+        # B(t) = 2 + sin(2 pi t) with lam = I: the grid holds t = 1/4 and 3/4
+        assert F.modulus_of_continuity(sine_field, 0.5, 8192) == 2.0
+
+    def test_golden_value_kept(self, golden_field):
+        # the value before the modulus read the field's torus form
+        got = F.modulus_of_continuity(golden_field, 0.05, 8192)
+        assert got.hex() == "0x1.3c6ef329613c4p-2"
+
+    def test_wrappers_give_the_base_value(self, golden_field):
+        want = F.modulus_of_continuity(golden_field, 0.05, 8192)
+        for g in (F.ShiftedField(golden_field, [0.37]), F.ScaledArgumentField(golden_field, 8.0),
+                  golden_field.adjoint()):
+            assert F.modulus_of_continuity(g, 0.05, 8192).hex() == want.hex()
+
+    def test_field_without_torus_form_raises(self):
+        sampled = F.PeriodicSampledField([1.0], np.full((8, 1, 1, 1, 1), 2.0))
+        with pytest.raises(ValueError, match="PeriodicSampledField has no torus form"):
+            F.modulus_of_continuity(sampled, 0.1)
 
     def test_monotone_in_delta(self, golden_field):
-        torus = golden_field.torus
         deltas = [0.02, 0.05, 0.1, 0.2, 0.4]
-        vals = [F.modulus_of_continuity(torus, d, 4096) for d in deltas]
+        vals = [F.modulus_of_continuity(golden_field, d, 4096) for d in deltas]
         assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_delta_positive_required(self, golden_field):
         with pytest.raises(ValueError):
-            F.modulus_of_continuity(golden_field.torus, 0.0)
+            F.modulus_of_continuity(golden_field, 0.0)
 
 
 def _one_cross_entry(d, m):
@@ -267,11 +295,10 @@ def _one_cross_entry(d, m):
 def _quasi_2d(cross):
     iso = F.as_tensor(2.0, 2, 1)
     wobble = _one_cross_entry(2, 1) if cross else F.as_tensor(0.5, 2, 1)
-    torus = F.TorusFunction(4, 2, 1, [(np.zeros(4), iso, 0.0),
-                                      (np.array([1.0, 0.0, 1.0, 0.0]), 0.5 * iso, 0.0),
-                                      (np.array([0.0, 1.0, 0.0, 1.0]), 0.0, wobble)])
-    return F.QuasiPeriodicField(torus, F.FrequencyLayout(([1.0, F.GOLDEN_RATIO],
-                                                          [1.0, np.sqrt(2.0)])))
+    return F.QuasiPeriodicField([[1.0, F.GOLDEN_RATIO], [1.0, np.sqrt(2.0)]], 1, [
+        (np.zeros(4), iso, 0.0),
+        (np.array([1.0, 0.0, 1.0, 0.0]), 0.5 * iso, 0.0),
+        (np.array([0.0, 1.0, 0.0, 1.0]), 0.0, wobble)])
 
 
 def _sampled_2d(cross):
@@ -389,14 +416,14 @@ def _quasi_torus_8(m):
     The frequencies reach 5 in size, so the products round (a factor 0, +-1 or
     +-2 is exact), and the phase's bits show how BLAS splits the rows."""
     rng = np.random.default_rng(11)
-    layout = F.FrequencyLayout(([1.0, F.GOLDEN_RATIO, np.sqrt(2.0), -np.sqrt(3.0)],
-                                [1.0, np.sqrt(5.0), np.pi / 3.0, -np.e / 2.0]))
+    layout = ([1.0, F.GOLDEN_RATIO, np.sqrt(2.0), -np.sqrt(3.0)],
+              [1.0, np.sqrt(5.0), np.pi / 3.0, -np.e / 2.0])
     terms = [(np.zeros(8), F.as_tensor(4.0, 2, m), 0.0)]
     for _ in range(3):
         n = rng.integers(-5, 6, size=8).astype(float)
         terms.append((n, 0.1 * rng.standard_normal((2, 2, m, m)),
                       0.1 * rng.standard_normal((2, 2, m, m))))
-    return F.QuasiPeriodicField(F.TorusFunction(8, 2, m, terms), layout)
+    return F.QuasiPeriodicField(layout, m, terms)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -434,6 +461,18 @@ def test_config_round_trip(sine_field, golden_field, laminate):
         pts = rng.uniform(-2, 2, size=(30, f.d))
         assert np.allclose(f.evaluate(pts), g.evaluate(pts))
         assert g.d == f.d and g.m == f.m
+
+
+def test_uneven_layout_config_round_trip():
+    f = _uneven_quasi_field()
+    g = F.field_from_config(F.field_to_config(f))
+    pts = np.random.default_rng(8).uniform(-50.0, 50.0, size=(300, 2))
+    assert g.evaluate(pts).tobytes() == f.evaluate(pts).tobytes()
+    want, got = f.torus_form(), g.torus_form()
+    assert got.lam.tobytes() == want.lam.tobytes()
+    assert got.phase.tobytes() == want.phase.tobytes()
+    assert [[a.tobytes() for a in t] for t in got.terms] == \
+        [[a.tobytes() for a in t] for t in want.terms]
 
 
 def _golden_cfg(**edit):

@@ -139,6 +139,23 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="non-finite evaluation point"):
             u.interpolate(np.array([[0.5, 0.5], [0.25, bad]]))
 
+    def test_points_of_another_dimension_raise(self):
+        # x + 10 y on an 8 x 8 periodic grid: an (N, 1) array is not read as (x, x)
+        g = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [8, 8], PERIODIC)
+        x, y = np.meshgrid(g.axis_nodes(0), g.axis_nodes(1), indexing="ij")
+        u = GridFunction(g, (x + 10.0 * y)[None])
+        assert u.interpolate(np.array([[0.25, 0.25]])).tolist() == [[2.75]]
+        with pytest.raises(ValueError, match="points have dimension 1"):
+            u.interpolate(np.array([[0.25]]))
+
+    def test_one_point_of_shape_d(self):
+        # a 1-D array is one point, as for CoefficientField.evaluate; the
+        # output keeps its (m, N) shape
+        line = GridFunction(BoxGrid(Box([0.0], [1.0]), [8], DIRICHLET), np.ones((1, 9)))
+        assert line.interpolate(np.array([0.5])).shape == (1, 1)
+        with pytest.raises(ValueError, match="points have dimension 3"):
+            line.interpolate(np.array([0.25, 0.5, 0.75]))
+
 
 class TestHolderSeminorm:
     def test_linear_function_sigma_half(self):

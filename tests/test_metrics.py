@@ -22,10 +22,10 @@ def sampled_sine_field():
 
 def bench_2d_field():
     """2 + cos 2pi(x1 + x2) / 2 + cos 2pi(phi x1 + sqrt2 x2) / 2, the benchmark's 2D field."""
-    torus = F.TorusFunction(4, 2, 1, [(np.zeros(4), 2.0, 0.0),
-                                      (np.array([1.0, 0.0, 1.0, 0.0]), 0.5, 0.0),
-                                      (np.array([0.0, 1.0, 0.0, 1.0]), 0.5, 0.0)])
-    return F.QuasiPeriodicField(torus, F.FrequencyLayout(([1.0, PHI], [1.0, np.sqrt(2.0)])))
+    return F.QuasiPeriodicField([[1.0, PHI], [1.0, np.sqrt(2.0)]], 1, [
+        (np.zeros(4), 2.0, 0.0),
+        (np.array([1.0, 0.0, 1.0, 0.0]), 0.5, 0.0),
+        (np.array([0.0, 1.0, 0.0, 1.0]), 0.5, 0.0)])
 
 
 TABLE_CASES = {
@@ -255,13 +255,6 @@ class TestTheta:
         brute = brute_covering_radius(pts, grid=256)
         assert got == pytest.approx(brute, rel=0.08)
 
-    def test_layout_maximum(self):
-        layout = F.FrequencyLayout((np.array([1.0, PHI]), np.array([1.0])))
-        v = M.theta_layout(layout, 16, 16)
-        expected = max(M.theta_quasi(np.array([1.0, PHI]), 16, 16),
-                       M.theta_quasi(np.array([1.0]), 16, 16))
-        assert v == pytest.approx(expected)
-
 
 class TestKroneckerPoints:
     def test_count_and_range(self):
@@ -487,10 +480,9 @@ class TestThetaAndRhoChain:
         Rs = [8, 16, 32]
         rho = M.rho_ladder(golden_field, Rs, z_grid_spacing=1 / ell,
                            test_points=1024, y_samples=32, rng_seed=5)
-        torus = golden_field.torus
         for R, rv in zip(Rs, rho.values):
             th = M.theta_quasi([1.0, PHI], R, ell)
-            om = F.modulus_of_continuity(torus, max(th, 1e-9), 8192)
+            om = F.modulus_of_continuity(golden_field, max(th, 1e-9), 8192)
             assert rv <= om + 0.05
 
 
