@@ -29,13 +29,13 @@ for name, field, kwargs in (
     exp = rate_experiment(field, eps_ladder, **kwargs)
     print(f"\n{name}")
     print(f"{'eps':>10} {'L2 plain':>12} {'H1 corrected':>13}")
-    for row in exp.rows:
+    for row in exp["rows"]:
         print(f"{row['eps']:10.5f} {row['L2_plain']:12.3e} "
               f"{row['H1_corrected']:13.3e}")
-    for key, fit in exp.fitted.items():
+    for key, fit in exp["fitted"].items():
         print(f"  fitted {key} slope: {fit['slope']:.3f} "
               f"(R^2 = {fit['quality']:.4f})")
-    exp.reports["L2_plain"].to_csv(
+    exp["reports"]["L2_plain"].to_csv(
         os.path.join(OUT, f"rate_{'periodic' if 'sin' in name else 'golden'}.csv"))
 
 print("\ninterior Hoelder uniformity (periodic field, sigma = 1/2):")

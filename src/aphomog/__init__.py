@@ -27,9 +27,9 @@ from .correctors import (CorrectorSet, FluxTensor, HomogenizedMatrix, corrector_
                          energy_identity_residual, flux_tensor, gradient_cauchy_decay,
                          homogenized_matrix, solve_corrector,
                          solve_flux_corrector, translation_response, windowed_gradient_sup)
-from .experiments import (RateExperiment, boundary_corrector, eps_operator,
-                          expansion_term, holder_uniformity, rate_experiment,
-                          solve_problem, two_scale_error, unit_box_operator)
+from .experiments import (boundary_corrector, eps_operator, expansion_term,
+                          holder_uniformity, rate_experiment, solve_problem,
+                          two_scale_error, unit_box_operator)
 from .cli import dumps_canonical, manifest_hash, reproduce, run_manifest
 
 __version__ = "0.1.0"

@@ -198,15 +198,16 @@ def _run_rate(manifest, field):
                             include_boundary_corrector=bool(
                                 p.get("boundary_corrector", False)))
     lines = ["eps,cells,L2_plain,L2_corrected,H1_plain,H1_corrected"]
-    for r in exp.rows:
+    for r in exp["rows"]:
         lines.append(f"{r['eps']:.17g},{r['cells']},{r['L2_plain']:.17g},"
                      f"{r['L2_corrected']:.17g},{r['H1_plain']:.17g},"
                      f"{r['H1_corrected']:.17g}")
-    if exp.floor_limited:
+    if exp["floor_limited"]:
         summary = "rate: floor-limited (errors at solver floor)"
     else:
-        summary = f"rate: fitted L2 slope={exp.fitted.get('L2_plain', {}).get('slope')}"
-    return exp.as_dict(), summary, {"rate.csv": _text("\n".join(lines) + "\n")}
+        summary = f"rate: fitted L2 slope={exp['fitted'].get('L2_plain', {}).get('slope')}"
+    payload = dict(exp, reports={k: v.as_dict() for k, v in exp["reports"].items()})
+    return payload, summary, {"rate.csv": _text("\n".join(lines) + "\n")}
 
 
 def _run_holder(manifest, field):
@@ -265,7 +266,8 @@ COMMANDS = {
         rule=lambda p, field: M.checked_radii(p["R_list"])),
     "theta": _Command(_closed(["lambda", "R_list", "ell"], {
         "lambda": _list_of({"type": "number"}), "R_list": _list_of(_POSITIVE),
-        "ell": {"anyOf": [_COUNT, _list_of(_COUNT)]}}), _run_theta, needs_field=False,
+        "ell": {"type": ["integer", "array"], "minimum": 1, "minItems": 1, "items": _COUNT}}),
+        _run_theta, needs_field=False,
         rule=lambda p, field: M.checked_ells(p["ell"], len(M.checked_radii(p["R_list"])))),
     "discrepancy": _Command(_closed(["lambda", "R", "ell"], {
         "lambda": _list_of({"type": "number"}), "R": _COUNT, "ell": _COUNT,

@@ -15,8 +15,6 @@ only improves the expansion error and is excluded from headline metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .correctors import homogenized_matrix, solve_corrector
@@ -127,24 +125,6 @@ def boundary_corrector(op, cset, u0, eps, tol=1e-10):
     return v, report
 
 
-@dataclass
-class RateExperiment:
-    rows: list
-    reports: dict
-    fitted: dict
-    floor_limited: bool
-    metadata: dict
-
-    def as_dict(self):
-        return {
-            "rows": self.rows,
-            "reports": {k: v.as_dict() for k, v in self.reports.items()},
-            "fitted": self.fitted,
-            "floor_limited": self.floor_limited,
-            "metadata": self.metadata,
-        }
-
-
 def checked_eps(eps_list):
     """The eps ladder sorted; raises ValueError unless it is 4 or more distinct values
     of at most 1 (each rung solves the corrector at T = 1/eps >= 1)."""
@@ -158,10 +138,13 @@ def checked_eps(eps_list):
 
 def checked_holder_eps(eps_list):
     """The eps list sorted; raises ValueError unless its smallest eps is at most 1
-    (its one corrector is solved at T = 1/min(eps) >= 1)."""
+    (its one corrector is solved at T = 1/min(eps) >= 1) and the grid of its
+    largest has at least 4 cells per axis (eps < 32/3)."""
     eps_list = sorted(float(e) for e in eps_list)
     if eps_list[0] > 1.0:
         raise ValueError(f"the smallest eps must be at most 1 (T = 1/eps >= 1), got {eps_list[0]}")
+    if _eps_cells(eps_list[-1]) < 4:
+        raise ValueError(f"eps {eps_list[-1]} leaves its grid fewer than 4 cells per axis")
     return eps_list
 
 
@@ -174,7 +157,8 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
     corrected expansion error.  Emits DecayReports and fitted slopes; when
     a rho report is supplied the Theta-integral upper bound (sigma = 1/2)
     is evaluated alongside the measured errors (dominance only, never
-    equality).
+    equality).  Returns a dict of the per-eps ``rows``, the ``reports``
+    (DecayReports), the ``fitted`` slopes, ``floor_limited`` and ``metadata``.
     """
     eps_list = checked_eps(eps_list)
     rows = []
@@ -212,9 +196,8 @@ def rate_experiment(field, eps_list, corrector_h=None, tol=1e-9,
             if np.all(rep.values > 0):
                 slope, quality = rep.fit()
                 fitted[key] = {"slope": slope, "quality": quality}
-    return RateExperiment(rows=rows, reports=reports, fitted=fitted,
-                          floor_limited=floor_limited,
-                          metadata={"field_m": field.m, "d": field.d, "tol": tol})
+    return {"rows": rows, "reports": reports, "fitted": fitted, "floor_limited": floor_limited,
+            "metadata": {"field_m": field.m, "d": field.d, "tol": tol}}
 
 
 def holder_uniformity(field, eps_list, sigma=0.5, rng_seed=0, corrector_h=None):

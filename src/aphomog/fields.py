@@ -254,6 +254,8 @@ class PeriodicSampledField(CoefficientField):
         d, m = _lattice(samples)
         super().__init__(d, m)
         self.period = np.asarray(period, dtype=float).reshape(d)
+        if not np.all(np.isfinite(self.period) & (self.period > 0)):
+            raise ValueError(f"a sampled field needs finite positive periods, got {self.period}")
         self.samples = samples
         self.cells = np.array(samples.shape[:d], dtype=int)
         self.symmetric = is_symmetric_tensor(samples)
@@ -568,7 +570,7 @@ _TYPES = {
 _BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
            "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
            "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum")}
-_Fault = collections.namedtuple("_Fault", "path keyword message typed context")
+_Fault = collections.namedtuple("_Fault", "path message")
 
 
 def _json_equal(x, value):
@@ -583,35 +585,30 @@ def _faults(schema, x, path):
     A keyword skips a value of a type it does not apply to."""
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
-    typed = any(_TYPES[t](x) for t in types)           # False for a schema without type
-
-    def fault(message, context=()):
-        return _Fault(path, key, message, typed, context)
-
     for key, v in schema.items():
         if key == "type":
-            if not typed:
-                yield fault(f"{x!r} is not of type {', '.join(map(repr, types))}")
+            if not any(_TYPES[t](x) for t in types):
+                yield _Fault(path, f"{x!r} is not of type {', '.join(map(repr, types))}")
         elif key == "enum":
             if not any(_json_equal(x, e) for e in v):
-                yield fault(f"{x!r} is not one of {v!r}")
+                yield _Fault(path, f"{x!r} is not one of {v!r}")
         elif key == "const":
             if not _json_equal(x, v):
-                yield fault(f"{v!r} was expected")
+                yield _Fault(path, f"{v!r} was expected")
         elif key in _BOUNDS:
             breaks, words = _BOUNDS[key]
             if _TYPES["number"](x) and breaks(x, v):
-                yield fault(f"{x!r} is {words} of {v!r}")
+                yield _Fault(path, f"{x!r} is {words} of {v!r}")
         elif key == "minItems":
             if isinstance(x, list) and len(x) < v:
-                yield fault(f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}")
+                yield _Fault(path, f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}")
         elif key == "items":
             for i, item in enumerate(x if isinstance(x, list) else ()):
                 yield from _faults(v, item, (*path, i))
         elif key == "required":
             for name in (v if isinstance(x, dict) else ()):
                 if name not in x:
-                    yield fault(f"{name!r} is a required property")
+                    yield _Fault(path, f"{name!r} is a required property")
         elif key == "properties":
             for name, sub in (v.items() if isinstance(x, dict) else ()):
                 if name in x:
@@ -620,38 +617,23 @@ def _faults(schema, x, path):
             known = schema.get("properties", {})
             extra = sorted((k for k in x if k not in known), key=str) if isinstance(x, dict) else []
             if extra:
-                yield fault(f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
-                            f"{'was' if len(extra) == 1 else 'were'} unexpected)")
-        elif key == "anyOf":
-            context = []
-            for sub in v:
-                branch = list(_faults(sub, x, path))
-                if not branch:
-                    break
-                context += branch
-            else:
-                yield fault(f"{x!r} is not valid under any of the given schemas", context)
+                yield _Fault(path, f"Additional properties are not allowed "
+                                   f"({', '.join(map(repr, extra))} "
+                                   f"{'was' if len(extra) == 1 else 'were'} unexpected)")
         else:
             raise NotImplementedError(f"schema keyword {key!r}: {v!r}")
 
 
 def _relevance(f):
-    # jsonschema's relevance: shallow before deep, then the later path, a keyword
-    # other than anyOf, and a schema whose type admits the value
-    return -len(f.path), f.path, f.keyword != "anyOf", not f.typed
+    # jsonschema's relevance: shallow before deep, then the later path
+    return -len(f.path), f.path
 
 
 def _check_schema(schema, obj, path):
     """Raise ValueError, naming its JSON path from ``path``, at the fault of
-    ``obj`` that jsonschema's best_match would pick: the most relevant one, and
-    inside an anyOf the least relevant fault of its branches (the deepest, or
-    the one whose branch admits the value's type) unless two tie."""
+    ``obj`` that jsonschema's best_match would pick: the most relevant one, the
+    first listed of those that tie."""
     best = max(_faults(schema, obj, ()), key=_relevance, default=None)
-    while best is not None and best.context:
-        first, *tied = sorted(best.context, key=_relevance)[:2]
-        if tied and _relevance(first) == _relevance(tied[0]):
-            break
-        best = first
     if best is not None:
         where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in best.path)
         raise ValueError(f"{path}{where}: {best.message}")

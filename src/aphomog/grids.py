@@ -41,8 +41,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float).ravel())
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).ravel())
-        if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
-            raise ValueError("box needs lo < hi per axis")
+        if self.lo.shape != self.hi.shape or not np.all(
+                np.isfinite(self.lo) & np.isfinite(self.hi) & (self.lo < self.hi)):
+            raise ValueError("box needs finite lo < hi per axis")
 
     @property
     def dimension(self):

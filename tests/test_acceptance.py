@@ -123,7 +123,7 @@ def test_criterion_06_rate_experiment(sine_field):
     with _Timer() as t:
         eps_list = [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128]
         exp = E.rate_experiment(sine_field, eps_list)
-        slope = exp.fitted["L2_plain"]["slope"]
+        slope = exp["fitted"]["L2_plain"]["slope"]
         # every eps-solve must match the quadrature closed form to O(h^2)
         oracle_errs = []
         for eps in eps_list:

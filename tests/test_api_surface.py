@@ -14,7 +14,10 @@ constructor, and ``super().__init__`` calls the base classes.
 Likewise every name that ``aphomog/__init__.py`` exports is read by some
 program in ``src/``, ``demos/`` or ``bench/`` outside the test directories
 (as a name, an attribute or a ``from ... import``), unless
-``EXPORTED_FOR_READERS`` names it with the reason it stays public.
+``EXPORTED_FOR_READERS`` names it with the reason it stays public, and every
+public method, property and dataclass field of a public class of the package
+is read as an attribute by such a program, unless ``MEMBERS_FOR_READERS``
+names it with its reason.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ SET_BY_TESTS_ONLY = {
 EXPORTED_FOR_READERS = {
     "translation_response": "a paper object: the corrector response to a translation",
     "load_grid_function": "it reads the .bin companions of a corrector run",
+}
+
+# public class members that no program reads, each public for the reason given
+MEMBERS_FOR_READERS = {
+    "fields.CoefficientField.adjoint": "the paper's A*; tests pin that assemble of A* "
+                                       "is the transpose",
+    "grids.BoxGrid.face_points": "the face centres that the tests' oracles sample",
+    "metrics.DecayReport.from_dict": "the reader of rho and theta results (README)",
+    "operators.SolveInfo.method": "it names the Krylov method; ROADMAP item 2's spans read it",
 }
 
 
@@ -296,21 +308,24 @@ def exported_names():
             for a in node.names}
 
 
-def program_references():
-    """Every name, attribute and ``from ... import`` name that the programs
-    read, outside ``TEST_DIRS`` and the package's ``__init__.py``."""
-    seen = set()
+def _program_nodes():
+    """Every AST node of the programs outside ``TEST_DIRS`` and the package's ``__init__.py``."""
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            if _is_test(path) or path == INIT:
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    seen.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    seen.update(a.name for a in node.names)
+            if not (_is_test(path) or path == INIT):
+                yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def program_references():
+    """Every name, attribute and ``from ... import`` name that the programs read."""
+    seen = set()
+    for node in _program_nodes():
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(a.name for a in node.names)
     return seen
 
 
@@ -322,3 +337,35 @@ def test_every_exported_name_a_program_leaves_unread_is_listed_with_its_reason()
                           "with its reason:\n" + "\n".join(unlisted))
     stale = sorted(set(EXPORTED_FOR_READERS) - unread)
     assert not stale, "listed names that are gone or that a program reads:\n" + "\n".join(stale)
+
+
+def public_members():
+    """{"module.Class.member"} over the public methods, properties and dataclass
+    fields of the public classes of src/aphomog."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            names = [item.name for item in cls.body if isinstance(item, ast.FunctionDef)]
+            if _is_dataclass(cls):
+                names += [item.target.id for item in cls.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            found.update(f"{path.stem}.{cls.name}.{n}" for n in names if not n.startswith("_"))
+    return found
+
+
+def test_every_class_member_a_program_leaves_unread_is_listed_with_its_reason():
+    reads = {node.attr for node in _program_nodes()
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = public_members()
+    # a method, a property, a static method and a dataclass field
+    assert {"grids.GridFunction.interpolate", "grids.Box.sides", "grids.Box.cube",
+            "operators.SolveInfo.iterations"} <= members
+    unread = {m for m in members if m.rsplit(".", 1)[1] not in reads}
+    unlisted = sorted(unread - set(MEMBERS_FOR_READERS))
+    assert not unlisted, (f"{len(unlisted)} public class members no program reads: make "
+                          "each private, drop it or list it in MEMBERS_FOR_READERS with its "
+                          "reason:\n" + "\n".join(unlisted))
+    stale = sorted(set(MEMBERS_FOR_READERS) - unread)
+    assert not stale, "listed members that are gone or that a program reads:\n" + "\n".join(stale)

@@ -351,8 +351,10 @@ def test_manifest_out_dir_key_exits_2_and_writes_nothing(tmp_path):
     ("rate", {"eps_list": [0.25, 0.125, 0.125, 0.0625]}),
     ("rate", {"eps_list": [4, 2, 1, 0.5]}),
     ("holder", {"eps_list": [8, 4, 2, 1.5]}),
+    ("holder", {"eps_list": [0.125, 0.0625, 16.0]}),
 ], ids=["rho-decreasing", "theta-ell-length", "theta-decreasing", "rate-3-eps",
-        "rate-repeated-eps", "rate-eps-above-1", "holder-smallest-eps-above-1"])
+        "rate-repeated-eps", "rate-eps-above-1", "holder-smallest-eps-above-1",
+        "holder-eps-grid-below-4-cells"])
 def test_params_that_do_not_fit_together_exit_2_and_write_nothing(tmp_path, command,
                                                                    params):
     man = {"command": command, "seed": 0, "params": params}
@@ -616,9 +618,9 @@ def test_a_field_key_outside_the_closed_schema_exits_2_and_leaves_no_out(tmp_pat
 
 
 def _subschemas(schema):
-    """``schema`` and every schema nested in it through properties, items or anyOf."""
+    """``schema`` and every schema nested in it through properties or items."""
     yield schema
-    for sub in [*schema.get("properties", {}).values(), *schema.get("anyOf", []),
+    for sub in [*schema.get("properties", {}).values(),
                 *([schema["items"]] if "items" in schema else [])]:
         yield from _subschemas(sub)
 
@@ -644,6 +646,12 @@ def test_the_checker_implements_every_keyword_of_the_package_schemas(name):
             assert schema_fault(sub, probe, "x") == jsonschema_fault(sub, probe, "x"), (sub, probe)
 
 
+@pytest.mark.parametrize("keyword", [{"anyOf": [{}]}, {"pattern": "x"}, {"maxItems": 1}])
+def test_a_keyword_the_checker_does_not_implement_raises(keyword):
+    with pytest.raises(NotImplementedError):
+        F._check_schema(keyword, [], "x")
+
+
 @pytest.mark.parametrize("name, obj", [
     ("manifest", {"command": "x", "seed": -1, "params": 3, "bogus": 1}),
     ("manifest", {"command": "rho", "seed": -1, "params": 3}),
@@ -659,8 +667,8 @@ def test_the_checker_implements_every_keyword_of_the_package_schemas(name):
                               "torus_terms": [{"frequency": [], "cos": 1}]}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_several_faults_give_best_matchs_choice(name, obj):
-    # the shallowest fault, the later of two paths at one depth, and inside an
-    # anyOf the deepest fault of the branches, or the anyOf itself on a tie
+    # the shallowest fault, the later of two paths at one depth, and the first
+    # listed of two faults at one path (ell: 0.5 breaks type, then minimum)
     fault = jsonschema_fault(_SCHEMAS[name], obj, "x")
     assert fault is not None
     assert schema_fault(_SCHEMAS[name], obj, "x") == fault
@@ -847,3 +855,42 @@ def test_payload_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, name):
     else:
         man = _read_json(DEMO_MANIFESTS[0].with_name(f"{name}.json"))
     assert _run_with_blas_threads(tmp_path, man, 1) == _run_with_blas_threads(tmp_path, man, 2)
+
+
+_ELL_PROBES = [0, 1, 2.0, 0.5, True, None, "x", [], [0], [1], [1, 2], [1, 2.5], [2.0], {},
+               [True], [[1]], -3, 1.5, [0, 2.5]]
+
+
+@pytest.mark.parametrize("ell", _ELL_PROBES, ids=repr)
+def test_theta_ell_refuses_what_its_any_of_schema_refused(ell):
+    # ell was {"anyOf": [_COUNT, _list_of(_COUNT)]}; one radius per ell keeps the
+    # subdivision rule out of the verdict
+    any_of = {"anyOf": [{"type": "integer", "minimum": 1},
+                        {"type": "array", "minItems": 1,
+                         "items": {"type": "integer", "minimum": 1}}]}
+    refused = not jsonschema.Draft202012Validator(any_of).is_valid(ell)
+    radii = [2.0 ** k for k in range(len(ell) if isinstance(ell, list) and ell else 1)]
+    man = {"command": "theta", "seed": 0,
+           "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": radii, "ell": ell}}
+    try:
+        cli.validate_manifest(man)
+    except cli.ManifestError:
+        assert refused
+    else:
+        assert not refused
+
+
+@pytest.mark.parametrize("ell, message", [
+    (0.5, "params.ell: 0.5 is not of type 'integer', 'array'"),
+    ("x", "params.ell: 'x' is not of type 'integer', 'array'"),
+    (0, "params.ell: 0 is less than the minimum of 1"),
+    ([0, 2], "params.ell[0]: 0 is less than the minimum of 1"),
+    ([], "params.ell: [] should be non-empty"),
+    ([1.5], "params.ell[0]: 1.5 is not of type 'integer'"),
+])
+def test_theta_ell_messages(ell, message):
+    man = {"command": "theta", "seed": 0,
+           "params": {"lambda": [1.0, F.GOLDEN_RATIO], "R_list": [1.0, 2.0], "ell": ell}}
+    with pytest.raises(cli.ManifestError) as info:
+        cli.validate_manifest(man)
+    assert str(info.value) == message

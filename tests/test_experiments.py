@@ -127,7 +127,7 @@ class TestBoundaryCorrector:
 def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkeypatch):
     """The eps operator serves both the u_eps solve and the boundary corrector;
     rows and v_eps equal those of the solves on freshly assembled operators."""
-    ladder = [1 / 64, 1 / 32, 1 / 16, 1 / 8]      # the order of exp.rows
+    ladder = [1 / 64, 1 / 32, 1 / 16, 1 / 8]      # the order of exp["rows"]
     assembled, corrections = [], []
     assemble, boundary_corrector = E.assemble, E.boundary_corrector
 
@@ -145,7 +145,7 @@ def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkey
     monkeypatch.undo()
     assert len(assembled) == 2 * len(ladder)     # the eps and the effective operator
 
-    for eps, row, (v_eps, _) in zip(ladder, exp.rows, corrections):
+    for eps, row, (v_eps, _) in zip(ladder, exp["rows"], corrections):
         cset = C.solve_corrector(sine_field, 1.0 / eps, tol=1e-9)
         ahat = C.homogenized_matrix(cset)
         op = E.eps_operator(sine_field, eps)
@@ -165,17 +165,17 @@ def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkey
 class TestRateExperiment:
     def test_periodic_slope(self, sine_field):
         exp = E.rate_experiment(sine_field, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
-        assert not exp.floor_limited
-        assert exp.fitted["L2_plain"]["slope"] >= 0.9
-        l2 = [r["L2_plain"] for r in exp.rows]      # ascending eps
+        assert not exp["floor_limited"]
+        assert exp["fitted"]["L2_plain"]["slope"] >= 0.9
+        l2 = [r["L2_plain"] for r in exp["rows"]]      # ascending eps
         assert all(a <= b + 1e-15 for a, b in zip(l2, l2[1:]))
 
     def test_constant_floor_limited(self):
         f = F.ConstantField(2.0, d=1, m=1)
         F.certify_ellipticity(f, sample_count=16)
         exp = E.rate_experiment(f, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
-        assert exp.floor_limited
-        assert exp.fitted == {}
+        assert exp["floor_limited"]
+        assert exp["fitted"] == {}
 
     def test_ladder_length_validated(self, sine_field):
         with pytest.raises(ValueError, match="ladder"):
@@ -201,22 +201,22 @@ class TestRateExperiment:
         rho = DecayReport(R, np.exp(-R), "rho")
         exp = E.rate_experiment(sine_field, [1 / 8, 1 / 16, 1 / 32, 1 / 64],
                                 rho_report=rho)
-        for r in exp.rows:
+        for r in exp["rows"]:
             assert np.isfinite(r["L2_bound_shape"]) and r["L2_bound_shape"] > 0
             assert "bound_tail_flagged" in r
 
     def test_quasi_periodic_positive_rates(self, golden_field):
         exp = E.rate_experiment(golden_field, [1 / 8, 1 / 16, 1 / 32, 1 / 64],
                                 corrector_h=1 / 64)
-        assert exp.fitted["L2_plain"]["slope"] > 0
-        assert exp.fitted["H1_corrected"]["slope"] > 0
+        assert exp["fitted"]["L2_plain"]["slope"] > 0
+        assert exp["fitted"]["H1_corrected"]["slope"] > 0
 
     @pytest.mark.parametrize("which", ["periodic", "quasi_periodic"])
     def test_expansion_improves_h1(self, sine_field, golden_field, which):
         field = sine_field if which == "periodic" else golden_field
         kwargs = {} if which == "periodic" else {"corrector_h": 1 / 64}
         exp = E.rate_experiment(field, [1 / 16, 1 / 32, 1 / 64, 1 / 128], **kwargs)
-        for row in exp.rows:
+        for row in exp["rows"]:
             assert row["H1_corrected"] < row["H1_plain"]
 
 
@@ -235,3 +235,12 @@ class TestHolderUniformity:
         # pair-sampling resolution
         rep = E.holder_uniformity(f, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
         assert rep["uniformity_ratio"] <= 1.01
+
+    @pytest.mark.parametrize("eps", [16.0, 32 / 3, 11.0])
+    def test_an_eps_whose_grid_has_fewer_than_4_cells_is_refused(self, eps):
+        # the eps grid has ceil(32/eps) cells per axis, fewer than 4 from eps = 32/3 on
+        with pytest.raises(ValueError, match="4 cells"):
+            E.checked_holder_eps([0.125, 0.0625, eps])
+
+    def test_an_eps_just_below_32_over_3_passes(self):
+        assert E.checked_holder_eps([10.6, 0.5]) == [0.5, 10.6]

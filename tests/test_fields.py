@@ -405,6 +405,12 @@ class TestPeriodicSampled:
         assert np.mod(-1e-18, 1.0) == 1.0
         assert f.evaluate(np.array([-1e-18, -1e-18])).tobytes() == samples[0, 0].tobytes()
 
+    @pytest.mark.parametrize("period", [0.0, np.nan, np.inf, -1.0])
+    def test_a_period_that_is_not_finite_and_positive_is_refused(self, period):
+        # at a period of -1 the lattice would be read as A(-x), at infinity as node 0
+        with pytest.raises(ValueError, match="period"):
+            F.PeriodicSampledField([period], np.array([2.0, 3.0, 2.0, 2.0]).reshape(4, 1, 1, 1, 1))
+
     def test_rejects_higher_order(self):
         cfg = F.field_to_config(self._sampled_sine())
         with pytest.raises(ValueError, match=r"^field\.order: 1 was expected"):

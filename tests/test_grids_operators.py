@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -198,6 +200,18 @@ class TestSerialization:
             path.write_bytes(bad)
             with pytest.raises(ValueError):
                 load_grid_function(path)
+
+    @pytest.mark.parametrize("corner, value", [(0, np.nan), (1, np.inf)],
+                             ids=["lo-nan", "hi-inf"])
+    def test_load_rejects_a_non_finite_box_corner(self, tmp_path, corner, value):
+        g = BoxGrid(Box([0.0, 0.0], [1.0, 2.0]), [8, 16], DIRICHLET)
+        path = tmp_path / "u.bin"
+        save_grid_function(GridFunction(g, np.zeros((1, 9, 17))), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 20 + 16 * corner, value)      # axis 0 of lo or hi
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
+            load_grid_function(path)
 
 
 class TestOperator:
