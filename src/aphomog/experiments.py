@@ -125,10 +125,21 @@ def boundary_corrector(op, cset, u0, eps, tol=1e-10):
     return v, report
 
 
+def _sorted_eps(eps_list):
+    """The eps values as sorted floats; raises ValueError, naming the bad value,
+    unless each is finite and positive."""
+    eps_list = [float(e) for e in eps_list]
+    for eps in eps_list:
+        if not (np.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got eps = {eps}")
+    return sorted(eps_list)
+
+
 def checked_eps(eps_list):
-    """The eps ladder sorted; raises ValueError unless it is 4 or more distinct values
-    of at most 1 (each rung solves the corrector at T = 1/eps >= 1)."""
-    eps_list = sorted(float(e) for e in eps_list)
+    """The eps ladder sorted; raises ValueError unless it is 4 or more distinct
+    finite positive values of at most 1 (each rung solves the corrector at
+    T = 1/eps >= 1)."""
+    eps_list = _sorted_eps(eps_list)
     if len(set(eps_list)) < max(4, len(eps_list)):
         raise ValueError(f"ladder needs at least 4 distinct eps values, got {eps_list}")
     if eps_list[-1] > 1.0:
@@ -137,10 +148,13 @@ def checked_eps(eps_list):
 
 
 def checked_holder_eps(eps_list):
-    """The eps list sorted; raises ValueError unless its smallest eps is at most 1
-    (its one corrector is solved at T = 1/min(eps) >= 1) and the grid of its
-    largest has at least 4 cells per axis (eps < 32/3)."""
-    eps_list = sorted(float(e) for e in eps_list)
+    """The eps list sorted; raises ValueError unless it is nonempty, finite and
+    positive, its smallest eps is at most 1 (its one corrector is solved at
+    T = 1/min(eps) >= 1) and the grid of its largest has at least 4 cells per
+    axis (eps < 32/3)."""
+    eps_list = _sorted_eps(eps_list)
+    if not eps_list:
+        raise ValueError("the eps list is empty")
     if eps_list[0] > 1.0:
         raise ValueError(f"the smallest eps must be at most 1 (T = 1/eps >= 1), got {eps_list[0]}")
     if _eps_cells(eps_list[-1]) < 4:

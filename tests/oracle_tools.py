@@ -167,10 +167,10 @@ def brute_rho_ladder(field, R_list, y_samples, test_points, rng_seed,
         def sample(shift):
             return field.evaluate(tpts + shift)
     else:
-        table = M._shift_tables(field, tpts)[1]
+        _, phases, table = M._shift_tables(field, tpts)
 
         def sample(shift):
-            return table(shift[None], test_points)[0]
+            return table(phases(shift[None]), test_points)[0]
     ay = [sample(y) for y in ys]
     best = np.full(y_samples, np.inf)
     values = []
@@ -630,13 +630,13 @@ def count_table_entries(monkeypatch):
     build = M._shift_tables
 
     def counting_build(field, points):
-        route, table = build(field, points)
+        route, phases, table = build(field, points)
 
-        def counting(shifts, n):
-            out = table(shifts, n)
+        def counting(ph, n):
+            out = table(ph, n)
             sizes.append(out.size)
             return out
-        return route, counting
+        return route, phases, counting
 
     monkeypatch.setattr(M, "_shift_tables", counting_build)
     return sizes

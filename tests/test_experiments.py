@@ -181,6 +181,20 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="ladder"):
             E.rate_experiment(sine_field, [1 / 8, 1 / 16])
 
+    @pytest.mark.parametrize("eps_list, message", [
+        ([0.5, 0.25, 0.125, -0.0625], "got eps = -0.0625"),
+        ([float("nan"), 0.5, 0.25, 0.125], "got eps = nan"),
+        ([float("inf"), 0.5, 0.25, 0.125], "got eps = inf"),
+        ([0.5, 0.25, 0.125, 0.0], "got eps = 0.0"),
+    ], ids=["negative", "nan", "inf", "zero"])
+    def test_a_bad_eps_is_refused_before_any_solve(self, monkeypatch, sine_field,
+                                                   eps_list, message):
+        monkeypatch.setattr(E, "solve_corrector", lambda *a, **k: pytest.fail("a corrector was solved"))
+        with pytest.raises(ValueError, match=message):
+            E.checked_eps(eps_list)
+        with pytest.raises(ValueError, match=message):
+            E.rate_experiment(sine_field, eps_list)
+
     def test_grid_refinement_stability(self, sine_field):
         eps = 1 / 32
         cset = C.solve_corrector(sine_field, 1 / eps, h=1 / 256)
@@ -241,6 +255,18 @@ class TestHolderUniformity:
         # the eps grid has ceil(32/eps) cells per axis, fewer than 4 from eps = 32/3 on
         with pytest.raises(ValueError, match="4 cells"):
             E.checked_holder_eps([0.125, 0.0625, eps])
+
+    @pytest.mark.parametrize("eps_list, message", [
+        ([], "the eps list is empty"), ([0.0], "got eps = 0.0"), ([-1.0], "got eps = -1.0"),
+        ([0.5, float("nan")], "got eps = nan"), ([0.5, float("inf")], "got eps = inf"),
+    ], ids=["empty", "zero", "negative", "nan", "inf"])
+    def test_a_bad_eps_list_is_refused_before_any_solve(self, monkeypatch, sine_field,
+                                                        eps_list, message):
+        monkeypatch.setattr(E, "solve_corrector", lambda *a, **k: pytest.fail("a corrector was solved"))
+        with pytest.raises(ValueError, match=message):
+            E.checked_holder_eps(eps_list)
+        with pytest.raises(ValueError, match=message):
+            E.holder_uniformity(sine_field, eps_list)
 
     def test_an_eps_just_below_32_over_3_passes(self):
         assert E.checked_holder_eps([10.6, 0.5]) == [0.5, 10.6]

@@ -47,9 +47,9 @@ def test_angle_sum_tables_match_point_evaluation(name):
     tpts = rng.uniform(-16.0, 16.0, size=(256, f.d))
     shifts = np.concatenate([rng.uniform(-4096.0, 4096.0, size=(24, f.d)),
                              np.full((1, f.d), 4096.0), np.zeros((1, f.d))])
-    route, table = M._shift_tables(f, tpts)
+    route, phases, table = M._shift_tables(f, tpts)
     assert route == "angle_sum"
-    got = table(shifts, len(tpts))
+    got = table(phases(shifts), len(tpts))
     x = (tpts[None] + shifts[:, None]).reshape(-1, f.d)
     want = f.evaluate(x).reshape(len(shifts), -1)
     # the angle sum moves each value by the rounding of its phase
@@ -60,8 +60,29 @@ def test_angle_sum_tables_match_point_evaluation(name):
     assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * (1.0 + phase) * size
     # an entry does not depend on its batch, and a probe's table is the
     # first columns of the full one
-    assert np.array_equal(table(shifts[3:5], len(tpts)), got[3:5])
-    assert np.array_equal(table(shifts, 16), got[:, :16 * f.d ** 2 * f.m ** 2])
+    assert np.array_equal(table(phases(shifts[3:5]), len(tpts)), got[3:5])
+    assert np.array_equal(table(phases(shifts), 16), got[:, :16 * f.d ** 2 * f.m ** 2])
+
+
+@pytest.mark.parametrize("name", ["golden", "cross_term", "laminate", "constant", "shifted",
+                                  "rescaled"])
+def test_tables_read_from_one_phases_array_match_one_shift_tables(name):
+    # a rung computes its shifts' phases once and reads its probe and full
+    # tables from slices and index arrays of them
+    f = {**TABLE_CASES, "constant": lambda: F.ConstantField(2.0, d=1, m=1)}[name]()
+    entries = f.d ** 2 * f.m ** 2
+    rng = np.random.default_rng(5)
+    tpts = rng.uniform(-16.0, 16.0, size=(64, f.d))
+    shifts = rng.uniform(-64.0, 64.0, size=(40, f.d))
+    _, phases, table = M._shift_tables(f, tpts)
+    one_by_one = np.concatenate([table(phases(z[None]), 64) for z in shifts])
+    ph = phases(shifts)
+    idx = np.array([3, 17, 17, 39, 0])
+    assert table(ph, 64).tobytes() == one_by_one.tobytes()
+    assert table(ph[:, 8:24], 64).tobytes() == one_by_one[8:24].tobytes()
+    assert table(ph[:, idx], 64).tobytes() == one_by_one[idx].tobytes()
+    assert table(ph[:, 8:24], 16).tobytes() == one_by_one[8:24, :16 * entries].tobytes()
+    assert table(ph[:, idx], 16).tobytes() == one_by_one[idx, :16 * entries].tobytes()
 
 
 class TestFitDecayExponent:
@@ -424,6 +445,53 @@ class TestRho:
         got = M.rho_ladder(field, R_list, rng_seed=4, **kw).values
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("case", ["bench-seed-0", "bench-seed-3", "cross-term", "sampled"])
+    def test_rho_ladder_two_point_stage_changes_no_decision(self, monkeypatch, caplog, case):
+        # the probe bound starts from the first 1, 2 or all 16 test points
+        # (16: no stage); every value and every INFO line stays the same
+        make, R_list, kw = {
+            "bench-seed-0": (F.golden_ratio_field, [2, 4, 8, 16, 32],
+                             dict(z_grid_spacing=1 / 64, test_points=1024, rng_seed=0)),
+            "bench-seed-3": (F.golden_ratio_field, [2, 4, 8, 16, 32],
+                             dict(z_grid_spacing=1 / 64, test_points=1024, rng_seed=3)),
+            "cross-term": (cross_term_system, [0.5],
+                           dict(z_grid_spacing=1 / 16, y_samples=16, test_points=256)),
+            "sampled": (sampled_sine_field, [0.5, 1],
+                        dict(z_grid_spacing=1 / 32, y_samples=8, test_points=256, rng_seed=4)),
+        }[case]
+        runs = []
+        for points in (16, 1, 2):
+            monkeypatch.setattr(M, "_RHO_CASCADE_POINTS", points)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="aphomog"):
+                values = M.rho_ladder(make(), R_list, **kw).values
+            runs.append((values.tobytes(),
+                         [r.getMessage() for r in caplog.records if r.name == "aphomog.metrics"]))
+        assert len(runs[0][1]) == len(R_list)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_rho_ladder_values_keep_their_bytes_over_several_phase_chunks(self, monkeypatch):
+        # 1024 entries: probe batches of 4 shifts and phase chunks of 256
+        # shifts (4 phase entries each), so the last rung's 512 new shifts
+        # take two chunks
+        field = F.golden_ratio_field()
+        kw = dict(z_grid_spacing=1 / 64, y_samples=4, test_points=64)
+        want = M.rho_ladder(field, [1, 2, 4, 8], rng_seed=4, **kw).values
+        calls = []
+        build = M._shift_tables
+
+        def counting_build(field, points):
+            route, phases, table = build(field, points)
+            return route, lambda shifts: calls.append(len(shifts)) or phases(shifts), table
+
+        monkeypatch.setattr(M, "_shift_tables", counting_build)
+        monkeypatch.setattr(M, "_RHO_BATCH_ENTRIES", 1024)
+        got = M.rho_ladder(field, [1, 2, 4, 8], rng_seed=4, **kw).values
+        assert max(calls) == 256 and calls.count(256) >= 3
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, brute_rho_ladder(field, [1, 2, 4, 8], rng_seed=4, **kw))
+
     @pytest.mark.parametrize("name, norm", [("golden_field", "inf"), ("golden_field", "euclid"),
                                             ("laminate", "inf"), ("laminate", "euclid")])
     def test_z_grid_stays_in_the_ball_when_spacing_does_not_divide_R(
@@ -471,6 +539,38 @@ class TestRho:
         assert float(fields["rho"]) == pytest.approx(rep.values[1], rel=1e-8)
         assert fields["tables"] == route
         assert "tables" not in rep.metadata
+
+
+class TestLadderRules:
+    @pytest.mark.parametrize("R_list, message", [
+        ([], "R ladder is empty"),
+        ([1, float("nan")], "got R = nan"),
+        ([1, float("inf")], "got R = inf"),
+        ([0, 1], "got R = 0.0"),
+        ([2, -1], "got R = -1.0"),
+        ([4, 2], "got R = 2.0 after 4.0"),
+    ], ids=["empty", "nan", "inf", "zero", "negative", "decreasing"])
+    def test_a_bad_radius_is_refused_before_any_table(self, monkeypatch, R_list, message):
+        monkeypatch.setattr(M, "_shift_tables", lambda *a: pytest.fail("a table was built"))
+        with pytest.raises(ValueError, match=message):
+            M.checked_radii(R_list)
+        with pytest.raises(ValueError, match=message):
+            M.rho_ladder(F.golden_ratio_field(), R_list)
+        with pytest.raises(ValueError, match=message):
+            M.theta_ladder([1.0, PHI], R_list, 4)
+
+    @pytest.mark.parametrize("ell, message", [
+        (1.5, "got ell = 1.5"), ([2, 0], "got ell = 0"), (-3, "got ell = -3"),
+        (float("nan"), "got ell = nan"), (True, "got ell = True"),
+    ], ids=["fraction", "zero", "negative", "nan", "boolean"])
+    def test_a_bad_ell_is_refused(self, ell, message):
+        with pytest.raises(ValueError, match=message):
+            M.checked_ells(ell, 2)
+
+    def test_a_whole_float_ell_is_an_integer(self):
+        # the manifest schema's "integer" takes 2.0
+        assert M.checked_ells(2.0, 2) == [2, 2]
+        assert M.checked_ells([1, 4.0], 2) == [1, 4]
 
 
 class TestThetaAndRhoChain:
