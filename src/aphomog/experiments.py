@@ -47,8 +47,10 @@ def eps_operator(field, eps):
 
 
 def solve_problem(op, tol=1e-10):
-    """FD solve of the unit-box problem of ``op`` with source 1."""
-    return solve(op, GridFunction(op.grid, np.ones((op.m,) + op.grid.node_counts)), tol=tol)
+    """FD solve of the unit-box problem of ``op`` with source 1, a broadcast
+    1.0 that allocates no node-sized array."""
+    source = np.broadcast_to(1.0, (op.m,) + op.grid.node_counts)
+    return solve(op, GridFunction(op.grid, source), tol=tol)
 
 
 def _ladder_rung(field, eps, ahat, tol, cset):
@@ -56,9 +58,14 @@ def _ladder_rung(field, eps, ahat, tol, cset):
 
     The boundary corrector v_eps is solved when the corrector set ``cset``
     is given (else None), on the operator of the u_eps solve.  u0 is solved
-    first so that the eps operator is not held through its solve.
+    first so that the eps operator is not held through its solve.  Entries
+    of Ahat at most eps_mach max|Ahat| (a laminate's rounding-noise a_21)
+    are set to 0 first, so a noise-only cross block does not make u0's
+    operator assemble its 4 cross steps.
     """
-    u0 = solve_problem(unit_box_operator(ConstantField(ahat.tensor), _eps_cells(eps)), tol)
+    tensor = ahat.tensor
+    tensor = np.where(np.abs(tensor) <= np.finfo(float).eps * np.abs(tensor).max(), 0.0, tensor)
+    u0 = solve_problem(unit_box_operator(ConstantField(tensor), _eps_cells(eps)), tol)
     op = eps_operator(field, eps)
     u_eps = solve_problem(op, tol)
     v_eps = None if cset is None else boundary_corrector(op, cset, u0, eps, tol=tol)[0]

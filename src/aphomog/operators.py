@@ -177,10 +177,15 @@ class DiscreteOperator:
         multiply-adds, as ``csr_matvec`` does; a coefficient the CSR drops
         as zero adds +-0.0, which changes no nonzero sum.
         """
+        return self._matvec_into(values, np.empty((self.m,) + self._plan[0]))
+
+    def _matvec_into(self, values, out):
+        """``matvec`` written into ``out``, a contiguous array of m * unknowns
+        floats, which it returns flat: the Krylov loop's ``q`` buffer."""
         m = self.m
         shape, blocks, wrap = self._plan
         x = values.reshape(m, -1)
-        out = np.empty((m,) + shape)
+        out = out.reshape((m,) + shape)
         for rows, ya, tb, sums, terms in blocks:
             for al, ((c, be, xa, xb), *rest) in enumerate(terms):
                 np.multiply(c, x[be, xa:xb], out=ya)
@@ -202,17 +207,20 @@ class DiscreteOperator:
 
     @functools.cached_property
     def preconditioner(self):
-        """Approximate inverse of the matrix on the unknowns, a function of the
-        residual built once per operator.
+        """Approximate inverse of the matrix on the unknowns, built once per
+        operator: a function ``precondition(r, out=None)`` of the residual
+        that returns its result, written into ``out`` when given.
 
         d = 1: the solve with the exact sparse LU factor of the unknowns'
-        (block) tridiagonal block.  d >= 2, or the singular periodic cell: the
-        inverse of the constant-coefficient screened operator (see ``_fast_poisson``).
+        (block) tridiagonal block, which ignores ``out`` and returns a fresh
+        array.  d >= 2, or the singular periodic cell: the inverse of the
+        constant-coefficient screened operator (see ``_fast_poisson``).
         """
         if self.grid.d == 1 and not self.singular:
             from scipy.sparse.linalg import splu
             cols = np.flatnonzero(np.tile(self.grid.interior_mask().ravel(), self.m))
-            return splu(self.matrix[:, cols].tocsc()).solve
+            lu = splu(self.matrix[:, cols].tocsc())
+            return lambda r, out=None: lu.solve(r)
         return _fast_poisson(self)
 
     def apply(self, u):
@@ -327,7 +335,10 @@ def divergence_rhs(g_faces, grid):
 
 
 def _fast_poisson(op):
-    """Inverse of sum_i abar_i (-Delta_h,i) + kappa per component, as a function.
+    """Inverse of sum_i abar_i (-Delta_h,i) + kappa per component, as a
+    function ``precondition(r, out=None)`` that returns the result, written
+    into ``out`` when given (the Krylov loop's ``z`` buffer) and into a fresh
+    array otherwise.
 
     ``abar_i`` = ``op.face_means[i]``.  The 1D second differences are
     diagonalized by the orthonormal DST-I on the interior nodes of the
@@ -335,11 +346,16 @@ def _fast_poisson(op):
     periodic cell (kappa = 0) the constant mode is mapped to zero, matching
     the solver's mean projection.  The constant-coefficient operator is
     spectrally equivalent to the assembled one (Concus & Golub 1973), so
-    Krylov iteration counts do not grow with the box size or 1/h.
+    Krylov iteration counts do not grow with the box size or 1/h.  The
+    Dirichlet box (d >= 2; d = 1 takes the exact LU) runs one fused plan
+    (``_dst_plan``), the periodic cell its transform pair (``_transforms``);
+    either owns the buffers of its passes and holds no other full-size
+    array than the inverse symbol.
     """
     grid, m, d = op.grid, op.m, op.grid.d
     periodic = grid.bc == PERIODIC
     shape = tuple(int(n) if periodic else int(n) - 1 for n in grid.cells)
+    full = (m,) + shape
     symbol = np.full((m,) + (1,) * d, op.kappa)
     for i, n in enumerate(grid.cells):
         if periodic:
@@ -354,64 +370,77 @@ def _fast_poisson(op):
         symbol = symbol + op.face_means[i].reshape((m,) + (1,) * d) * lam.reshape(along_i)
     inv = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
-    forward, inverse = _transforms((m,) + shape, periodic)
+    del symbol
+    if periodic:
+        forward, inverse = _transforms(full)
 
-    def matvec(r):
-        spec = forward(r.reshape((m,) + shape))
-        spec *= inv
-        return inverse(spec).reshape(-1)
+        def plan(a, out):
+            spec = forward(a)
+            spec *= inv
+            return inverse(spec, out)
+    else:
+        plan = _dst_plan(full, inv)
 
-    return matvec
+    def precondition(r, out=None):
+        out = np.empty(full) if out is None else out.reshape(full)
+        return plan(r.reshape(full), out).reshape(-1)
+
+    return precondition
 
 
-def _transforms(full, periodic):
-    """(forward, inverse) spectral transforms of arrays of shape ``full``
-    over every axis but the first, bit for bit those of ``scipy.fft``.
+def _transforms(full):
+    """(forward, inverse) real FFTs of arrays of shape ``full`` over every
+    axis but the first, bit for bit ``scipy.fft``'s ``rfftn`` and ``irfftn``.
 
-    The Dirichlet box's pair is the orthonormal DST-I (``dstn(type=1,
-    norm="ortho")``) twice; the periodic cell's is ``rfftn`` and ``irfftn``.
     Both run on ``numpy.fft``, whose pocketfft kernels are scipy's, with
     scipy's normalization: one factor over all axes, in long double.
-    ``forward`` may return a buffer that its next call overwrites, which the
-    caller may scale in place; ``inverse`` may overwrite its argument and
-    returns a fresh array.
+    ``forward`` returns its one spectrum buffer, which its next call
+    overwrites and which the caller may scale in place; ``inverse(s, out)``
+    overwrites ``s`` and writes into ``out``, which it returns.
     """
     shape, axes = full[1:], tuple(range(1, len(full)))
-    if periodic:
-        spec = np.empty(full[:-1] + (full[-1] // 2 + 1,), dtype=complex)
-        scale = float(1 / np.longdouble(np.prod(shape)))
+    spec = np.empty(full[:-1] + (full[-1] // 2 + 1,), dtype=complex)
+    scale = float(1 / np.longdouble(np.prod(shape)))
 
-        def forward(a):
-            # the last axis, then the others in order, as scipy's rfftn
-            np.fft.rfft(a, out=spec)
-            for ax in axes[:-1]:
-                np.fft.fft(spec, axis=ax, out=spec)
-            return spec
+    def forward(a):
+        # the last axis, then the others in order, as scipy's rfftn
+        np.fft.rfft(a, out=spec)
+        for ax in axes[:-1]:
+            np.fft.fft(spec, axis=ax, out=spec)
+        return spec
 
-        def inverse(s):
-            # unnormalized passes, then the factor 1/N once, as scipy's irfftn
-            for ax in axes[:-1]:
-                np.fft.ifft(s, axis=ax, norm="forward", out=s)
-            out = np.fft.irfft(s, n=shape[-1], norm="forward")
-            out *= scale
-            return out
+    def inverse(s, out):
+        # unnormalized passes, then the factor 1/N once, as scipy's irfftn
+        for ax in axes[:-1]:
+            np.fft.ifft(s, axis=ax, norm="forward", out=s)
+        out = np.fft.irfft(s, n=shape[-1], norm="forward", out=out)
+        out *= scale
+        return out
 
-        return forward, inverse
-    dst = _dst_plan(full)
-    spec = np.empty(full)
-    return (lambda a: dst(a, spec)), (lambda s: dst(s, np.empty(full)))
+    return forward, inverse
 
 
-def _dst_plan(full):
-    """The orthonormal DST-I over every axis of ``full`` but the first, as a
-    function ``dst(a, out)`` that writes it to ``out`` and returns ``out``.
+def _dst_plan(full, inv):
+    """The Dirichlet preconditioner as one fused plan ``apply(a, out)``: the
+    orthonormal DST-I of ``a`` over every axis of ``full`` but the first
+    (two or more), scaled by the inverse symbol ``inv`` (shape ``full``) and
+    transformed back by the same DST-I into ``out``, which it returns; bit
+    for bit ``scipy.fft``'s ``dstn``, the product and ``idstn`` (``type=1,
+    norm="ortho"``).
 
     Along each axis, in order, a DST-I is minus the imaginary part of the
     real FFT of the odd extension (0, a, 0, -reversed a), as pocketfft
     computes it; the factor of all axes multiplies the first axis's result.
-    The passes share one extension and one spectrum buffer, and each writes
-    its result into the next one's extension, so a call allocates nothing
-    and keeps a small working set.
+    The forward transform's last pass would negate its result and the
+    spectrum then be scaled; it multiplies by the negated symbol instead,
+    which is exact because (-x) y == x (-y), straight into the extension of
+    the inverse transform's first pass, so no spectrum array exists.  The
+    plan keeps the negated symbol in that extension's layout: a copy and an
+    in-place product there are 3-4 times faster than one product of three
+    differently strided operands.  The passes, d forward and d back, share
+    one extension and one complex buffer, kept by the plan for the
+    operator's lifetime, and each writes its result into the next one's
+    extension, so a call allocates nothing.
     """
     axes = range(1, len(full))
     scale = float(1 / np.sqrt(np.longdouble(np.prod([2 * (full[ax] + 1) for ax in axes]))))
@@ -427,20 +456,27 @@ def _dst_plan(full):
     slots = [np.moveaxis(ext[..., 1:full[ax] + 1], -1, ax) for ax, ext in zip(axes, exts)]
     results = [np.moveaxis(spec.imag[..., 1:full[ax] + 1], -1, ax)
                for ax, spec in zip(axes, specs)]
-    passes = list(zip([full[ax] for ax in axes], exts, specs, results, slots[1:] + [None]))
+    passes = list(zip([full[ax] for ax in axes], exts, specs, results))
+    neg_inv = np.moveaxis(np.negative(np.moveaxis(inv, 1, -1), order="C"), -1, 1)
+    # (factor, destination) per pass, forward then inverse; None is ``out``
+    factors = [-scale] + [-1.0] * (len(passes) - 2)
+    targets = (list(zip(factors + [neg_inv], slots[1:] + slots[:1]))
+               + list(zip(factors + [-1.0], slots[1:] + [None])))
 
-    def dst(a, out):
+    def apply(a, out):
         slots[0][...] = a
-        factor = -scale
-        for n, ext, spec, result, dest in passes:
+        for (n, ext, spec, result), (factor, dest) in zip(passes + passes, targets):
             ext[..., 0] = ext[..., n + 1] = 0.0
             np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
             np.fft.rfft(ext, out=spec)
-            np.multiply(result, factor, out=out if dest is None else dest)
-            factor = -1.0
+            if factor is neg_inv:
+                dest[...] = result
+                dest *= neg_inv
+            else:
+                np.multiply(result, factor, out=out if dest is None else dest)
         return out
 
-    return dst
+    return apply
 
 
 def _norm(v):
@@ -453,22 +489,28 @@ def _cg(matvec, psolve, b, x, atol, maxiter):
 
     The recurrences, stopping test and iteration count are scipy 1.17's
     ``cg`` operation for operation; every inner product and norm is ``_dot``.
+    The loop owns its vectors: beside ``b`` and ``x`` it holds ``r``, ``p``
+    and one ``z`` and one ``q`` buffer, into which ``psolve(r, out)`` and
+    ``matvec(p, out)`` write.  Once ``p`` has read ``z`` and ``alpha`` has
+    read ``q``, the products alpha p and alpha q go into them, so an
+    iteration allocates no vector.
     """
     r = b - matvec(x) if x.any() else b.copy()
+    z, q = np.empty_like(b), np.empty_like(b)
     for iteration in range(maxiter):
         if _norm(r) < atol:
             return x, iteration
-        z = psolve(r)
+        z = psolve(r, z)
         rho = _dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
-        q = matvec(p)
+        q = matvec(p, q)
         alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=q)
         rho_prev = rho
     return x, maxiter
 
@@ -477,6 +519,9 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
     """Preconditioned BiCGSTAB, as :func:`_cg` for scipy 1.17's ``bicgstab``:
     the same recurrences, stopping tests and breakdown checks (a breakdown
     returns the iterate so far), and every inner product and norm is ``_dot``.
+    Unlike :func:`_cg` it takes fresh arrays from ``psolve`` and ``matvec``:
+    ``phat`` and ``shat``, and ``v`` and ``t``, are alive at the same time,
+    so one buffer each would not do.
     """
     tiny = np.finfo(np.float64).eps ** 2
     r = b - matvec(x) if x.any() else b.copy()
@@ -550,9 +595,9 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     full = np.zeros(shape)
     inner = full[unknowns]
 
-    def matvec(x):
+    def matvec(x, out=None):
         inner[...] = x.reshape(inner.shape)
-        return op.matvec(full)
+        return op.matvec(full) if out is None else op._matvec_into(full, out)
 
     if max_iters is None:
         max_iters = max(1000, 40 * int(np.sqrt(b.size)) + 2000)

@@ -477,7 +477,7 @@ def theta_modules(tmp_path_factory):
 
 
 def test_the_package_loads_no_scipy_module(theta_modules):
-    # the preconditioner's transforms are numpy.fft's below 2^19 points and the
+    # the preconditioner's transforms are numpy.fft's at every size and the
     # stencil matvec needs no sparse matrix; the environment record reads
     # scipy's version from its metadata
     loaded, _ = theta_modules

@@ -162,6 +162,43 @@ def test_rate_ladder_assembles_the_eps_operator_once_per_rung(sine_field, monkey
                        "iterations": u_eps.solve_info.iterations}
 
 
+def _rung_u0_operator(monkeypatch, field, eps, ahat):
+    """(u0's operator, u0) of ``_ladder_rung`` at ``eps`` on ``ahat``."""
+    operators, unit_box_operator = [], E.unit_box_operator
+
+    def recording(coeff, cells):
+        operators.append(unit_box_operator(coeff, cells))
+        return operators[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(E, "unit_box_operator", recording)
+        _, u0, _ = E._ladder_rung(field, eps, ahat, 1e-9, None)
+    return operators[0], u0
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25, 0.125])
+def test_u0_operator_drops_a_noise_cross_block(laminate, monkeypatch, eps):
+    """The laminate's Ahat_21 is rounding noise (about 1e-33): u0's operator
+    is the cross-free 5-step stencil, and u0 keeps the bytes of the solve
+    with the raw Ahat on its 9-step stencil."""
+    ahat = C.homogenized_matrix(C.solve_corrector(laminate, 1.0 / eps, h=1 / 64, tol=1e-9))
+    cross = ahat.tensor[~np.eye(2, dtype=bool)]
+    assert np.any(cross != 0.0) and np.all(np.abs(cross) < 1e-30)
+    op, u0 = _rung_u0_operator(monkeypatch, laminate, eps, ahat)
+    assert len(op.coef) == 5
+    raw = _effective_operator(ahat.tensor, E._eps_cells(eps))
+    assert len(raw.coef) == 9
+    assert u0.values.tobytes() == E.solve_problem(raw, 1e-9).values.tobytes()
+
+
+def test_u0_operator_keeps_a_genuine_cross_block(laminate, monkeypatch):
+    tensor = np.diag([1.7, 2.0]).reshape(2, 2, 1, 1)
+    tensor[0, 1] = tensor[1, 0] = 1e-3
+    ahat = C.HomogenizedMatrix(tensor, ("reference",), True)
+    op, _ = _rung_u0_operator(monkeypatch, laminate, 1.0, ahat)
+    assert len(op.coef) == 9
+
+
 class TestRateExperiment:
     def test_periodic_slope(self, sine_field):
         exp = E.rate_experiment(sine_field, [1 / 8, 1 / 16, 1 / 32, 1 / 64])

@@ -613,6 +613,13 @@ class TestSolve:
         results = [precondition(r), precondition(r)]
         assert r.tobytes() == before.tobytes()
         assert [got.tobytes() for got in results] == [want.tobytes()] * 2
+        assert not np.shares_memory(*results)
+        # the write-into form: the same bytes, in the caller's buffer
+        out = np.full_like(r, np.nan)
+        got = precondition(r, out)
+        assert np.shares_memory(got, out)
+        assert out.tobytes() == want.tobytes()
+        assert r.tobytes() == before.tobytes()
 
     def test_preconditioner_makes_no_probe_transform(self, monkeypatch):
         # building the preconditioner transforms nothing; only a Krylov step does
@@ -629,6 +636,37 @@ class TestSolve:
         assert calls == []
         op.preconditioner(rhs.values[(slice(None),) + op.grid.unknowns].ravel())
         assert len(calls) == 4      # two DST-I passes forward, two back
+
+    def test_matvec_into_writes_the_bytes_of_matvec(self):
+        # the Krylov loop's q buffer: Dirichlet blocks and periodic wrapping rows
+        for case in ("system_dirichlet_31x48", "cross_term_periodic_m2"):
+            op, rhs = _solver_case(case)
+            want = op.matvec(rhs.values)
+            out = np.full_like(want, np.nan)
+            got = op._matvec_into(rhs.values, out)
+            assert np.shares_memory(got, out)
+            assert out.tobytes() == want.tobytes()
+
+    def test_cg_working_set_is_bounded(self):
+        # 255^2 unknowns of the rate ladder's eps = 1/8 rung: b, x, r, p and
+        # the z and q buffers, the full-grid iterate, the preconditioner's two
+        # pass buffers (about 2 vectors each) and inverse symbol, and the
+        # matvec's block buffers come to about 13.3 vectors; a fresh z, q or
+        # alpha product per iteration, or a spectrum array, goes past 14
+        import tracemalloc
+        grid = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [256, 256], DIRICHLET)
+        op = assemble(F.laminate_field(), grid, 0.0)
+        rhs = GridFunction(grid, np.ones((1,) + grid.node_counts))
+        vector = 8 * 255 * 255
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u = solve(op, rhs, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert u.solve_info.method == "cg"
+        assert peak <= 14 * vector
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("case", SOLVER_CASES)
