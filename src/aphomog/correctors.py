@@ -285,7 +285,7 @@ def _node_samples(cset, sls):
     """
     grads = (cset.window_gradients if sls == cset.grid.window_slices(cset.window)
              else _take_gradients(cset, sls))
-    coeffs = cset.field.evaluate(cset.grid.slice_points(sls))       # (N, d, d, m, m)
+    coeffs = sample_mesh(cset.field, cset.grid.slice_axes(sls), ())   # (N, d, d, m, m)
     coeffs = np.moveaxis(coeffs, 0, -1).reshape(coeffs.shape[1:] + grads.shape[4:])
     return coeffs, grads
 

@@ -17,7 +17,9 @@ Supported constructions:
   ``j_lambda`` embeds each axis ``x_i``.
 
 Every variant but the sampled one also states its torus form
-``A(x) = B(lam x + phase)`` (:meth:`CoefficientField.torus_form`).
+``A(x) = B(lam x + phase)`` (:meth:`CoefficientField.torus_form`), and is
+evaluated from it by one rule, at points (``evaluate``) and on tensor-product
+meshes (``sample_mesh``) alike.
 
 All evaluators are vectorized over points and deterministic; fields are immutable
 apart from an ellipticity certificate cached on first read, and safe to evaluate concurrently.
@@ -118,21 +120,84 @@ def _parse_terms(terms, dimension, d, m):
             for freq, cos_c, sin_c in terms]
 
 
-def _trig_sum(points, terms, d, m):
-    """sum over terms of cos(2 pi k.x) C + sin(2 pi k.x) S at points (N, len(k))."""
-    out = np.zeros((points.shape[0], d, d, m, m))
-    for k, cos_c, sin_c in terms:
-        if not np.any(k):
-            # cos 0 C = C exactly, and sin(+-0) S adds a signed zero, which
-            # changes no sum that starts from +0.0
-            out += cos_c
+def _rule_terms(form, keep):
+    """The terms of a TorusForm as the evaluation rule reads them, each
+    restricted to the entries ``keep`` of its tensors: per term, its axes
+    with a nonzero frequency as (axis, 2 pi k_axis) with k = lam^T n, its
+    start (cos 2 pi n.phase, sin 2 pi n.phase), and the (flat index, value)
+    pairs of the nonzero entries of C and of S.  A term with no such entry
+    adds nothing and is left out."""
+    out = []
+    for n, c, s in form.terms:
+        c, s = c[keep].ravel(), s[keep].ravel()
+        cos_e = [(e, c[e]) for e in np.flatnonzero(c)]
+        sin_e = [(e, s[e]) for e in np.flatnonzero(s)]
+        if not (cos_e or sin_e):
             continue
-        ph = 2.0 * np.pi * (points @ k)
-        if np.any(cos_c):
-            out += np.cos(ph)[:, None, None, None, None] * cos_c
-        if np.any(sin_c):
-            out += np.sin(ph)[:, None, None, None, None] * sin_c
+        w = 2.0 * np.pi * np.sum(form.lam.T * n, axis=1)      # k as rho_ladder's tables take it
+        start = 2.0 * np.pi * float(np.sum(n * form.phase))
+        out.append(([(i, w_i) for i, w_i in enumerate(w) if w_i != 0.0],
+                    (math.cos(start), math.sin(start)), cos_e, sin_e))
     return out
+
+
+def _factors(term, x):
+    """A term's per-axis factor pairs (cos w x_i, sin w x_i), one per axis
+    (i, w) of the term, at the per-axis coordinates x[i]; a factor that the
+    term's fold does not read is None."""
+    axes, start, cos_e, sin_e = term
+    alone = len(axes) == 1 and start == (1.0, 0.0)      # the fold returns it as it is
+    return [(np.cos(w * x[i]) if cos_e or not alone else None,
+             np.sin(w * x[i]) if sin_e or not alone else None) for i, w in axes]
+
+
+def _add_terms(acc, terms, factors):
+    """acc[..., e] += each term's value at entry e, term by term, C before S.
+
+    A term's angle is the real angle addition of its factor pairs, folded
+    in axis order into its start: (c, s) -> (c ca - s sa, s ca + c sa); the
+    last fold makes only what the term's entries read.  A start of (1, 0)
+    is skipped, which changes only signs of zeros, and no sum here that
+    starts from +0 keeps one.  The factors broadcast against the block
+    ``acc[..., e]``: per point, or per mesh axis, which gives the same
+    operations on the same inputs, so the same bits."""
+    for (_, (c, s), cos_e, sin_e), pairs in zip(terms, factors):
+        if pairs and (c, s) == (1.0, 0.0):
+            (c, s), pairs = pairs[0], pairs[1:]
+        for j, (ca, sa) in enumerate(pairs):
+            last = j == len(pairs) - 1
+            c, s = (c * ca - s * sa if cos_e or not last else None,
+                    s * ca + c * sa if sin_e or not last else None)
+        for e, v in cos_e:
+            acc[..., e] += c * v
+        for e, v in sin_e:
+            acc[..., e] += s * v
+
+
+def _form_points(form, pts, tail):
+    """The rule at points (N, dim): A(x) = B(lam x + phase), shape (N, *tail),
+    in blocks of at most _POINT_BLOCK points."""
+    terms = _rule_terms(form, ())
+    out = np.zeros((pts.shape[0],) + tail)
+    flat = out.reshape(pts.shape[0], math.prod(tail))
+    for lo in range(0, pts.shape[0], _POINT_BLOCK):
+        x = pts[lo:lo + _POINT_BLOCK].T
+        _add_terms(flat[lo:lo + _POINT_BLOCK], terms, [_factors(t, x) for t in terms])
+    return out
+
+
+def _mesh_blocks(shape):
+    """Index slices, in C order, of blocks of at most _POINT_BLOCK points of
+    a mesh: whole trailing axes, a run of rows along the axis before them
+    and single indices before that.  An empty mesh has no blocks."""
+    if not math.prod(shape):
+        return
+    q = next(q for q in range(1, len(shape) + 1) if math.prod(shape[q:]) <= _POINT_BLOCK)
+    run = max(1, _POINT_BLOCK // math.prod(shape[q:]))
+    for outer in itertools.product(*map(range, shape[:q - 1])):
+        for lo in range(0, shape[q - 1], run):
+            yield (tuple(slice(i, i + 1) for i in outer) + (slice(lo, lo + run),)
+                   + (slice(None),) * (len(shape) - q))
 
 
 def _terms_symmetric(terms):
@@ -169,8 +234,13 @@ class CoefficientField:
         return check_ellipticity(self)
 
     def evaluate(self, points):
+        """A at points (N, d) as (N, d, d, m, m), or at one point (d,).  A field
+        with a torus form takes the form's evaluation rule (``sample_mesh``
+        takes the same one), any other its own point route."""
         pts, single = _check_points(points, self.d)
-        out = self._evaluate(pts)
+        form = self.torus_form()
+        out = (self._evaluate(pts) if form is None
+               else _form_points(form, pts, (self.d, self.d, self.m, self.m)))
         return out[0] if single else out
 
     def _evaluate(self, pts):  # pragma: no cover - abstract
@@ -178,7 +248,7 @@ class CoefficientField:
 
     def torus_form(self):
         """The field's TorusForm, or None for a field that is not a
-        trigonometric polynomial.  ``evaluate`` does not read it."""
+        trigonometric polynomial."""
         return None
 
     def adjoint(self):
@@ -203,9 +273,6 @@ class ConstantField(CoefficientField):
     def ellipticity(self):
         return check_ellipticity(self, 1)      # every point is the same point
 
-    def _evaluate(self, pts):
-        return np.broadcast_to(self.value, (pts.shape[0],) + self.value.shape).copy()
-
     def torus_form(self):
         return TorusForm([(np.zeros(0), self.value, np.zeros_like(self.value))],
                          np.zeros((0, self.d)), np.zeros(0))
@@ -222,9 +289,6 @@ class TrigPolynomialField(CoefficientField):
         freqs = np.array([k for k, _, _ in self.terms])
         if freqs.size and np.allclose(freqs, np.round(freqs), atol=1e-12):
             self.period = np.ones(self.d)
-
-    def _evaluate(self, pts):
-        return _trig_sum(pts, self.terms, self.d, self.m)
 
     def torus_form(self):
         ks = [k for k, _, _ in self.terms]
@@ -292,15 +356,10 @@ class QuasiPeriodicField(CoefficientField):
         self.symmetric = _terms_symmetric(self.terms)
         self._cross_free = _terms_cross_free(self.terms)
 
-    def _embed(self, pts):
-        """j(pts): points (N, d) to their torus preimages (N, M), axis by axis."""
-        return np.concatenate([pts[:, i, None] * f for i, f in enumerate(self.layout)], axis=1)
-
-    def _evaluate(self, pts):
-        return _trig_sum(self._embed(pts), self.terms, self.d, self.m)
-
     def torus_form(self):
-        lam = self._embed(np.eye(self.d)).T     # column i: axis i's frequencies
+        # column i: axis i's frequencies, in the rows of its torus axes
+        eye = np.eye(self.d)
+        lam = np.concatenate([eye[:, i, None] * f for i, f in enumerate(self.layout)], axis=1).T
         return TorusForm(self.terms, lam, np.zeros(len(lam)))
 
 
@@ -401,19 +460,43 @@ def check_ellipticity(field, sample_count=4096, rng_seed=0):
 
 def sample_mesh(field, axes, keep):
     """``field.evaluate(_mesh_points(axes))[(slice(None), *keep)]`` without the
-    full tensors: the tensor product of the per-axis coordinates ``axes`` (C
-    order) is evaluated in blocks of at most _POINT_BLOCK points, each built
-    from ``axes``, and only the entries at the leading integer indices
-    ``keep`` of each (d, d, m, m) tensor (``(i,)`` for row i, ``(i, i)`` for
-    a_ii) go into one preallocated output."""
+    full tensors: only the entries at the leading integer indices ``keep`` of
+    each (d, d, m, m) tensor (``(i,)`` for row i, ``(i, i)`` for a_ii, ``(i,
+    j)`` for a cross block, ``()`` for all) of the tensor product of the
+    per-axis coordinates ``axes`` (C order) go into one preallocated output.
+
+    The mesh is taken in blocks of at most _POINT_BLOCK points, whole rows
+    of its trailing axes (``_mesh_blocks``).  A field with a torus form takes
+    its evaluation rule (``_add_terms``) with the per-axis factor tables
+    built once per term and axis and combined by outer products over each
+    block: each output entry is made by the same operations on the same
+    inputs as ``evaluate`` makes it, so the bytes are the same.  Any other
+    field evaluates each block's points."""
     shape = tuple(len(a) for a in axes)
     n = math.prod(shape)
-    out = np.empty((n,) + (field.d, field.d, field.m, field.m)[len(keep):])
-    keep = (slice(None), *keep)
-    for lo in range(0, n, _POINT_BLOCK):
-        idx = np.unravel_index(np.arange(lo, min(lo + _POINT_BLOCK, n)), shape)
-        pts = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
-        out[lo:lo + pts.shape[0]] = field.evaluate(pts)[keep]
+    tail = (field.d, field.d, field.m, field.m)[len(keep):]
+    out = np.zeros((n,) + tail)
+    flat = out.reshape(n, math.prod(tail))
+    form = field.torus_form()
+    if form is not None:
+        terms = _rule_terms(form, keep)
+        tables = [_factors(t, axes) for t in terms]
+    lo = 0
+    for sls in _mesh_blocks(shape):
+        block = [a[sl] for a, sl in zip(axes, sls)]
+        size = math.prod(map(len, block))
+        if form is None:
+            flat[lo:lo + size] = field.evaluate(_mesh_points(block))[
+                (slice(None), *keep)].reshape(size, -1)
+        else:
+            # each axis's factors at the block's indices, along the block's axis
+            factors = [[tuple(None if f is None else
+                              f[sls[i]].reshape((-1,) + (1,) * (len(shape) - i - 1))
+                              for f in pair) for (i, _), pair in zip(t[0], pairs)]
+                       for t, pairs in zip(terms, tables)]
+            _add_terms(flat[lo:lo + size].reshape(tuple(map(len, block)) + (-1,)),
+                       terms, factors)
+        lo += size
     return out
 
 
@@ -493,10 +576,13 @@ def modulus_of_continuity(field, delta, sample_count=4096):
     base = np.concatenate([base, rng.random((max(16, sample_count // 4), M))])
     offsets = [np.array(c, dtype=float) * delta for c in itertools.product((-1, 1), repeat=M)]
     offsets += list(rng.uniform(-delta, delta, size=(8, M)))
-    b0 = _trig_sum(base, form.terms, field.d, field.m)
+    # B itself: the form on the torus, with lam = I and no phase
+    torus = TorusForm(form.terms, np.eye(M), np.zeros(M))
+    tail = (field.d, field.d, field.m, field.m)
+    b0 = _form_points(torus, base, tail)
     worst = 0.0
     for off in offsets:
-        b1 = _trig_sum(base + off, form.terms, field.d, field.m)
+        b1 = _form_points(torus, base + off, tail)
         worst = max(worst, float(np.max(np.abs(b1 - b0))))
     return worst
 

@@ -96,9 +96,13 @@ class BoxGrid:
         n = self.node_counts[ax]
         return self.box.lo[ax] + self.h[ax] * np.arange(n)
 
+    def slice_axes(self, sls):
+        """Per-axis node coordinates of the index slices ``sls`` (one per axis)."""
+        return [self.axis_nodes(ax)[s] for ax, s in enumerate(sls)]
+
     def slice_points(self, sls):
         """The nodes of the index slices ``sls`` (one per axis) as points (N, d), C order."""
-        return _mesh_points([self.axis_nodes(ax)[s] for ax, s in enumerate(sls)])
+        return _mesh_points(self.slice_axes(sls))
 
     def node_points(self):
         return self.slice_points((slice(None),) * self.d)

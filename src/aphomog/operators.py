@@ -243,7 +243,8 @@ def assemble(field, grid, kappa, face_rows=None):
     as ``CorrectorSet.face_rows``); ``a_ii`` is read from it instead of
     evaluating the field again, and otherwise sampled alone, block by block
     (``fields.sample_mesh``).  The nodes are sampled for the cross blocks
-    only when the field is not ``cross_free``.
+    only when the field is not ``cross_free``, one block a_ij at a time and
+    in the same way.
 
     The stencil is built in one pass over its steps: ``coef[s]`` holds,
     for every component pair, the coefficient of u(x + s h) in the row of
@@ -291,13 +292,14 @@ def assemble(field, grid, kappa, face_rows=None):
         del flux, diag
 
     if d > 1 and not field.cross_free:
-        node_coeffs = field.evaluate(grid.node_points())
+        node_axes = grid.slice_axes((slice(None),) * d)
         mask = grid.interior_mask()
         for i in range(d):
             for j in range(d):
                 if i == j:
                     continue
-                a = np.moveaxis(node_coeffs[:, i, j], 0, -1).reshape((m, m) + nodes) * mask
+                a = sample_mesh(field, node_axes, (i, j))
+                a = np.moveaxis(a, 0, -1).reshape((m, m) + nodes) * mask
                 if not np.any(a):
                     continue
                 # node x couples x + si e_i (row) with x + sj e_j (column)
@@ -305,7 +307,6 @@ def assemble(field, grid, kappa, face_rows=None):
                 for si in (1, -1):
                     for sj in (1, -1):
                         add(sj * eye[j] - si * eye[i], x if si == sj else -x, si * eye[i])
-        del node_coeffs
 
     if kappa:
         for al in range(m):

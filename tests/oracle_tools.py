@@ -12,9 +12,12 @@ the vectorised ones on the window.  jsonschema's Draft 2020-12 validator and
 its ``best_match`` are the reference for the package's own schema checker.
 The per-corner multilinear interpolation over all points at once is the
 reference for the blocked, flat-index one, and for the expansion term that
-interpolates every corrector in one call.  Four small shared test helpers
-sit at the end: a d = 2, m = 2 test field, an evaluate counter, a counter
-of rho_ladder's table entries and the HomogenizedMatrix of a known tensor.
+interpolates every corrector in one call.  The direct trigonometric sum,
+one cos or sin of each whole phase, is the reference for the torus-form
+rule of ``evaluate`` within a stated rounding bound.  Small shared test
+helpers sit at the end: the oracle fields, among them a d = 2, m = 2 test
+field, an evaluate counter, a ``sample_mesh`` counter, a counter of
+rho_ladder's table entries and the HomogenizedMatrix of a known tensor.
 """
 
 import functools
@@ -29,6 +32,7 @@ import scipy.sparse.linalg as spla
 from aphomog import correctors as C
 from aphomog import fields as F
 from aphomog import metrics as M
+from aphomog import operators
 from aphomog.grids import (Box, PERIODIC, _face_pairs, _trapezoid_means, centered_gradient,
                            face_differences)
 from jsonschema.exceptions import best_match
@@ -121,6 +125,59 @@ def trig_sum_by_phase(points, terms, d, m):
         if np.any(sin_c):
             out += np.sin(ph)[:, None, None, None, None] * sin_c
     return out
+
+
+def direct_trig_sum(points, terms, d, m):
+    """sum over terms of cos(2 pi k.x) C + sin(2 pi k.x) S with one cos or sin
+    of the whole phase 2 pi k.x per point and term, zero-frequency terms added
+    directly (the package's evaluation before the torus-form rule)."""
+    out = np.zeros((points.shape[0], d, d, m, m))
+    for k, cos_c, sin_c in terms:
+        if not np.any(k):
+            out += cos_c
+            continue
+        ph = 2.0 * np.pi * (points @ k)
+        if np.any(cos_c):
+            out += np.cos(ph)[:, None, None, None, None] * cos_c
+        if np.any(sin_c):
+            out += np.sin(ph)[:, None, None, None, None] * sin_c
+    return out
+
+
+def direct_evaluate(field, pts):
+    """``field.evaluate(pts)`` as the package computed it before the
+    torus-form rule: a quasi-periodic field at its torus points (N, M), the
+    per-axis products x_i * layout[i] joined in axis order, and a wrapper
+    through its base at the moved points."""
+    if isinstance(field, F.ShiftedField):
+        return direct_evaluate(field.base, pts + field.shift)
+    if isinstance(field, F.ScaledArgumentField):
+        return direct_evaluate(field.base, pts * field.scale)
+    if isinstance(field, F._Adjoint):
+        return F.adjoint_tensor(direct_evaluate(field.base, pts))
+    if isinstance(field, F.ConstantField):
+        return np.broadcast_to(field.value, (len(pts),) + field.value.shape).copy()
+    if isinstance(field, F.QuasiPeriodicField):
+        pts = np.concatenate([pts[:, i, None] * f for i, f in enumerate(field.layout)], axis=1)
+    return direct_trig_sum(pts, field.terms, field.d, field.m)
+
+
+def rule_error_bound(field, pts):
+    """Bound on |evaluate - direct_evaluate| per point and entry:
+    8 eps (1 + |2 pi n.phase| + sum_i |2 pi k_i x_i|) (|C| + |S|) summed
+    over the terms (n, C, S) of the field's torus form, k = lam^T n; a
+    field that is not shifted has no phase.  Both forms round a term's
+    phase to about eps |phase| (one whole phase against a fold of per-axis
+    angles), and a phase error moves cos and sin by at most as much."""
+    form = field.torus_form()
+    eps = np.finfo(float).eps
+    bound = np.zeros((len(pts),) + (field.d, field.d, field.m, field.m))
+    for n, c, s in form.terms:
+        k = form.lam.T @ n
+        phase = (1.0 + abs(2.0 * np.pi * (n @ form.phase))
+                 + np.sum(np.abs(2.0 * np.pi * k * pts), axis=1))
+        bound += 8.0 * eps * phase[:, None, None, None, None] * (np.abs(c) + np.abs(s))
+    return bound
 
 
 def covering_radius_full_grid(points):
@@ -611,6 +668,33 @@ def cross_term_system():
     return f
 
 
+def _trig_field(d, m, cross, seed):
+    """Nonsymmetric trig field, one frequency per axis; cross blocks iff ``cross``."""
+    rng = np.random.default_rng(seed)
+    base = np.zeros((d, d, m, m))
+    for i in range(d):
+        base[i, i] = 2.0 * np.eye(m) + 0.1 * rng.random((m, m))
+    terms = [(np.zeros(d), base, np.zeros((d, d, m, m)))]
+    for k in range(d):
+        cos_c, sin_c = 0.08 * rng.random((2, d, d, m, m))
+        if not cross:
+            off = ~np.eye(d, dtype=bool)
+            cos_c[off], sin_c[off] = 0.0, 0.0
+        terms.append((np.eye(d)[k], cos_c, sin_c))
+    f = F.TrigPolynomialField(d, m, terms)
+    F.certify_ellipticity(f, rng_seed=0)
+    return f
+
+
+ORACLE_FIELDS = {
+    **{f"trig_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, False, 10 * d + m))
+       for d in (1, 2, 3) for m in (1, 2)},
+    **{f"cross_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, True, 10 * d + m))
+       for d in (2, 3) for m in (1, 2)},
+    "cross_term_system": cross_term_system,
+}
+
+
 def count_evaluate(field):
     """Count calls through an instance-level wrapper of ``field.evaluate``."""
     calls = []
@@ -621,6 +705,21 @@ def count_evaluate(field):
         return inner(points)
 
     field.evaluate = counting
+    return calls
+
+
+def count_sample_mesh(monkeypatch):
+    """(points, keep) of every ``sample_mesh`` call made by the corrector and
+    the assembly, through wrappers of their module-level names."""
+    calls = []
+    inner = F.sample_mesh
+
+    def counting(field, axes, keep):
+        calls.append((int(np.prod([len(a) for a in axes])), tuple(keep)))
+        return inner(field, axes, keep)
+
+    for module in (C, operators):
+        monkeypatch.setattr(module, "sample_mesh", counting)
     return calls
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from aphomog import correctors as C
 from aphomog import fields as F
-from aphomog.grids import (_POINT_BLOCK, Box, BoxGrid, DIRICHLET, GridFunction,
+from aphomog.grids import (_POINT_BLOCK, Box, BoxGrid, DIRICHLET, PERIODIC, GridFunction,
                            centered_gradient, window_mean)
-from oracle_tools import (count_evaluate, cross_term_system, energy_identity_residual_loops,
+from oracle_tools import (count_evaluate, count_sample_mesh, cross_term_system, energy_identity_residual_loops,
                           exact_corrector_1d, flux_tensor_loops, harmonic_mean_1d,
                           homogenized_tensor_loops, homogenized_tensor_whole_grid,
                           node_samples_whole_grid, reference_matrix)
@@ -321,32 +321,50 @@ class TestFaceRows:
             assert np.array_equal(cs.face_rows[i], want)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_face_samples_evaluated_once(self, d):
+    def test_face_samples_evaluated_once(self, d, monkeypatch):
         f = cross_term_system() if d == 2 else F.sine_scalar_field()
         if d == 1:
             F.certify_ellipticity(f, rng_seed=0)
-        calls = count_evaluate(f)
+        evaluated = count_evaluate(f)
+        sampled = count_sample_mesh(monkeypatch)
         cs = C.solve_corrector(f, 4.0, h=1 / 16)
-        # d face sets, which assemble reuses, plus the nodes for the cross blocks
-        assert len(calls) == (d + 1 if d > 1 else 1)
-        calls.clear()
+        # row i on each face set, which assemble reuses, plus each cross block
+        # a_ij (i != j) on the nodes; the rule samples meshes without evaluate
+        faces = [(len(cs.grid.face_points(i)), (i,)) for i in range(d)]
+        nodes = [(cs.grid.node_total, (i, j)) for i in range(d) for j in range(d) if i != j]
+        assert sampled == faces + nodes
+        assert evaluated == []
+        sampled.clear()
         C.homogenized_matrix(cs)
-        assert calls == []
+        assert sampled == [] and evaluated == []
 
-    def test_cross_free_field_samples_no_nodes(self):
+    def test_cross_free_field_samples_no_nodes(self, monkeypatch):
         f = F.laminate_field()
         assert f.cross_free
         F.certify_ellipticity(f, rng_seed=0)
-        calls = count_evaluate(f)
-        # Dirichlet route: each face set has fewer points than the node set
+        sampled = count_sample_mesh(monkeypatch)
         cs = C.solve_corrector(f, 1.0, h=1 / 64, buffer=0.5, bc="truncated")
-        faces = [len(cs.grid.face_points(i)) for i in range(2)]
-        assert min(faces) > _POINT_BLOCK
-        # the calls are each face set's point blocks in turn, so the points
-        # sampled add up to the face sets, set by set, and no node is sampled
-        assert calls == [min(_POINT_BLOCK, n - lo) for n in faces
-                         for lo in range(0, n, _POINT_BLOCK)]
-        assert cs.grid.node_total not in calls
+        assert sampled == [(len(cs.grid.face_points(i)), (i,)) for i in range(2)]
+        sampled.clear()
+        C.homogenized_matrix(cs)
+        assert sampled == []
+
+    def test_a_field_without_a_form_samples_its_faces_in_point_blocks(self):
+        # a sampled field takes the point route: each face set's blocks of
+        # whole rows in turn, so the points sampled add up to the face sets,
+        # set by set, and no node is sampled
+        grid = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [16, 16], PERIODIC)
+        f = F.PeriodicSampledField([1.0, 1.0], F.laminate_field().evaluate(
+            grid.node_points()).reshape(16, 16, 2, 2, 1, 1))
+        assert f.cross_free and f.torus_form() is None
+        F.certify_ellipticity(f, rng_seed=0)
+        calls = count_evaluate(f)
+        cs = C.solve_corrector(f, 1.0, h=1 / 64, buffer=0.5, bc="truncated")
+        shapes = [cs.grid.face_shape(i) for i in range(2)]
+        assert min(map(np.prod, shapes)) > _POINT_BLOCK
+        runs = [_POINT_BLOCK // row for _, row in shapes]
+        assert calls == [row * min(run, rows - lo) for (rows, row), run in zip(shapes, runs)
+                         for lo in range(0, rows, run)]
         calls.clear()
         C.homogenized_matrix(cs)
         assert calls == []

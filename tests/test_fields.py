@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,10 +9,10 @@ from hypothesis import given, strategies as st
 from aphomog import fields as F
 from aphomog.correctors import solve_corrector
 from aphomog.errors import EllipticityViolation, ResonantFrequencies
-from aphomog.grids import _POINT_BLOCK, Box, BoxGrid, DIRICHLET, PERIODIC
+from aphomog.grids import _POINT_BLOCK, Box, BoxGrid, DIRICHLET, PERIODIC, _mesh_points
 from aphomog.operators import assemble
-from oracle_tools import (count_evaluate, cross_term_system, multilinear_per_corner,
-                          trig_sum_by_phase)
+from oracle_tools import (ORACLE_FIELDS, count_evaluate, cross_term_system, direct_evaluate,
+                          multilinear_per_corner, rule_error_bound, trig_sum_by_phase)
 
 
 def test_constant_identity_everywhere():
@@ -32,23 +36,21 @@ def test_nonfinite_point_rejected(sine_field):
         sine_field.evaluate(np.array([np.nan]))
 
 
-def test_zero_frequency_terms_match_phase_formula_bytewise():
-    # a zero-frequency cos term and a zero-frequency sin term (whose sine
-    # is a signed zero), evaluated at negative points as well
+def test_zero_frequency_terms_add_their_tensors_exactly():
+    # cos 0 = 1 and sin 0 = 0 exactly, so a zero-frequency cos term adds C and
+    # a zero-frequency sin term adds nothing, at negative points as well
     rng = np.random.default_rng(7)
     c0, s0, c1 = (rng.normal(size=(2, 2, 2, 2)) for _ in range(3))
-    f = F.TrigPolynomialField(2, 2, [(np.zeros(2), c0, np.zeros((2, 2, 2, 2))),
-                                     (np.array([1.0, -2.0]), c1, c0),
-                                     (np.zeros(2), np.zeros((2, 2, 2, 2)), s0)])
+    zero = np.zeros((2, 2, 2, 2))
+    f = F.TrigPolynomialField(2, 2, [(np.zeros(2), c0, zero), (np.zeros(2), c1, s0),
+                                     (np.zeros(2), zero, s0)])
     pts = np.concatenate([rng.uniform(-40.0, 40.0, size=(200, 2)),
                           [[0.0, 0.0], [-0.0, -0.0], [-3.5, 0.0], [-1e-300, -7.0]]])
-    got = f.evaluate(pts)
-    assert got.tobytes() == trig_sum_by_phase(pts, f.terms, 2, 2).tobytes()
-    golden = F.golden_ratio_field()
-    x = pts.reshape(-1, 1)
-    t = np.concatenate([x, x * F.GOLDEN_RATIO], axis=1)
-    assert golden.evaluate(x).tobytes() == \
-        trig_sum_by_phase(t, golden.terms, 1, 1).tobytes()
+    want = np.broadcast_to(np.zeros((2, 2, 2, 2)) + c0 + c1, (len(pts), 2, 2, 2, 2))
+    assert f.evaluate(pts).tobytes() == np.ascontiguousarray(want).tobytes()
+    const = F.ConstantField(c0)
+    assert const.evaluate(pts).tobytes() == np.ascontiguousarray(
+        np.broadcast_to(c0, want.shape)).tobytes()
 
 
 def test_quasi_periodic_integer_torus_shift():
@@ -76,17 +78,14 @@ def _uneven_quasi_field():
     return F.QuasiPeriodicField(UNEVEN_LAYOUT, 1, terms)
 
 
-@pytest.mark.parametrize("n_points", [1, 500])
-def test_embed_matches_concatenated_axis_blocks_bytewise(n_points):
-    # the field is evaluated on the torus at the per-axis products joined
-    # with np.concatenate
+def test_quasi_periodic_form_reads_its_layout():
+    # lam's column i holds axis i's frequencies in the rows of its torus axes
     f = _uneven_quasi_field()
     assert [a.tolist() for a in f.layout] == [list(a) for a in UNEVEN_LAYOUT]
-    pts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(n_points, 2))
-    ref = np.concatenate([pts[:, i, None] * np.array(a)[None, :]
-                          for i, a in enumerate(UNEVEN_LAYOUT)], axis=1)
-    assert ref.shape == (n_points, 4)
-    assert f.evaluate(pts).tobytes() == trig_sum_by_phase(ref, f.terms, 2, 1).tobytes()
+    lam = f.torus_form().lam
+    assert lam.shape == (4, 2) and not np.any(f.torus_form().phase)
+    assert lam[:3, 0].tolist() == list(UNEVEN_LAYOUT[0]) and not np.any(lam[3:, 0])
+    assert lam[3:, 1].tolist() == list(UNEVEN_LAYOUT[1]) and not np.any(lam[:3, 1])
 
 
 class TestEllipticity:
@@ -445,6 +444,130 @@ def test_sample_mesh_keeps_the_bytes_of_one_shot_face_slices(bc, m):
         assert rows.tobytes() == full[:, i].tobytes()
         assert F.sample_mesh(f, grid.face_axes(i), (i, i)).tobytes() == \
             np.ascontiguousarray(full[:, i, i]).tobytes()
+
+
+def _quasi_3d(m):
+    """d = 3, torus dimension 5, with cross blocks."""
+    rng = np.random.default_rng(12)
+    layout = ([1.0, F.GOLDEN_RATIO], [np.sqrt(2.0)], [1.0, -np.sqrt(3.0)])
+    terms = [(np.zeros(5), F.as_tensor(4.0, 3, m), 0.0)]
+    for _ in range(3):
+        terms.append((rng.integers(-2, 3, size=5), 0.1 * rng.standard_normal((3, 3, m, m)),
+                      0.1 * rng.standard_normal((3, 3, m, m))))
+    return F.QuasiPeriodicField(layout, m, terms)
+
+
+# every field with a torus form that the rule's tests cover: d = 1, 2, 3 and m = 1, 2
+RULE_FIELDS = {**ORACLE_FIELDS,
+               **{name: make for name, make in TORUS_FORM_CASES.items()
+                  if not name.startswith("sampled")},
+               "quasi_uneven": _uneven_quasi_field,
+               **{f"quasi_torus_8_m{m}": (lambda m=m: _quasi_torus_8(m)) for m in (1, 2)},
+               **{f"quasi_d3_m{m}": (lambda m=m: _quasi_3d(m)) for m in (1, 2)}}
+
+
+def _with_wrappers(f):
+    return {"base": f, "adjoint": f.adjoint(), "shifted": F.ShiftedField(f, np.full(f.d, 0.37)),
+            "scaled": F.ScaledArgumentField(f, 1.7)}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_FIELDS))
+def test_rule_is_the_direct_formula_up_to_phase_rounding(name):
+    # the rule folds per-axis angles 2 pi k_i x_i into the phase by angle
+    # addition; the direct formula takes one cos or sin of the whole phase.
+    # Both round a phase of size P to about eps P, and that moves cos and sin
+    # by as much, so they differ by a few eps P per term and entry, at most
+    # oracle_tools.rule_error_bound at |x| up to 10^3
+    for wrap, g in _with_wrappers(RULE_FIELDS[name]()).items():
+        pts = np.random.default_rng(5).uniform(-1e3, 1e3, size=(2000, g.d))
+        pts[0], pts[1] = 0.0, -1e3
+        got, want = g.evaluate(pts), direct_evaluate(g, pts)
+        assert np.all(np.abs(got - want) <= rule_error_bound(g, pts)), wrap
+
+
+@pytest.mark.parametrize("name", ["quasi_torus_8_m2", "cross_d3_m2", "quasi_d1_golden"])
+def test_evaluate_blocks_keep_the_bytes_of_one_shot(name, monkeypatch):
+    for g in _with_wrappers(RULE_FIELDS[name]()).values():
+        pts = np.random.default_rng(9).uniform(-50.0, 50.0, size=(2 * _POINT_BLOCK + 77, g.d))
+        blocked = g.evaluate(pts)
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "_POINT_BLOCK", len(pts))
+            assert g.evaluate(pts).tobytes() == blocked.tobytes()
+
+
+def _keeps(d):
+    return [(), *[(i,) for i in range(d)], *itertools.product(range(d), repeat=2)]
+
+
+@pytest.mark.parametrize("name", sorted(RULE_FIELDS))
+def test_sample_mesh_is_evaluate_at_the_mesh_points(name):
+    f = RULE_FIELDS[name]()
+    grid = BoxGrid(Box(np.full(f.d, -3.3), np.array([4.1, 2.7, 3.9])[:f.d]),
+                   [29, 23, 19][:f.d], DIRICHLET)
+    meshes = [grid.face_axes(i) for i in range(f.d)] + [grid.slice_axes((slice(None),) * f.d)]
+    for g in _with_wrappers(f).values():
+        for axes in meshes:
+            full = g.evaluate(_mesh_points(axes))
+            for keep in _keeps(f.d):
+                got = F.sample_mesh(g, axes, keep)
+                assert got.tobytes() == np.ascontiguousarray(full[(slice(None), *keep)]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(20000,), (3, 9000), (5, 100, 100), (193, 192), (4, 5, 6),
+                                   (1,), (8192,), (2, 4096)])
+def test_mesh_blocks_cover_the_mesh_in_c_order(shape):
+    covered = []
+    for sls in F._mesh_blocks(shape):
+        idx = np.indices(shape)[(slice(None), *sls)].reshape(len(shape), -1)
+        assert 0 < idx.shape[1] <= _POINT_BLOCK
+        covered.append(np.ravel_multi_index(idx, shape))
+    assert np.array_equal(np.concatenate(covered), np.arange(math.prod(shape)))
+
+
+@pytest.mark.parametrize("shape", [(20000,), (3, 9000), (2, 100, 100), (97, 3, 31), (4, 0), (0, 7)])
+def test_sample_mesh_blocks_keep_the_bytes_of_evaluate(shape):
+    # blocks of single leading indices, of rows and of whole planes; an empty
+    # axis gives an empty sample
+    f = {1: F.golden_ratio_field, 2: lambda: _quasi_torus_8(1), 3: lambda: _quasi_3d(1)}[len(shape)]()
+    axes = [np.linspace(-40.0, 33.0, n) for n in shape]
+    full = f.evaluate(_mesh_points(axes))
+    for keep in [(), (0, 0)]:
+        assert F.sample_mesh(f, axes, keep).tobytes() == \
+            np.ascontiguousarray(full[(slice(None), *keep)]).tobytes()
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: F.ShiftedField(f, [0.3, 0.1]),
+                                  lambda f: f.adjoint()], ids=["sampled", "shifted", "adjoint"])
+def test_a_field_without_a_form_samples_meshes_point_by_point(wrap):
+    g = wrap(_sampled_cross_term_system())
+    assert g.torus_form() is None
+    axes = [np.linspace(-1.0, 2.0, 130), np.linspace(0.2, 0.9, 140)]
+    calls = count_evaluate(g)
+    rows = F.sample_mesh(g, axes, (1,))
+    # one call per block of whole rows of 140 points
+    run = _POINT_BLOCK // 140
+    assert calls == [140 * min(run, 130 - lo) for lo in range(0, 130, run)]
+    assert rows.tobytes() == np.ascontiguousarray(g.evaluate(_mesh_points(axes))[:, 1]).tobytes()
+
+
+def test_sample_mesh_holds_no_whole_mesh_temporaries():
+    # the output is (N, 1): a route that built its factor products over the
+    # whole mesh would hold several N-point arrays at once (cos, sin, their
+    # products), 3 or more times the output; the blocked one holds a few
+    # blocks of _POINT_BLOCK points, a quarter of the output here
+    f = RULE_FIELDS["quasi_torus_8_m1"]()
+    axes = [np.linspace(-9.0, 9.0, 400), np.linspace(-7.0, 8.0, 2 * _POINT_BLOCK // 25)]
+    n = 400 * len(axes[1])
+    assert n >= 16 * _POINT_BLOCK
+    F.sample_mesh(f, axes, (0, 0))          # warm every code path first
+    tracemalloc.start()
+    try:
+        out = F.sample_mesh(f, axes, (0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * n
+    assert peak < 1.5 * out.nbytes
 
 
 def test_periodic_sampled_field_matches_the_per_corner_oracle():

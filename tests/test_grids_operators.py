@@ -12,7 +12,8 @@ from aphomog.grids import (_POINT_BLOCK, Box, BoxGrid, DIRICHLET, GridFunction, 
                            _dot, _gradient_at, centered_gradient, face_differences, holder_seminorm,
                            load_grid_function, norms, save_grid_function, window_mean)
 from aphomog.operators import assemble, divergence_rhs, solve
-from oracle_tools import (cross_term_system, face_diff_matrix, fast_poisson_out_of_place,
+from oracle_tools import (ORACLE_FIELDS, cross_term_system, face_diff_matrix,
+                          fast_poisson_out_of_place,
                           interpolate_per_corner, kronecker_divergence, scipy_krylov_solve,
                           triple_product_matrix)
 
@@ -281,33 +282,6 @@ class TestOperator:
         rhs = GridFunction(grid, ((1.0 + 0.5 * np.sin(7 * x)) ** 2)[None])
         u = solve(op, rhs, tol=1e-10)
         assert np.min(u.values) >= -1e-10
-
-
-def _trig_field(d, m, cross, seed):
-    """Nonsymmetric trig field, one frequency per axis; cross blocks iff ``cross``."""
-    rng = np.random.default_rng(seed)
-    base = np.zeros((d, d, m, m))
-    for i in range(d):
-        base[i, i] = 2.0 * np.eye(m) + 0.1 * rng.random((m, m))
-    terms = [(np.zeros(d), base, np.zeros((d, d, m, m)))]
-    for k in range(d):
-        cos_c, sin_c = 0.08 * rng.random((2, d, d, m, m))
-        if not cross:
-            off = ~np.eye(d, dtype=bool)
-            cos_c[off], sin_c[off] = 0.0, 0.0
-        terms.append((np.eye(d)[k], cos_c, sin_c))
-    f = F.TrigPolynomialField(d, m, terms)
-    F.certify_ellipticity(f, rng_seed=0)
-    return f
-
-
-ORACLE_FIELDS = {
-    **{f"trig_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, False, 10 * d + m))
-       for d in (1, 2, 3) for m in (1, 2)},
-    **{f"cross_d{d}_m{m}": (lambda d=d, m=m: _trig_field(d, m, True, 10 * d + m))
-       for d in (2, 3) for m in (1, 2)},
-    "cross_term_system": cross_term_system,
-}
 
 
 def _oracle_grid(d, bc):
