@@ -18,8 +18,8 @@ Supported constructions:
 
 Every variant but the sampled one also states its torus form
 ``A(x) = B(lam x + phase)`` (:meth:`CoefficientField.torus_form`), and is
-evaluated from it by one rule, at points (``evaluate``) and on tensor-product
-meshes (``sample_mesh``) alike.
+evaluated from it by one rule, at points and on tensor-product meshes
+(``evaluate`` of a ``Mesh``, or ``sample_mesh``) alike.
 
 All evaluators are vectorized over points and deterministic; fields are immutable
 apart from an ellipticity certificate cached on first read, and safe to evaluate concurrently.
@@ -234,9 +234,12 @@ class CoefficientField:
         return check_ellipticity(self)
 
     def evaluate(self, points):
-        """A at points (N, d) as (N, d, d, m, m), or at one point (d,).  A field
-        with a torus form takes the form's evaluation rule (``sample_mesh``
-        takes the same one), any other its own point route."""
+        """A at points (N, d) as (N, d, d, m, m), or at one point (d,), or the
+        kept entries of A at the points of a ``Mesh``.  A field with a torus
+        form takes the form's evaluation rule, per point or, on a mesh, per
+        axis; any other its own point route."""
+        if isinstance(points, Mesh):
+            return _mesh_rule(self, points)
         pts, single = _check_points(points, self.d)
         form = self.torus_form()
         out = (self._evaluate(pts) if form is None
@@ -458,20 +461,48 @@ def check_ellipticity(field, sample_count=4096, rng_seed=0):
     return Ellipticity(mu=mu, mu_inv_check=mu_inv)
 
 
+class Mesh:
+    """The tensor product of per-axis coordinates ``axes`` (C order) as a
+    point set for ``CoefficientField.evaluate``, which returns of each
+    (d, d, m, m) tensor only the entries at the leading integer indices
+    ``keep`` (``(i,)`` for row i, ``(i, i)`` for a_ii, ``(i, j)`` for a
+    cross block, ``()`` for all).  It has the shape (N, d) and the length
+    of the points it stands for; they are built only for a field without a
+    torus form, block by block."""
+
+    def __init__(self, axes, keep):
+        self.axes = [np.asarray(a, dtype=float) for a in axes]
+        self.keep = tuple(keep)
+        if any(a.ndim != 1 for a in self.axes):
+            raise ValueError("mesh axes must be one-dimensional")
+        if not all(np.all(np.isfinite(a)) for a in self.axes):
+            raise ValueError("non-finite evaluation point")
+        self.shape = (math.prod(map(len, self.axes)), len(self.axes))
+
+    def __len__(self):
+        return self.shape[0]
+
+
 def sample_mesh(field, axes, keep):
     """``field.evaluate(_mesh_points(axes))[(slice(None), *keep)]`` without the
-    full tensors: only the entries at the leading integer indices ``keep`` of
-    each (d, d, m, m) tensor (``(i,)`` for row i, ``(i, i)`` for a_ii, ``(i,
-    j)`` for a cross block, ``()`` for all) of the tensor product of the
-    per-axis coordinates ``axes`` (C order) go into one preallocated output.
+    full tensors or the points: ``field.evaluate(Mesh(axes, keep))``."""
+    return field.evaluate(Mesh(axes, keep))
+
+
+def _mesh_rule(field, mesh):
+    """A on a Mesh: only the kept entries of each tensor go into one
+    preallocated output (N, *tail).
 
     The mesh is taken in blocks of at most _POINT_BLOCK points, whole rows
     of its trailing axes (``_mesh_blocks``).  A field with a torus form takes
     its evaluation rule (``_add_terms``) with the per-axis factor tables
     built once per term and axis and combined by outer products over each
     block: each output entry is made by the same operations on the same
-    inputs as ``evaluate`` makes it, so the bytes are the same.  Any other
-    field evaluates each block's points."""
+    inputs as ``evaluate`` at points makes it, so the bytes are the same.
+    Any other field evaluates each block's points."""
+    axes, keep = mesh.axes, mesh.keep
+    if len(axes) != field.d:
+        raise ValueError(f"points have dimension {len(axes)}, expected d={field.d}")
     shape = tuple(len(a) for a in axes)
     n = math.prod(shape)
     tail = (field.d, field.d, field.m, field.m)[len(keep):]

@@ -329,11 +329,12 @@ class TestFaceRows:
         sampled = count_sample_mesh(monkeypatch)
         cs = C.solve_corrector(f, 4.0, h=1 / 16)
         # row i on each face set, which assemble reuses, plus each cross block
-        # a_ij (i != j) on the nodes; the rule samples meshes without evaluate
+        # a_ij (i != j) on the nodes; each is one evaluate of its Mesh
         faces = [(len(cs.grid.face_points(i)), (i,)) for i in range(d)]
         nodes = [(cs.grid.node_total, (i, j)) for i in range(d) for j in range(d) if i != j]
         assert sampled == faces + nodes
-        assert evaluated == []
+        assert evaluated == [n for n, _ in faces + nodes]
+        evaluated.clear()
         sampled.clear()
         C.homogenized_matrix(cs)
         assert sampled == [] and evaluated == []
@@ -350,9 +351,9 @@ class TestFaceRows:
         assert sampled == []
 
     def test_a_field_without_a_form_samples_its_faces_in_point_blocks(self):
-        # a sampled field takes the point route: each face set's blocks of
-        # whole rows in turn, so the points sampled add up to the face sets,
-        # set by set, and no node is sampled
+        # a sampled field takes the point route: each face set's Mesh, then
+        # its blocks of whole rows in turn, so the points sampled add up to
+        # the face sets, set by set, and no node is sampled
         grid = BoxGrid(Box([0.0, 0.0], [1.0, 1.0]), [16, 16], PERIODIC)
         f = F.PeriodicSampledField([1.0, 1.0], F.laminate_field().evaluate(
             grid.node_points()).reshape(16, 16, 2, 2, 1, 1))
@@ -363,8 +364,9 @@ class TestFaceRows:
         shapes = [cs.grid.face_shape(i) for i in range(2)]
         assert min(map(np.prod, shapes)) > _POINT_BLOCK
         runs = [_POINT_BLOCK // row for _, row in shapes]
-        assert calls == [row * min(run, rows - lo) for (rows, row), run in zip(shapes, runs)
-                         for lo in range(0, rows, run)]
+        assert calls == [n for (rows, row), run in zip(shapes, runs)
+                         for n in [rows * row] + [row * min(run, rows - lo)
+                                                  for lo in range(0, rows, run)]]
         calls.clear()
         C.homogenized_matrix(cs)
         assert calls == []

@@ -544,10 +544,24 @@ def test_a_field_without_a_form_samples_meshes_point_by_point(wrap):
     axes = [np.linspace(-1.0, 2.0, 130), np.linspace(0.2, 0.9, 140)]
     calls = count_evaluate(g)
     rows = F.sample_mesh(g, axes, (1,))
-    # one call per block of whole rows of 140 points
+    # the mesh's own call, then one per block of whole rows of 140 points
     run = _POINT_BLOCK // 140
-    assert calls == [140 * min(run, 130 - lo) for lo in range(0, 130, run)]
+    assert calls == [130 * 140] + [140 * min(run, 130 - lo) for lo in range(0, 130, run)]
     assert rows.tobytes() == np.ascontiguousarray(g.evaluate(_mesh_points(axes))[:, 1]).tobytes()
+
+
+def test_a_mesh_is_checked_like_points():
+    f = cross_term_system()
+    axes = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)]
+    mesh = F.Mesh(axes, (0,))
+    assert mesh.shape == (15, 2) and len(mesh) == 15
+    assert f.evaluate(mesh).tobytes() == f.evaluate(_mesh_points(axes))[:, 0].tobytes()
+    with pytest.raises(ValueError, match="dimension"):
+        f.evaluate(F.Mesh(axes + [np.zeros(2)], ()))
+    with pytest.raises(ValueError, match="non-finite"):
+        F.Mesh([axes[0], np.array([0.0, np.inf])], ())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        F.Mesh([axes[0], np.zeros((2, 2))], ())
 
 
 def test_sample_mesh_holds_no_whole_mesh_temporaries():
