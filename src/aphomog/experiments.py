@@ -120,8 +120,7 @@ def boundary_corrector(op, cset, u0, eps, tol=1e-10):
     if op.grid != grid:
         raise ValueError("the operator and u0 must share a grid")
     trace = expansion_term(u0, cset, eps)
-    rhs = GridFunction(grid, -op.apply(trace).values)
-    w = solve(op, rhs, tol=tol)
+    w = solve(op, GridFunction(grid, -op.apply(trace).values), tol=tol)
     v = GridFunction(grid, w.values + trace.values)
     sup_scaled = cset.sup_norm() / cset.T
     report = {

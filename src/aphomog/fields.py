@@ -174,10 +174,10 @@ def _add_terms(acc, terms, factors):
             acc[..., e] += s * v
 
 
-def _form_points(form, pts, tail):
-    """The rule at points (N, dim): A(x) = B(lam x + phase), shape (N, *tail),
-    in blocks of at most _POINT_BLOCK points."""
-    terms = _rule_terms(form, ())
+def _form_points(terms, pts, tail):
+    """The rule ``terms`` (``_rule_terms(form, ())``) at points (N, dim):
+    A(x) = B(lam x + phase), shape (N, *tail), in blocks of at most
+    _POINT_BLOCK points."""
     out = np.zeros((pts.shape[0],) + tail)
     flat = out.reshape(pts.shape[0], math.prod(tail))
     for lo in range(0, pts.shape[0], _POINT_BLOCK):
@@ -241,10 +241,16 @@ class CoefficientField:
         if isinstance(points, Mesh):
             return _mesh_rule(self, points)
         pts, single = _check_points(points, self.d)
-        form = self.torus_form()
-        out = (self._evaluate(pts) if form is None
-               else _form_points(form, pts, (self.d, self.d, self.m, self.m)))
+        terms = self._point_rule
+        out = (self._evaluate(pts) if terms is None
+               else _form_points(terms, pts, (self.d, self.d, self.m, self.m)))
         return out[0] if single else out
+
+    @functools.cached_property
+    def _point_rule(self):
+        """The torus form's rule over all entries, built on first use, or None."""
+        form = self.torus_form()
+        return None if form is None else _rule_terms(form, ())
 
     def _evaluate(self, pts):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -608,12 +614,12 @@ def modulus_of_continuity(field, delta, sample_count=4096):
     offsets = [np.array(c, dtype=float) * delta for c in itertools.product((-1, 1), repeat=M)]
     offsets += list(rng.uniform(-delta, delta, size=(8, M)))
     # B itself: the form on the torus, with lam = I and no phase
-    torus = TorusForm(form.terms, np.eye(M), np.zeros(M))
+    rule = _rule_terms(TorusForm(form.terms, np.eye(M), np.zeros(M)), ())
     tail = (field.d, field.d, field.m, field.m)
-    b0 = _form_points(torus, base, tail)
+    b0 = _form_points(rule, base, tail)
     worst = 0.0
     for off in offsets:
-        b1 = _form_points(torus, base + off, tail)
+        b1 = _form_points(rule, base + off, tail)
         worst = max(worst, float(np.max(np.abs(b1 - b0))))
     return worst
 

@@ -65,7 +65,9 @@ class DiscreteOperator:
 
     ``coef[step]``, one (m, m, *nodes) array per stencil step, holds for
     every component pair the coefficient of u(x + step h) in the row of node
-    x.  The operator's rows are the unknowns' (``grid.unknowns``,
+    x; the arrays are read-only, and on a Dirichlet box ``coef[-e_i]`` is a
+    view of the buffer under ``coef[e_i]`` (see :func:`assemble`).  The
+    operator's rows are the unknowns' (``grid.unknowns``,
     component-major); a Dirichlet box's boundary nodes enter as columns only.
     ``face_means[i, alpha]`` is the mean of the face coefficients
     a_ii^{alpha alpha} on the faces normal to axis ``i``; the solver's
@@ -251,7 +253,12 @@ def assemble(field, grid, kappa, face_rows=None):
     node x.  Each entry is formed and summed as in the sparse products
     sum_i D_i^T diag(a_ii) D_i + sum_{i != j} G_i^T diag(a_ij) G_j + kappa
     (D_i the face difference, G_i the centered difference), so the
-    unknowns' rows are those products bit for bit.
+    unknowns' rows are those products bit for bit.  On a Dirichlet box the
+    steps +-e_i share one zero-led buffer: ``coef[-e_i]`` is ``coef[e_i]``
+    one node back, which is 0 where x_i = 0 (the lead, or the last layer
+    along axis i).  The periodic cell's ``coef[-e_i]`` wraps, and the cross
+    steps sum two blocks each, so they keep arrays of their own.  Every
+    array is read-only on return: no write reaches a step through another.
     """
     field.ellipticity          # made on first read; raises if not elliptic
     if kappa < 0:
@@ -287,8 +294,14 @@ def assemble(field, grid, kappa, face_rows=None):
         _place(diag, flux, zero, periodic)
         _place(diag, flux, e, periodic)
         add(zero, diag, zero)
+        if not periodic:
+            stride = int(np.prod(nodes[i + 1:]))
+            buf = np.zeros((m, m, grid.node_total + stride))
+            coef[tuple(e.tolist())] = buf[..., stride:].reshape((m, m) + nodes)
+            coef[tuple((-e).tolist())] = buf[..., :-stride].reshape((m, m) + nodes)
         add(e, -flux, zero)
-        add(-e, -flux, e)
+        if periodic:
+            add(-e, -flux, e)
         del flux, diag
 
     if d > 1 and not field.cross_free:
@@ -311,6 +324,8 @@ def assemble(field, grid, kappa, face_rows=None):
     if kappa:
         for al in range(m):
             coef[(0,) * d][al, al] += kappa
+    for c in coef.values():
+        c.flags.writeable = False
     return DiscreteOperator(grid, m, kappa, coef, symmetric=field.symmetric,
                             face_means=face_means)
 
@@ -579,6 +594,7 @@ def solve(op, rhs, tol=1e-10, max_iters=None):
     shape = rhs.values.shape
     unknowns = (slice(None),) + op.grid.unknowns
     b = rhs.values[unknowns].reshape(-1)
+    del rhs                     # b is a copy on a Dirichlet box: a temporary rhs goes now
 
     def _project(vec):
         v = vec.reshape(op.m, -1)

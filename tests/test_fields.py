@@ -360,6 +360,42 @@ def test_torus_form_layouts():
     assert TORUS_FORM_CASES["trig_irrational"]().torus_form().lam.shape == (3, 1)
 
 
+def _wrappers(f):
+    return (f, f.adjoint(), F.ShiftedField(f, np.full(f.d, 0.37)), F.ScaledArgumentField(f, 1.7))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_memoized_point_rule_keeps_the_bytes(name):
+    # the rule built once per field gives the bytes of one built per call
+    f = ORACLE_FIELDS[name]()
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(300, f.d))
+    for g in _wrappers(f):
+        tail = (g.d, g.d, g.m, g.m)
+        want = F._form_points(F._rule_terms(g.torus_form(), ()), pts, tail)
+        for _ in range(2):
+            assert g.evaluate(pts).tobytes() == want.tobytes()
+            assert g.evaluate(pts[7]).tobytes() == want[7].tobytes()
+
+
+def test_repeated_evaluate_builds_the_form_once():
+    base = F.golden_ratio_field()
+    calls = []
+    form = base.torus_form
+
+    def counting():
+        calls.append(1)
+        return form()
+
+    base.torus_form = counting
+    for g in _wrappers(base):
+        # a wrapper builds its form from the base's, once
+        start = len(calls)
+        for _ in range(3):
+            g.evaluate(np.zeros((2, base.d)))
+            g.evaluate(np.ones(base.d))
+        assert len(calls) == start + 1
+
+
 class TestCrossFree:
     @pytest.mark.parametrize("name", sorted(CROSS_FREE_CASES))
     def test_read_from_the_coefficients(self, name):
